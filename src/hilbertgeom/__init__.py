@@ -20,7 +20,6 @@ from .geometry import (
     ParseError,
     PointLocation,
     PolyCone,
-    canonical_facet_list,
     classify_point,
     cone_from_polytope,
     cone_subset,
@@ -29,7 +28,6 @@ from .geometry import (
     face_of,
     format_rational,
     interior_point,
-    irredundant_hrep,
     lift_to_cone,
     lineality_dim,
     parse_point,

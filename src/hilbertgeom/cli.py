@@ -11,12 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .geometry import (
     ConstructionError,
     DomainError,
-    HilbertGeometryError,
     HPolytope,
     ParseError,
     classify_point,

@@ -101,11 +101,23 @@ class LinearFunctional:
 
         Only positive scalings are applied, so the halfspace is unchanged.
         """
-        lead = next(c for c in self.coeffs if c != 0)
-        if abs(lead) == 1:
-            return self
-        scale = ONE / abs(lead)
-        return LinearFunctional(tuple(c * scale for c in self.coeffs))
+        coeffs = _unit_lead(self.coeffs)
+        return self if coeffs is self.coeffs else LinearFunctional(coeffs)
+
+
+def _unit_lead(coords: Vector) -> Vector:
+    """Positive rescaling that makes the leading nonzero entry +1 or -1.
+
+    The one normaliser for facet functionals and for rays: both matter only
+    up to positive scaling.  Returns `coords` itself when already normal.
+    """
+    lead = next((c for c in coords if c != 0), None)
+    if lead is None:
+        raise DomainError("cannot normalise the zero vector")
+    if abs(lead) == 1:
+        return coords
+    scale = ONE / abs(lead)
+    return tuple(c * scale for c in coords)
 
 
 def _as_functionals(facets: Iterable) -> list[LinearFunctional]:
@@ -132,12 +144,6 @@ def _irredundant(functionals: Sequence[LinearFunctional]) -> list[LinearFunction
     return kept
 
 
-def canonical_facet_list(facets: Iterable) -> tuple[LinearFunctional, ...]:
-    """Scale, deduplicate, drop implied functionals, and sort lexicographically."""
-    scaled = sorted({f.canonical() for f in _as_functionals(facets)}, key=lambda f: f.coeffs)
-    return tuple(_irredundant(scaled))
-
-
 class PolyCone:
     """Open polyhedral cone with a canonical, irredundant facet list.
 
@@ -162,10 +168,13 @@ class PolyCone:
         scaled = sorted({f.canonical() for f in funcs}, key=lambda f: f.coeffs)
         if not _strictly_feasible(scaled, dim):
             raise ConstructionError("cone has empty interior")
-        canonical = tuple(_irredundant(scaled))
+        self._assign(tuple(_irredundant(scaled)), dim)
+
+    def _assign(self, facets: tuple[LinearFunctional, ...], dim: int) -> None:
+        """Store an already canonical facet list and its lineality space."""
         self.ambient_dim = dim
-        self.facets = canonical
-        self.lineality_basis = tuple(kernel_basis([f.coeffs for f in canonical], dim))
+        self.facets = facets
+        self.lineality_basis = tuple(kernel_basis([f.coeffs for f in facets], dim))
 
     @property
     def num_facets(self) -> int:
@@ -310,8 +319,7 @@ class HPolytope:
         if not verts:
             raise ConstructionError("polytope has no vertices")
         self.vertices = tuple(sorted(verts))
-        centroid = interior_point(self)
-        if not all(f(centroid) > b for f, b in self.halfspaces):
+        if not self.contains_interior(interior_point(self)):
             raise ConstructionError("polytope has empty interior")
 
     def _is_bounded(self) -> bool:
@@ -378,11 +386,6 @@ def cone_from_polytope(polytope: HPolytope) -> PolyCone:
 def lift_to_cone(point: Sequence[Fraction]) -> Vector:
     """Append the height-one coordinate."""
     return vector(point) + (ONE,)
-
-
-def irredundant_hrep(cone: PolyCone) -> PolyCone:
-    """Re-canonicalise; idempotent since cones always store canonical lists."""
-    return PolyCone(cone.facets, cone.ambient_dim)
 
 
 @lru_cache(maxsize=None)

@@ -23,14 +23,14 @@ from typing import Iterable, Sequence
 from .geometry import (
     DomainError,
     PolyCone,
+    _unit_lead,
     classify_point,
-    cone_subset,
     face_of,
     face_lattice_active_sets,
 )
-from .linalg import ONE, Vector, rank, rref, vector
+from .linalg import Vector, rank, rref, vector
 from .metrics import LogValue, face_m_ratio, hilbert_cone, m_ratio
-from .tangent import canonical_index_set, hilbert_dimension, subcone, tangent_cone
+from .tangent import canonical_index_set, hilbert_dimension, subcone
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,6 @@ class BusemannPoint:
     funk_cone: PolyCone
     p: Vector
     base: Vector
-
-
-def _canonical_ray(point: Vector) -> Vector:
-    lead = next((c for c in point if c != 0), None)
-    if lead is None:
-        raise DomainError("cannot normalise the zero vector")
-    scale = ONE / abs(lead)
-    return point if scale == 1 else tuple(scale * c for c in point)
 
 
 def _reduce_mod_subspace(point: Vector, basis: Sequence[Vector]) -> Vector:
@@ -96,19 +88,18 @@ def busemann_point(
         raise DomainError("funk cone index set must be nonempty")
     if not index <= loc.active:
         raise DomainError("funk cone indices must be active at the boundary point")
-    core = canonical_index_set(cone, index)
-    funk_cone = subcone(cone, core)
+    funk_cone = subcone(cone, index)
     p = vector(p)
     if not classify_point(funk_cone, p).is_interior:
         raise DomainError("reference point must be interior to the funk cone")
     p_reduced = _reduce_mod_subspace(p, funk_cone.lineality_basis)
     return BusemannPoint(
         cone=cone,
-        x=_canonical_ray(x),
+        x=_unit_lead(x),
         x_active=loc.active,
-        funk_index=core,
+        funk_index=index,
         funk_cone=funk_cone,
-        p=_canonical_ray(p_reduced),
+        p=_unit_lead(p_reduced),
         base=base,
     )
 
@@ -151,15 +142,6 @@ def _check_comparable(g: BusemannPoint, h: BusemannPoint) -> None:
         raise DomainError("Busemann points carry different base-points")
 
 
-def _funk_cone_subset(g: BusemannPoint, h: BusemannPoint) -> bool:
-    # A larger index set imposes more constraints and cuts a smaller cone,
-    # so for subset cones of one irredundant parent S <= T reduces to the
-    # reverse containment of the index sets; Farkas settles the rest.
-    if h.funk_index <= g.funk_index:
-        return True
-    return cone_subset(g.funk_cone, h.funk_cone)
-
-
 def detour_cost(g: BusemannPoint, h: BusemannPoint) -> LogValue:
     """One-sided cost of reaching h through g.
 
@@ -168,9 +150,9 @@ def detour_cost(g: BusemannPoint, h: BusemannPoint) -> LogValue:
     along the face and a Funk part between the reference points.
     """
     _check_comparable(g, h)
-    if not (g.x_active <= h.x_active):
-        return LogValue.INFINITY
-    if not _funk_cone_subset(g, h):
+    # Both funk cones are cut from one irredundant facet list, so g's is
+    # contained in h's exactly when h's index set is a subset of g's.
+    if not (g.x_active <= h.x_active and h.funk_index <= g.funk_index):
         return LogValue.INFINITY
     cone = g.cone
     face = face_of(cone, g.x)
@@ -203,15 +185,14 @@ def detour_metric(g: BusemannPoint, h: BusemannPoint) -> LogValue:
 
     When finite the value equals the face Hilbert distance between the
     boundary points plus the Hilbert distance of the reference points in
-    the shared funk cone; both routes are computed and compared.
+    the shared funk cone; both routes are computed and compared, and a
+    disagreement raises `ArithmeticError`.
     """
     delta = detour_cost(g, h) + detour_cost(h, g)
     decomposition = detour_decomposition(g, h)
-    if decomposition is None:
-        assert delta.is_infinite
-        return LogValue.INFINITY
-    d_face, d_cone = decomposition
-    assert delta == d_face + d_cone
+    expected = LogValue.INFINITY if decomposition is None else decomposition[0] + decomposition[1]
+    if delta != expected:
+        raise ArithmeticError(f"detour metric routes disagree: {delta!r} vs {expected!r}")
     return delta
 
 
@@ -231,15 +212,12 @@ def enumerate_parts(cone: PolyCone) -> list[PartId]:
     """All parts: pairs (boundary face, member of the tangent family there)."""
     if not cone.is_proper:
         raise DomainError("part enumeration requires a proper cone")
-    out: list[PartId] = []
-    for active in face_lattice_active_sets(cone):
-        seen: set[frozenset[int]] = set()
-        for r in range(1, len(active) + 1):
-            for subset in combinations(sorted(active), r):
-                core = canonical_index_set(cone, subset)
-                if core not in seen:
-                    seen.add(core)
-                    out.append(PartId(active, core))
+    out = [
+        PartId(active, canonical_index_set(cone, subset))
+        for active in face_lattice_active_sets(cone)
+        for r in range(1, len(active) + 1)
+        for subset in combinations(sorted(active), r)
+    ]
     return sorted(out, key=lambda p: (sorted(p.face_active), len(p.cone_index), sorted(p.cone_index)))
 
 
@@ -273,7 +251,7 @@ def classify_part(cone: PolyCone, part: PartId) -> str:
     """
     _validate_part(cone, part)
     span = _face_span_dim(cone, part.face_active)
-    full_tangent = part.cone_index == canonical_index_set(cone, part.face_active)
+    full_tangent = part.cone_index == part.face_active
     if span == 1 and full_tangent:
         return VERTEX_PART
     if span == cone.ambient_dim - 1 and full_tangent:

@@ -27,16 +27,8 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def vadd(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c: Fraction, a: Sequence[Fraction]) -> Vector:
-    return tuple(c * x for x in a)
 
 
 def is_zero_vector(a: Sequence[Fraction]) -> bool:

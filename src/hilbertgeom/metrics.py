@@ -17,7 +17,6 @@ from .geometry import (
     Face,
     HPolytope,
     PolyCone,
-    classify_point,
     format_rational,
 )
 from .linalg import ONE, Vector, vector, vsub
@@ -111,6 +110,22 @@ LogValue.INFINITY = LogValue(None)
 Metric = Callable[[Sequence[Fraction], Sequence[Fraction]], LogValue]
 
 
+def _max_ratio(numerators: Sequence[Fraction], denominators: Sequence[Fraction], refusal: str) -> Fraction:
+    """The gauge kernel: the largest ratio of paired facet values.
+
+    Raises `DomainError(refusal)` unless every denominator value is positive.
+    """
+    if any(d <= 0 for d in denominators):
+        raise DomainError(refusal)
+    return max(n / d for n, d in zip(numerators, denominators))
+
+
+def _log_gauge(arg: Fraction, metric: str) -> LogValue:
+    if arg <= 0:
+        raise DomainError(f"{metric} metric undefined: gauge argument is not positive")
+    return LogValue(arg)
+
+
 def m_ratio(numerator: Sequence[Fraction], denominator: Sequence[Fraction], cone: PolyCone) -> Fraction:
     """Order-unit gauge M(numerator / denominator; cone).
 
@@ -120,26 +135,21 @@ def m_ratio(numerator: Sequence[Fraction], denominator: Sequence[Fraction], cone
     forms with positive denominators obeys the mediant inequality.  The
     result may be nonpositive for points far outside the cone.
     """
-    if not classify_point(cone, denominator).is_interior:
-        raise DomainError("gauge denominator point must be interior")
-    numerator = vector(numerator)
-    return max(f(numerator) / f(denominator) for f in cone.facets)
+    return _max_ratio(
+        cone.values(vector(numerator)),
+        cone.values(vector(denominator)),
+        "gauge denominator point must be interior",
+    )
 
 
 def funk(x: Sequence[Fraction], y: Sequence[Fraction], cone: PolyCone) -> LogValue:
     """Funk metric log M(x/y); y must be interior and the gauge positive."""
-    arg = m_ratio(x, y, cone)
-    if arg <= 0:
-        raise DomainError("Funk metric undefined: gauge argument is not positive")
-    return LogValue(arg)
+    return _log_gauge(m_ratio(x, y, cone), "Funk")
 
 
 def reverse_funk(x: Sequence[Fraction], y: Sequence[Fraction], cone: PolyCone) -> LogValue:
     """Reverse-Funk metric log M(y/x); x must be interior."""
-    arg = m_ratio(y, x, cone)
-    if arg <= 0:
-        raise DomainError("reverse-Funk metric undefined: gauge argument is not positive")
-    return LogValue(arg)
+    return _log_gauge(m_ratio(y, x, cone), "reverse-Funk")
 
 
 def hilbert_cone(x: Sequence[Fraction], y: Sequence[Fraction], cone: PolyCone) -> LogValue:
@@ -148,11 +158,8 @@ def hilbert_cone(x: Sequence[Fraction], y: Sequence[Fraction], cone: PolyCone) -
 
 
 def _require_interior(polytope: HPolytope, point: Vector) -> None:
-    if len(point) != polytope.dim:
-        raise DomainError(f"point has dimension {len(point)}, polytope has {polytope.dim}")
-    for f, b in polytope.halfspaces:
-        if f(point) <= b:
-            raise DomainError(f"point {tuple(map(format_rational, point))} is not interior")
+    if not polytope.contains_interior(point):
+        raise DomainError(f"point {tuple(map(format_rational, point))} is not interior")
 
 
 def hilbert_cross_ratio(polytope: HPolytope, x: Sequence[Fraction], y: Sequence[Fraction]) -> LogValue:
@@ -194,35 +201,23 @@ def face_m_ratio(numerator: Sequence[Fraction], denominator: Sequence[Fraction],
     strictly; active constraints vanish on the whole face and drop out.
     """
     cone = face.parent
-    numerator = vector(numerator)
-    denominator = vector(denominator)
     inactive = [i for i in range(cone.num_facets) if i not in face.active]
     if not inactive:
         raise DomainError("face has no inactive constraints")
-    for i in face.active:
-        if cone.facets[i](denominator) != 0:
-            raise DomainError("denominator point is not in the relative interior of the face")
-    ratios = []
-    for i in inactive:
-        d = cone.facets[i](denominator)
-        if d <= 0:
-            raise DomainError("denominator point is not in the relative interior of the face")
-        ratios.append(cone.facets[i](numerator) / d)
-    return max(ratios)
+    nums = cone.values(vector(numerator))
+    dens = cone.values(vector(denominator))
+    refusal = "denominator point is not in the relative interior of the face"
+    if any(dens[i] != 0 for i in face.active):
+        raise DomainError(refusal)
+    return _max_ratio([nums[i] for i in inactive], [dens[i] for i in inactive], refusal)
 
 
 def face_funk(x: Sequence[Fraction], y: Sequence[Fraction], face: Face) -> LogValue:
-    arg = face_m_ratio(x, y, face)
-    if arg <= 0:
-        raise DomainError("face Funk metric undefined: gauge argument is not positive")
-    return LogValue(arg)
+    return _log_gauge(face_m_ratio(x, y, face), "face Funk")
 
 
 def face_reverse_funk(x: Sequence[Fraction], y: Sequence[Fraction], face: Face) -> LogValue:
-    arg = face_m_ratio(y, x, face)
-    if arg <= 0:
-        raise DomainError("face reverse-Funk metric undefined: gauge argument is not positive")
-    return LogValue(arg)
+    return _log_gauge(face_m_ratio(y, x, face), "face reverse-Funk")
 
 
 def face_hilbert(x: Sequence[Fraction], y: Sequence[Fraction], face: Face) -> LogValue:

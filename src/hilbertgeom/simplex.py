@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .geometry import DomainError, PolyCone, classify_point
 from .linalg import ONE, ZERO, Vector, dot, vector
-from .metrics import m_ratio, variation_distance
+from .metrics import m_ratio, variation_distance, variation_norm
 
 POINT_GROUP_MAX_N = 6
 BALL_VERTICES_MAX_N = 12
@@ -53,7 +53,7 @@ def vclass(values: Sequence[Fraction]) -> VClass:
 
 
 def var_norm(v: VClass) -> Fraction:
-    return max(v.rep) - min(v.rep)
+    return variation_norm(v.rep)
 
 
 def var_dist(v: VClass, w: VClass) -> Fraction:
@@ -365,15 +365,11 @@ def collineation_witness_failure(n: int) -> CollinearityWitness | None:
     p3 = tuple((a + b) / 2 for a, b in zip(p1, p2))
     points = (p1, p2, p3)
     images = tuple(reciprocal_map(p) for p in points)
-    for cols in _column_triples(size):
+    for cols in combinations(range(size), 3):
         det = _det3(images, cols)
         if det != 0:
             return CollinearityWitness(points, images, cols, det)
     return None
-
-
-def _column_triples(size: int):
-    return combinations(range(size), 3)
 
 
 def is_metric_preserving(

@@ -21,39 +21,38 @@ from .geometry import (
     PolyCone,
     classify_point,
 )
-from .linalg import in_cone, vector
+from .linalg import vector
 
 TANGENT_FAMILY_MAX_FACETS = 20
 
 
-def subcone(cone: PolyCone, indices: Iterable[int]) -> PolyCone:
-    """The cone cut out by the facet subset `indices` of `cone`."""
-    idx = sorted(set(indices))
-    if not idx:
-        raise DomainError("facet index set must be nonempty")
-    if any(i < 0 or i >= cone.num_facets for i in idx):
-        raise DomainError(f"facet index out of range for a cone with {cone.num_facets} facets")
-    return PolyCone([cone.facets[i] for i in idx], cone.ambient_dim)
-
-
 def canonical_index_set(cone: PolyCone, indices: Iterable[int]) -> frozenset[int]:
-    """Drop indices whose functionals the rest of the subset already implies.
+    """Validate a facet subset of `cone` and return it as the name of its cone.
 
-    For a canonical (irredundant) parent this is the identity; it makes the
-    index set of a facet subset a canonical name for the cone it cuts out.
+    A canonical facet list is irredundant: no functional is a nonnegative
+    combination of the others.  By Farkas, C_I <= C_J then holds exactly
+    when J <= I, so distinct subsets cut out distinct cones and every
+    nonempty subset is already the canonical name of the cone it cuts out.
     """
-    idx = sorted(set(indices))
-    if not idx:
+    index = frozenset(indices)
+    if not index:
         raise DomainError("facet index set must be nonempty")
-    kept = list(idx)
-    i = 0
-    while i < len(kept):
-        others = [cone.facets[j].coeffs for j in kept if j != kept[i]]
-        if others and in_cone(cone.facets[kept[i]].coeffs, others):
-            del kept[i]
-        else:
-            i += 1
-    return frozenset(kept)
+    if not all(0 <= i < cone.num_facets for i in index):
+        raise DomainError(f"facet index out of range for a cone with {cone.num_facets} facets")
+    return index
+
+
+def subcone(cone: PolyCone, indices: Iterable[int]) -> PolyCone:
+    """The cone cut out by the facet subset `indices` of `cone`.
+
+    A subset of a canonical facet list is canonical as it stands: still
+    scaled, sorted and irredundant, and its cone contains the parent, so
+    its interior is nonempty.  Nothing is re-canonicalised.
+    """
+    idx = sorted(canonical_index_set(cone, indices))
+    sub = PolyCone.__new__(PolyCone)
+    sub._assign(tuple(cone.facets[i] for i in idx), cone.ambient_dim)
+    return sub
 
 
 def tangent_cone(cone: PolyCone, z: Sequence[Fraction]) -> PolyCone:
@@ -85,21 +84,20 @@ def tangent_family(cone: PolyCone, indices: Iterable[int] | None = None) -> list
     """All cones cut out by nonempty subsets of the given facet indices.
 
     Defaults to every facet, which yields the full family of iterated
-    tangent cones.  Entries are deduplicated by cone equality and ordered
-    by index set.
+    tangent cones.  Distinct subsets give distinct cones (see
+    `canonical_index_set`), so there is one entry per subset, ordered by
+    size and then lexicographically.
     """
     pool = sorted(set(range(cone.num_facets) if indices is None else indices))
     if not pool:
         raise DomainError("tangent family over an empty index pool")
     if len(pool) > TANGENT_FAMILY_MAX_FACETS:
         raise ConstructionError(f"tangent family guard: more than {TANGENT_FAMILY_MAX_FACETS} facets")
-    entries: dict[frozenset[int], TangentFamilyEntry] = {}
-    for r in range(1, len(pool) + 1):
-        for subset in combinations(pool, r):
-            core = canonical_index_set(cone, subset)
-            if core not in entries:
-                entries[core] = TangentFamilyEntry(core, subcone(cone, core))
-    return sorted(entries.values(), key=lambda e: (len(e.index_set), sorted(e.index_set)))
+    return [
+        TangentFamilyEntry(frozenset(subset), subcone(cone, subset))
+        for r in range(1, len(pool) + 1)
+        for subset in combinations(pool, r)
+    ]
 
 
 def hilbert_dimension(cone: PolyCone) -> int:

@@ -223,6 +223,16 @@ class TestDetourMetric:
                     assert d_face == face_hilbert(g.x, h.x, face)
                 assert d_cone == hilbert_cone(g.p, h.p, g.funk_cone)
 
+    @pytest.mark.parametrize("wrong", [(LogValue(2), LogValue.zero()), None])
+    def test_route_disagreement_raises(self, monkeypatch, wrong):
+        import hilbertgeom.horoboundary as horoboundary
+
+        _, _, points = square_busemann_sample()
+        g = points[0]
+        monkeypatch.setattr(horoboundary, "detour_decomposition", lambda g, h: wrong)
+        with pytest.raises(ArithmeticError):
+            detour_metric(g, g)
+
     def test_triangle_inequality_on_finite_triples(self):
         cone, base, points = square_busemann_sample()
         by_part = defaultdict(list)

@@ -83,6 +83,11 @@ class TestGauge:
         with pytest.raises(DomainError):
             m_ratio((1, 1, 1), (1, 0, 1), cone)
 
+    @pytest.mark.parametrize("numerator", [(1, 1), (1, 1, 1, 1)])
+    def test_rejects_numerator_of_wrong_dimension(self, numerator):
+        with pytest.raises(DomainError):
+            m_ratio(numerator, (1, 1, 1), orthant3())
+
     def test_gauge_can_be_nonpositive_for_general_points(self):
         cone = orthant3()
         assert m_ratio((-1, -2, -1), (1, 1, 1), cone) == -1
@@ -209,6 +214,12 @@ class TestFaceMetrics:
         face = face_of(cone, x)
         assert face.active == frozenset()
         assert face_hilbert(x, y, face) == hilbert_cone(x, y, cone)
+
+    def test_rejects_numerator_of_wrong_dimension(self):
+        cone = cone_from_polytope(unit_square())
+        x = (0, F(1, 4), 1)
+        with pytest.raises(DomainError):
+            face_m_ratio((0, F(1, 2)), x, face_of(cone, x))
 
     def test_rejects_point_off_relative_interior(self):
         cone = cone_from_polytope(unit_square())

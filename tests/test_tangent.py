@@ -10,6 +10,7 @@ from hilbertgeom import (
     ConstructionError,
     DomainError,
     PolyCone,
+    canonical_index_set,
     classify_point,
     cone_from_polytope,
     cone_subset,
@@ -21,6 +22,8 @@ from hilbertgeom import (
     tangent_cone,
     tangent_family,
 )
+
+from hilbertgeom.linalg import in_cone
 
 from helpers import F, facet_index, interval, simplex2, unit_cube, unit_square
 
@@ -72,6 +75,65 @@ class TestTangentCone:
                 probe = tuple(a + lam * b for a, b in zip(z, u))
                 entered = classify_point(cone, probe).is_interior
                 assert in_tangent == entered
+
+
+def facet_subsets(cone):
+    n = cone.num_facets
+    return [frozenset(s) for r in range(1, n + 1) for s in combinations(range(n), r)]
+
+
+class TestFacetSubsets:
+    """The irredundancy invariant of canonical cones, against LP oracles."""
+
+    @staticmethod
+    def lp_reduction(cone, subset):
+        """Drop each index whose functional the rest of the subset implies (Farkas)."""
+        kept = sorted(subset)
+        i = 0
+        while i < len(kept):
+            others = [cone.facets[j].coeffs for j in kept if j != kept[i]]
+            if others and in_cone(cone.facets[kept[i]].coeffs, others):
+                del kept[i]
+            else:
+                i += 1
+        return frozenset(kept)
+
+    @pytest.mark.parametrize("domain", [unit_square(), simplex2(), unit_cube()])
+    def test_every_subset_is_its_own_canonical_name(self, domain):
+        cone = cone_from_polytope(domain)
+        for subset in facet_subsets(cone):
+            assert self.lp_reduction(cone, subset) == subset
+            assert canonical_index_set(cone, subset) == subset
+
+    @pytest.mark.parametrize("domain", [unit_square(), simplex2(), unit_cube()])
+    def test_subcone_matches_recanonicalised_cone(self, domain):
+        cone = cone_from_polytope(domain)
+        for subset in facet_subsets(cone):
+            fast = subcone(cone, subset)
+            slow = PolyCone([cone.facets[i] for i in sorted(subset)], cone.ambient_dim)
+            assert fast == slow
+            assert fast.lineality_basis == slow.lineality_basis
+
+    @pytest.mark.parametrize("domain", [unit_square(), simplex2()])
+    def test_containment_reverses_index_inclusion(self, domain):
+        cone = cone_from_polytope(domain)
+        subsets = facet_subsets(cone)
+        for g in subsets:
+            for h in subsets:
+                assert cone_subset(subcone(cone, g), subcone(cone, h)) == (h <= g)
+
+    @pytest.mark.parametrize("indices", [[0, 7], [4], [-1], [0, -1]])
+    def test_rejects_out_of_range_indices(self, indices):
+        cone = cone_from_polytope(unit_square())
+        with pytest.raises(DomainError):
+            canonical_index_set(cone, indices)
+        with pytest.raises(DomainError):
+            subcone(cone, indices)
+
+    def test_rejects_empty_index_set(self):
+        cone = cone_from_polytope(unit_square())
+        with pytest.raises(DomainError):
+            canonical_index_set(cone, [])
 
 
 class TestTangentFamily:
