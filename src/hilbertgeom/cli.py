@@ -57,12 +57,14 @@ def _load_polytope(path: str) -> HPolytope:
         raw_facets = data["facets"]
         halfspaces = []
         for entry in raw_facets:
+            if not isinstance(entry["normal"], list):
+                raise ParseError("polytope facet normal must be a list of rationals")
             normal = [parse_rational(c) for c in entry["normal"]]
             offset = parse_rational(entry["offset"])
             halfspaces.append((normal, offset))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"polytope file missing or malformed field: {exc}") from None
-    if not isinstance(dim, int):
+    if isinstance(dim, bool) or not isinstance(dim, int):
         raise ParseError("polytope dim must be an integer")
     try:
         return HPolytope(dim, halfspaces)

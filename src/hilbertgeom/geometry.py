@@ -11,6 +11,7 @@ kept in a canonical form so that cone equality is plain list equality.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -54,6 +55,8 @@ _RATIONAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p", "-p" or "p/q"; floats and anything else are rejected."""
+    if not isinstance(text, str):
+        raise ParseError(f"a rational literal must be a string, not {type(text).__name__}")
     token = text.strip()
     if not _RATIONAL.match(token):
         raise ParseError(f"not a rational literal: {text!r}")
@@ -61,6 +64,12 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(token)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator: {text!r}") from None
+    except ValueError:
+        # The regex admits only digits, so this is the int-string length limit.
+        raise ParseError(
+            f"rational literal of {len(token)} characters exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits per integer"
+        ) from None
 
 
 def format_rational(q: Fraction) -> str:
@@ -72,6 +81,8 @@ def format_rational(q: Fraction) -> str:
 
 def parse_point(text: str, dim: int | None = None) -> Vector:
     """Parse a comma-separated rational point, e.g. "1/2,3,-2/5"."""
+    if not isinstance(text, str):
+        raise ParseError(f"a point must be a string of comma-separated rationals, not {type(text).__name__}")
     coords = vector(parse_rational(part) for part in text.split(","))
     if dim is not None and len(coords) != dim:
         raise ParseError(f"expected {dim} coordinates, got {len(coords)}")
@@ -388,7 +399,8 @@ def lift_to_cone(point: Sequence[Fraction]) -> Vector:
     return vector(point) + (ONE,)
 
 
-@lru_cache(maxsize=None)
+# Bounded: every fresh cone would otherwise stay cached for the life of the process.
+@lru_cache(maxsize=16)
 def _face_lattice_cached(cone: PolyCone) -> tuple[frozenset[int], ...]:
     n = cone.num_facets
     if n > 20:

@@ -1,11 +1,13 @@
 """Exact rational linear algebra and a small exact LP feasibility kernel.
 
-Everything operates on `fractions.Fraction`; no floating point anywhere.
+Everything operates on `fractions.Fraction`, except that the LP kernel
+pivots on integers over a common denominator; no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -92,65 +94,83 @@ def feasible_standard(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction
     """Does A u = b admit a solution u >= 0?
 
     Phase-one simplex with Bland's rule; exact pivoting guarantees
-    termination and a certified yes/no answer.
+    termination and a certified yes/no answer.  Entries may be `Fraction`s
+    or ints.
+    """
+    return _phase_one(rows, rhs)[0]
+
+
+def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> tuple[bool, list[int]]:
+    """Fraction-free phase one: (is A u = b, u >= 0 feasible, the final basis).
+
+    Integer-preserving Jordan elimination (Edmonds 1967, Bareiss 1968).
+    [A | b] is scaled by one positive common denominator and the artificial
+    columns start as the identity, with running divisor d = 1.  A pivot p
+    leaves its row as it is, replaces every other row r, the reduced-cost
+    row included, by (p*r - f*pivot_row) // d, and then sets d = p.  Every
+    entry is then a minor of the starting tableau, so each `//` is exact.
+    The integer tableau is a positive multiple of the rational one, row by
+    row and column by column, so every sign, ratio comparison and Bland
+    choice is the one the rational kernel makes.
     """
     m = len(rows)
     if m == 0:
-        return True
+        return True, []
     n = len(rows[0])
-    tab: list[list[Fraction]] = []
-    for i in range(m):
-        row = [Fraction(v) for v in rows[i]]
-        b = Fraction(rhs[i])
+    # Lists, not generators: star-unpacking a generator holds a large transient.
+    scale = lcm(*[v.denominator for row in rows for v in row], *[b.denominator for b in rhs])
+    tab: list[list[int]] = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        ints = _over(scale, [*row, b])
         if b < 0:
-            row = [-v for v in row]
-            b = -b
-        art = [ZERO] * m
-        art[i] = ONE
-        tab.append(row + art + [b])
+            ints = [-v for v in ints]
+        art = [0] * m
+        art[i] = 1
+        tab.append(ints[:n] + art + ints[n:])
     total = n + m
     basis = [n + i for i in range(m)]
-    # Reduced costs for minimising the sum of artificial variables.
-    z = []
-    for j in range(total + 1):
-        col_sum = ZERO
-        for i in range(m):
-            col_sum += tab[i][j]
-        cost = ONE if n <= j < total else ZERO
-        z.append(cost - col_sum)
+    # Reduced costs for minimising the sum of artificial variables; an
+    # artificial column's cost 1 cancels its single 1.
+    z = [-sum(col) for col in zip(*tab)]
+    z[n:total] = [0] * m
+    d = 1
     while True:
         enter = next((j for j in range(total) if z[j] < 0), None)
         if enter is None:
-            break
+            return z[-1] == 0, basis
         leave = None
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave, num, den = i, row[-1], a
+                    continue
+                lhs, rhs_best = row[-1] * den, num * a
+                if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leave]):
+                    leave, num, den = i, row[-1], a
         if leave is None:
             raise ArithmeticError("unbounded phase-one objective; tableau is inconsistent")
-        piv = tab[leave][enter]
-        tab[leave] = [v / piv for v in tab[leave]]
         pivot_row = tab[leave]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [v - f * w for v, w in zip(tab[i], pivot_row)]
-        if z[enter] != 0:
-            f = z[enter]
-            z = [v - f * w for v, w in zip(z, pivot_row)]
+        p = pivot_row[enter]
+        for i, row in enumerate(tab):
+            if i == leave:
+                continue
+            f = row[enter]
+            if f:
+                tab[i] = [(p * v - f * w) // d for v, w in zip(row, pivot_row)]
+            elif p != d:
+                tab[i] = [p * v // d for v in row]
+        f = z[enter]
+        z = [(p * v - f * w) // d for v, w in zip(z, pivot_row)]
+        d = p
         basis[leave] = enter
-    return z[-1] == 0
 
 
 def in_cone(target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]) -> bool:
     """Farkas membership: is `target` a nonnegative combination of `generators`?"""
     if not generators:
         return is_zero_vector(target)
-    d = len(target)
-    rows = [[Fraction(g[i]) for g in generators] for i in range(d)]
+    rows = [[g[i] for g in generators] for i in range(len(target))]
     return feasible_standard(rows, list(target))
 
 
@@ -162,18 +182,26 @@ def linear_system_feasible(
     """Feasibility of {a.x = b} and {c.x >= d} over free rational variables.
 
     Free variables are split into positive and negative parts and
-    inequalities get slack columns, reducing to standard form.
+    inequalities get slack columns, reducing to standard form.  The rows
+    are built as integers over one common denominator, which leaves the
+    kernel's pivots unchanged.
     """
+    system = [*equalities, *inequalities]
     nge = len(inequalities)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    all_rows = [(coeffs, b, None) for coeffs, b in equalities]
-    all_rows += [(coeffs, b, k) for k, (coeffs, b) in enumerate(inequalities)]
-    for coeffs, b, slack_idx in all_rows:
-        coeffs = [Fraction(c) for c in coeffs]
-        row = coeffs + [-c for c in coeffs] + [ZERO] * nge
-        if slack_idx is not None:
-            row[2 * nvars + slack_idx] = -ONE
+    first_slack = len(system) - nge
+    scale = lcm(*[c.denominator for coeffs, b in system for c in (*coeffs, b)])
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    for k, (coeffs, b) in enumerate(system):
+        *plus, b = _over(scale, [*coeffs, b])
+        row = plus + [-c for c in plus] + [0] * nge
+        if k >= first_slack:
+            row[2 * nvars + k - first_slack] = -scale
         rows.append(row)
-        rhs.append(Fraction(b))
+        rhs.append(b)
     return feasible_standard(rows, rhs)
+
+
+def _over(scale: int, values: list) -> list[int]:
+    """The integers scale * q for rationals q whose denominators divide `scale`."""
+    return [q.numerator * (scale // q.denominator) for q in values]

@@ -13,11 +13,11 @@ GOLDEN = DATA / "golden"
 SRC = Path(__file__).parent.parent / "src"
 
 
-def run_cli(*args):
+def run_cli(*args, python_flags=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "hilbertgeom", *args],
+        [sys.executable, *python_flags, "-m", "hilbertgeom", *args],
         capture_output=True,
         env=env,
     )
@@ -80,6 +80,13 @@ class TestGoldenOutputs:
         assert result.returncode == 0, result.stderr
         assert result.stdout == golden_bytes(name)
 
+    @pytest.mark.parametrize("name", ["parts_square.json", "detour_simplex2.json"])
+    def test_byte_identical_with_asserts_stripped(self, name):
+        args = dict(GOLDEN_CASES)[name]
+        result = run_cli(*args, python_flags=("-O",))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == golden_bytes(name)
+
     def test_repeat_runs_are_deterministic(self):
         args = GOLDEN_CASES[2][1]
         first = run_cli(*args)
@@ -126,6 +133,43 @@ class TestExitCodes:
         assert run_cli("parts", "--polytope", str(bad)).returncode == 2
         missing = tmp_path / "missing.json"
         assert run_cli("parts", "--polytope", str(missing)).returncode == 2
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"dim": True, "facets": [{"normal": ["1"], "offset": "0"}, {"normal": ["-1"], "offset": "-4"}]},
+            {"dim": 2, "facets": [
+                {"normal": "10", "offset": "0"}, {"normal": ["-1", "0"], "offset": "-1"},
+                {"normal": ["0", "1"], "offset": "0"}, {"normal": ["0", "-1"], "offset": "-1"},
+            ]},
+            {"dim": 1, "facets": [{"normal": {"1": 0}, "offset": "0"}, {"normal": ["-1"], "offset": "-4"}]},
+            {"dim": 1, "facets": [{"normal": [1], "offset": "0"}, {"normal": ["-1"], "offset": "-4"}]},
+            {"dim": 1, "facets": [{"normal": ["1"], "offset": 0}, {"normal": ["-1"], "offset": "-4"}]},
+        ],
+        ids=["bool-dim", "string-normal", "object-normal", "int-coefficient", "int-offset"],
+    )
+    def test_malformed_polytope_fields_are_two(self, tmp_path, data):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        result = run_cli("parts", "--polytope", str(path))
+        assert result.returncode == 2
+        assert result.stderr.startswith(b"parse error") and result.stderr.count(b"\n") == 1
+
+    def test_overlong_rational_is_two(self):
+        digits = "3" * 5000
+        result = run_cli("dist", "--polytope", SQUARE, "--x", f"1/{digits},1/2", "--y", "1/2,1/2")
+        assert result.returncode == 2
+        assert result.stderr.startswith(b"parse error") and result.stderr.count(b"\n") == 1
+        assert b"limit" in result.stderr
+
+    @pytest.mark.parametrize("field", ["x", "p"])
+    def test_non_string_busemann_point_is_two(self, field):
+        spec = {"x": "0,1/4,1", "cone_index": [3], "p": "1/2,1/2,1"}
+        spec[field] = 5
+        ok = '{"x": "0,1/2,1", "cone_index": [3], "p": "1/2,1/2,1"}'
+        result = run_cli("detour", "--polytope", SQUARE, "--bp1", json.dumps(spec), "--bp2", ok)
+        assert result.returncode == 2
+        assert result.stderr.startswith(b"parse error") and result.stderr.count(b"\n") == 1
 
     def test_unbounded_polytope_file_is_two(self, tmp_path):
         unbounded = tmp_path / "unbounded.json"

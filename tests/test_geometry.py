@@ -1,5 +1,6 @@
 """Cone, polytope, and face primitives."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,17 @@ class TestRationals:
     def test_rejects_non_rationals(self, bad):
         with pytest.raises(ParseError):
             parse_rational(bad)
+
+    def test_overlong_literal_names_the_limit(self):
+        with pytest.raises(ParseError, match=str(sys.get_int_max_str_digits())):
+            parse_rational("7" * (sys.get_int_max_str_digits() + 1))
+
+    @pytest.mark.parametrize("bad", [5, Fraction(1, 2), None, ["1"]])
+    def test_rejects_non_strings(self, bad):
+        with pytest.raises(ParseError):
+            parse_rational(bad)
+        with pytest.raises(ParseError):
+            parse_point(bad)
 
     def test_parse_point_dimension_check(self):
         assert parse_point("1/2,3") == (F(1, 2), F(3))

@@ -1,0 +1,191 @@
+"""The LP feasibility kernel against the rational phase-one simplex it replaced."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from hilbertgeom.linalg import _phase_one, feasible_standard, in_cone, linear_system_feasible
+
+from helpers import F
+
+
+def fraction_phase_one(rows, rhs):
+    """Reference kernel: phase-one simplex with Bland's rule on `Fraction`s.
+
+    Returns (feasible, final basis) for A u = b, u >= 0.
+    """
+    m = len(rows)
+    if m == 0:
+        return True, []
+    n = len(rows[0])
+    tab = []
+    for i in range(m):
+        row = [Fraction(v) for v in rows[i]]
+        b = Fraction(rhs[i])
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+        art = [Fraction(0)] * m
+        art[i] = Fraction(1)
+        tab.append(row + art + [b])
+    total = n + m
+    basis = [n + i for i in range(m)]
+    z = []
+    for j in range(total + 1):
+        col_sum = sum((tab[i][j] for i in range(m)), Fraction(0))
+        cost = Fraction(1) if n <= j < total else Fraction(0)
+        z.append(cost - col_sum)
+    while True:
+        enter = next((j for j in range(total) if z[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        if leave is None:
+            raise ArithmeticError("unbounded phase-one objective")
+        piv = tab[leave][enter]
+        tab[leave] = [v / piv for v in tab[leave]]
+        pivot_row = tab[leave]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [v - f * w for v, w in zip(tab[i], pivot_row)]
+        if z[enter] != 0:
+            f = z[enter]
+            z = [v - f * w for v, w in zip(z, pivot_row)]
+        basis[leave] = enter
+    return z[-1] == 0, basis
+
+
+MAX_DEN = 325
+
+
+def rand_rational(rng, zero_share=0.3):
+    if rng.random() < zero_share:
+        return F(0)
+    return F(rng.randint(-9, 9), rng.randint(1, MAX_DEN))
+
+
+def random_system(rng):
+    """A seeded system of up to 8 rows and 24 columns in one of five shapes."""
+    m = rng.randint(1, 8)
+    n = rng.randint(1, 24)
+    rows = [[rand_rational(rng) for _ in range(n)] for _ in range(m)]
+    shape = rng.randrange(5)
+    if shape == 0:
+        # b = A u with a sparse u >= 0: feasible, usually degenerate.
+        u = [F(rng.randint(0, 3), rng.randint(1, 7)) if rng.random() < 0.4 else F(0) for _ in range(n)]
+        rhs = [sum((a * x for a, x in zip(row, u)), F(0)) for row in rows]
+    elif shape == 1:
+        # Repeated rows and a zero right-hand side: ties in every ratio test.
+        rhs = [F(0)] * m
+        for i in range(1, m):
+            if rng.random() < 0.5:
+                rows[i] = list(rows[rng.randrange(i)])
+    elif shape == 2:
+        # A zero row, with zero or nonzero right-hand side.
+        rhs = [rand_rational(rng) for _ in range(m)]
+        k = rng.randrange(m)
+        rows[k] = [F(0)] * n
+        rhs[k] = rng.choice([F(0), F(0), rand_rational(rng, zero_share=0)])
+    elif shape == 3:
+        # Negated copy of a row with both right-hand sides positive: infeasible
+        # when the copy is kept, and the kernel must flip signs of negative b.
+        rhs = [rand_rational(rng, zero_share=0) for _ in range(m)]
+        if m > 1:
+            rows[-1] = [-v for v in rows[0]]
+            rhs[-1] = abs(rhs[0])
+            rhs[0] = abs(rhs[0])
+    else:
+        rhs = [rand_rational(rng) for _ in range(m)]
+    return rows, rhs
+
+
+class TestAgainstFractionKernel:
+    def test_random_systems_match_answer_and_final_basis(self):
+        rng = random.Random(20261018)
+        answers = {True: 0, False: 0}
+        negative_rhs = 0
+        for _ in range(400):
+            rows, rhs = random_system(rng)
+            expected = fraction_phase_one(rows, rhs)
+            assert _phase_one(rows, rhs) == expected, (rows, rhs)
+            assert feasible_standard(rows, rhs) is expected[0]
+            answers[expected[0]] += 1
+            negative_rhs += any(b < 0 for b in rhs)
+        assert min(answers.values()) >= 50
+        assert negative_rhs >= 50
+
+    def test_degenerate_ties_take_the_same_leaving_row(self):
+        # Identical ratio 0 in every row: Bland's rule picks the smallest
+        # basic index, and a wrong tie-break ends in another basis.
+        rows = [[F(1, 3), F(2), F(-1)], [F(1, 3), F(2), F(-1)], [F(2, 5), F(1), F(1, 7)]]
+        rhs = [F(0), F(0), F(0)]
+        assert _phase_one(rows, rhs) == fraction_phase_one(rows, rhs)
+        rows = [[F(1), F(1)], [F(2), F(2)], [F(1, 2), F(1, 2)]]
+        rhs = [F(1), F(2), F(1, 2)]
+        assert _phase_one(rows, rhs) == fraction_phase_one(rows, rhs) == (True, [0, 3, 4])
+
+    def test_integer_entries_are_accepted(self):
+        rows = [[1, 2, -1], [0, 3, 1]]
+        rhs = [-2, 5]
+        assert _phase_one(rows, rhs) == fraction_phase_one(rows, rhs)
+
+    def test_empty_system_is_feasible(self):
+        assert _phase_one([], []) == fraction_phase_one([], []) == (True, [])
+        assert feasible_standard([], []) is True
+
+    def test_zero_rows(self):
+        assert feasible_standard([[F(0), F(0)]], [F(0)]) is True
+        assert feasible_standard([[F(0), F(0)]], [F(1, 3)]) is False
+        assert feasible_standard([[F(0), F(0)]], [F(-1, 3)]) is False
+
+
+class TestCallers:
+    def test_in_cone(self):
+        gens = [(F(1), F(0)), (F(0), F(1))]
+        assert in_cone((F(1, 2), F(3)), gens)
+        assert in_cone((F(0), F(0)), gens)
+        assert not in_cone((F(-1, 5), F(1)), gens)
+        assert in_cone((F(0), F(0)), [])
+        assert not in_cone((F(1), F(0)), [])
+        assert in_cone((F(1), F(-1)), [(F(1, 3), F(-2, 3)), (F(1), F(0))])
+
+    def test_linear_system_feasible(self):
+        # x >= 1 and -x >= 0 (x <= 0): infeasible.
+        assert not linear_system_feasible([], [((F(1),), F(1)), ((F(-1),), F(0))], 1)
+        # x = -2 and x >= -3: feasible with a negative free variable.
+        assert linear_system_feasible([((F(1),), F(-2))], [((F(1),), F(-3))], 1)
+        # x + y = 1, x >= 2/3, y >= 2/3: infeasible.
+        one = ((F(1), F(1)), F(1))
+        ineqs = [((F(1), F(0)), F(2, 3)), ((F(0), F(1)), F(2, 3))]
+        assert not linear_system_feasible([one], ineqs, 2)
+        ineqs = [((F(1), F(0)), F(1, 3)), ((F(0), F(1)), F(1, 3))]
+        assert linear_system_feasible([one], ineqs, 2)
+        assert linear_system_feasible([], [], 3)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_strict_cone_systems_match_reference(self, seed):
+        # The shape the face lattice asks about: some facets vanish, the rest
+        # are at least one, in split free variables with slack columns.
+        rng = random.Random(seed)
+        for _ in range(30):
+            dim = rng.randint(2, 4)
+            facets = [[rand_rational(rng, 0.2) for _ in range(dim)] for _ in range(rng.randint(3, 7))]
+            k = rng.randint(0, len(facets) - 1)
+            eqs = [(f, F(0)) for f in facets[:k]]
+            ineqs = [(f, F(1)) for f in facets[k:]]
+            rows, rhs = [], []
+            for j, (coeffs, b) in enumerate(eqs + ineqs):
+                row = list(coeffs) + [-c for c in coeffs] + [F(0)] * len(ineqs)
+                if j >= k:
+                    row[2 * dim + j - k] = F(-1)
+                rows.append(row)
+                rhs.append(b)
+            assert linear_system_feasible(eqs, ineqs, dim) == fraction_phase_one(rows, rhs)[0]
