@@ -130,7 +130,7 @@ def _parse_busemann_spec(raw: str, cone, base) -> BusemannPoint:
         p = parse_point(spec["p"], cone.ambient_dim)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"Busemann spec missing field: {exc}") from None
-    if not isinstance(index, list) or not all(isinstance(i, int) for i in index):
+    if not isinstance(index, list) or not all(type(i) is int for i in index):
         raise ParseError("cone_index must be a list of integers")
     return busemann_point(cone, x, index, p, base)
 

@@ -11,55 +11,82 @@ flip becomes the coordinate-wise reciprocal map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Callable, Sequence
 
-from .geometry import DomainError, PolyCone, classify_point
+from .geometry import DomainError, ParseError, PolyCone, classify_point
 from .linalg import ONE, ZERO, Vector, dot, vector
-from .metrics import m_ratio, variation_distance, variation_norm
+from .metrics import m_ratio
 
 POINT_GROUP_MAX_N = 6
 BALL_VERTICES_MAX_N = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class VClass:
     """A vector of R^(n+1) modulo constant shifts, stored canonically.
 
-    The representative is normalised so its first coordinate is zero; two
-    inputs differing by a multiple of (1, ..., 1) become equal objects.
+    The class is held as integer numerators `nums` over one positive common
+    denominator `den`.  The representative `rep` = nums / den has first
+    coordinate zero, and `den` is the lcm of its reduced denominators, so
+    gcd(nums, den) == 1.  The form is canonical: two inputs differing by a
+    multiple of (1, ..., 1) become equal objects, and equality and hashing
+    compare integers only.  Float coordinates are refused.
     """
 
-    rep: Vector
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        rep = vector(self.rep)
+    def __init__(self, rep: Sequence) -> None:
+        rep = tuple(rep)
+        for i, c in enumerate(rep):
+            if isinstance(c, float):
+                raise ParseError(f"variation class coordinate {i} is the float {c!r}, not an exact rational")
         if len(rep) < 2:
             raise DomainError("a variation class needs at least two coordinates")
-        if rep[0] != 0:
-            shift = rep[0]
-            rep = tuple(c - shift for c in rep)
-        object.__setattr__(self, "rep", rep)
+        rep = vector(rep)
+        rep = [c - rep[0] for c in rep]
+        den = math.lcm(*(c.denominator for c in rep))
+        _set_nums(self, tuple(c.numerator * (den // c.denominator) for c in rep))
+        _set_den(self, den)
+
+    @property
+    def rep(self) -> Vector:
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     @property
     def n(self) -> int:
-        return len(self.rep) - 1
+        return len(self.nums) - 1
+
+
+_set_nums = VClass.nums.__set__
+_set_den = VClass.den.__set__
+
+
+def _vclass(nums: tuple[int, ...], den: int) -> VClass:
+    """A class from numerators already in canonical form, without checks."""
+    v = object.__new__(VClass)
+    _set_nums(v, nums)
+    _set_den(v, den)
+    return v
 
 
 def vclass(values: Sequence[Fraction]) -> VClass:
-    return VClass(vector(values))
+    return VClass(values)
 
 
 def var_norm(v: VClass) -> Fraction:
-    return variation_norm(v.rep)
+    return Fraction(max(v.nums) - min(v.nums), v.den)
 
 
 def var_dist(v: VClass, w: VClass) -> Fraction:
-    if v.n != w.n:
+    if len(v.nums) != len(w.nums):
         raise DomainError("variation classes of different dimension")
-    return variation_distance(v.rep, w.rep)
+    dv, dw = v.den, w.den
+    diffs = [a * dw - b * dv for a, b in zip(v.nums, w.nums)]
+    return Fraction(max(diffs) - min(diffs), dv * dw)
 
 
 @dataclass(frozen=True)
@@ -73,12 +100,16 @@ class SimplexIsometry:
     translation: VClass
     permutation: tuple[int, ...]
     flip: bool
+    # The inverse permutation: coordinate j of the image comes from gather[j].
+    _gather: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if sorted(self.permutation) != list(range(len(self.permutation))):
+        size = len(self.permutation)
+        if sorted(self.permutation) != list(range(size)):
             raise DomainError("not a permutation of the coordinates")
-        if len(self.permutation) != len(self.translation.rep):
+        if size != len(self.translation.nums):
             raise DomainError("permutation and translation sizes differ")
+        object.__setattr__(self, "_gather", tuple(sorted(range(size), key=self.permutation.__getitem__)))
 
     @property
     def n(self) -> int:
@@ -86,49 +117,55 @@ class SimplexIsometry:
 
 
 def identity_isometry(n: int) -> SimplexIsometry:
-    return SimplexIsometry(vclass([ZERO] * (n + 1)), tuple(range(n + 1)), False)
+    return SimplexIsometry(vclass([0] * (n + 1)), tuple(range(n + 1)), False)
 
 
-def _permute(perm: tuple[int, ...], values: Vector) -> Vector:
-    out = [ZERO] * len(values)
-    for i, v in enumerate(values):
-        out[perm[i]] = v
-    return tuple(out)
+def _move(gather: Sequence[int], negate: bool, nums: tuple[int, ...]) -> tuple[int, ...]:
+    """Coordinate j is +-nums[gather[j]], shifted so the first is zero.
+
+    Differences of canonical numerators keep gcd 1 with the denominator.
+    """
+    first = nums[gather[0]]
+    if negate:
+        return tuple([first - nums[j] for j in gather])
+    return tuple([nums[j] - first for j in gather])
+
+
+def _act(g: SimplexIsometry, nums: tuple[int, ...], den: int) -> VClass:
+    """g applied to the class nums / den; reduced only after a translation."""
+    moved = _move(g._gather, g.flip, nums)
+    t = g.translation
+    if not any(t.nums):
+        return _vclass(moved, den)
+    common = math.lcm(den, t.den)
+    sm, st = common // den, common // t.den
+    total = tuple([a * st + b * sm for a, b in zip(t.nums, moved)])
+    k = math.gcd(common, *total)
+    if k > 1:
+        total = tuple([a // k for a in total])
+        common //= k
+    return _vclass(total, common)
 
 
 def apply_isometry(g: SimplexIsometry, v: VClass) -> VClass:
-    if g.n != v.n:
+    if len(g.permutation) != len(v.nums):
         raise DomainError("isometry and class dimensions differ")
-    rep = v.rep
-    if g.flip:
-        rep = tuple(-c for c in rep)
-    rep = _permute(g.permutation, rep)
-    rep = tuple(a + b for a, b in zip(g.translation.rep, rep))
-    return VClass(rep)
+    return _act(g, v.nums, v.den)
 
 
 def compose(g: SimplexIsometry, h: SimplexIsometry) -> SimplexIsometry:
     """The isometry acting as g after h."""
     if g.n != h.n:
         raise DomainError("isometry dimensions differ")
-    perm = tuple(g.permutation[h.permutation[i]] for i in range(len(g.permutation)))
-    moved = _permute(g.permutation, h.translation.rep)
-    if g.flip:
-        moved = tuple(-c for c in moved)
-    translation = VClass(tuple(a + b for a, b in zip(g.translation.rep, moved)))
+    perm = tuple(g.permutation[j] for j in h.permutation)
+    translation = _act(g, h.translation.nums, h.translation.den)
     return SimplexIsometry(translation, perm, g.flip != h.flip)
 
 
 def inverse(g: SimplexIsometry) -> SimplexIsometry:
-    size = len(g.permutation)
-    inv = [0] * size
-    for i, target in enumerate(g.permutation):
-        inv[target] = i
-    moved = _permute(tuple(inv), g.translation.rep)
-    if g.flip:
-        moved = tuple(-c for c in moved)
-    translation = VClass(tuple(-c for c in moved))
-    return SimplexIsometry(translation, tuple(inv), g.flip)
+    t = g.translation
+    translation = _vclass(_move(g.permutation, not g.flip, t.nums), t.den)
+    return SimplexIsometry(translation, g._gather, g.flip)
 
 
 def var_ball_vertices(n: int) -> list[VClass]:
@@ -138,70 +175,37 @@ def var_ball_vertices(n: int) -> list[VClass]:
     if n > BALL_VERTICES_MAX_N:
         raise DomainError(f"vertex enumeration guard: n <= {BALL_VERTICES_MAX_N}")
     out = []
-    for bits in product((ZERO, ONE), repeat=n + 1):
-        if all(b == 0 for b in bits) or all(b == 1 for b in bits):
-            continue
-        out.append(VClass(bits))
+    for bits in product((0, 1), repeat=n + 1):
+        if 0 < sum(bits) <= n:
+            out.append(_vclass(tuple(b - bits[0] for b in bits), 1))
     return out
 
 
-def _basis_classes(n: int) -> list[VClass]:
-    classes = []
-    for i in range(1, n + 1):
-        classes.append(VClass(tuple(ONE if j == i else ZERO for j in range(n + 1))))
-    return classes
-
-
-def _signature(g: SimplexIsometry, basis: list[VClass]) -> tuple:
-    return tuple(apply_isometry(g, b).rep for b in basis)
-
-
-def _closure(n: int, generators: list[SimplexIsometry]) -> list[SimplexIsometry]:
-    basis = _basis_classes(n)
-    identity = identity_isometry(n)
-    seen = {_signature(identity, basis): identity}
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for g in frontier:
-            for h in generators:
-                e = compose(h, g)
-                sig = _signature(e, basis)
-                if sig not in seen:
-                    seen[sig] = e
-                    fresh.append(e)
-        frontier = fresh
-    return sorted(seen.values(), key=lambda e: (e.flip, e.permutation))
-
-def _permutation_generators(n: int) -> list[SimplexIsometry]:
-    size = n + 1
-    zero = vclass([ZERO] * size)
-    swap = list(range(size))
-    swap[0], swap[1] = swap[1], swap[0]
-    cycle = tuple((i + 1) % size for i in range(size))
-    return [
-        SimplexIsometry(zero, tuple(swap), False),
-        SimplexIsometry(zero, cycle, False),
-    ]
-
-
-def _check_point_group_n(n: int) -> None:
+def _enumerate_group(n: int, flips: tuple[bool, ...]) -> list[SimplexIsometry]:
     if n < 1:
         raise DomainError("dimension must be at least 1")
     if n > POINT_GROUP_MAX_N:
         raise DomainError(f"point group guard: n <= {POINT_GROUP_MAX_N}")
+    size = n + 1
+    zero = _vclass((0,) * size, 1)
+    basis = [tuple(int(j == i) for j in range(size)) for i in range(1, size)]
+    first = {}
+    for flip in flips:
+        for perm in permutations(range(size)):
+            g = SimplexIsometry(zero, perm, flip)
+            first.setdefault(tuple(_act(g, b, 1) for b in basis), g)
+    return list(first.values())
 
 
 def point_group_elements(n: int) -> list[SimplexIsometry]:
-    """Closure of the coordinate permutations and the flip, up to equal action.
+    """The coordinate permutations times the flip, up to equal action on V.
 
-    Distinct generator words collapsing to the same map on V are identified,
-    which is what shrinks the group for n = 1.
+    Enumerates the permutations in lexicographic order, without then with
+    the flip, all with zero translation, and keeps the first element for
+    each action on the basis classes.  For n = 1 the swap already acts as
+    the flip, so the group has order 2.
     """
-    _check_point_group_n(n)
-    zero = vclass([ZERO] * (n + 1))
-    flip = SimplexIsometry(zero, tuple(range(n + 1)), True)
-    return _closure(n, _permutation_generators(n) + [flip])
+    return _enumerate_group(n, (False, True))
 
 
 def point_group_closure(n: int) -> int:
@@ -209,8 +213,7 @@ def point_group_closure(n: int) -> int:
 
 
 def permutation_group_elements(n: int) -> list[SimplexIsometry]:
-    _check_point_group_n(n)
-    return _closure(n, _permutation_generators(n))
+    return _enumerate_group(n, (False,))
 
 
 def permutation_group_order(n: int) -> int:
@@ -227,12 +230,9 @@ def exp_chart(v: VClass, base: Fraction) -> Vector:
     base = Fraction(base)
     if base <= 0 or base == 1:
         raise DomainError("chart base must be positive and different from 1")
-    exponents = []
-    for c in v.rep:
-        if c.denominator != 1:
-            raise DomainError("exact chart needs integer exponents")
-        exponents.append(int(c))
-    return tuple(base ** k for k in exponents)
+    if v.den != 1:
+        raise DomainError("exact chart needs integer exponents")
+    return tuple(base ** k for k in v.nums)
 
 
 def _int_log(q: Fraction, base: Fraction) -> int:
@@ -264,14 +264,11 @@ def log_chart(x: Sequence[Fraction], base: Fraction) -> VClass:
     x = vector(x)
     if any(c <= 0 for c in x):
         raise DomainError("chart point must have strictly positive coordinates")
-    exponents = [ZERO]
-    for c in x[1:]:
-        exponents.append(Fraction(_int_log(c / x[0], base)))
-    return VClass(tuple(exponents))
+    return VClass([0] + [_int_log(c / x[0], base) for c in x[1:]])
 
 
 def exp_chart_float(v: VClass) -> tuple[float, ...]:
-    return tuple(math.exp(float(c)) for c in v.rep)
+    return tuple(math.exp(a / v.den) for a in v.nums)
 
 
 def reciprocal_map(x: Sequence[Fraction]) -> Vector:

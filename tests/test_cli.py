@@ -171,6 +171,13 @@ class TestExitCodes:
         assert result.returncode == 2
         assert result.stderr.startswith(b"parse error") and result.stderr.count(b"\n") == 1
 
+    def test_boolean_cone_index_is_two(self):
+        spec = '{"x": "0,1/4,1", "cone_index": [true], "p": "1/2,1/2,1"}'
+        ok = '{"x": "0,1/2,1", "cone_index": [3], "p": "1/2,1/2,1"}'
+        result = run_cli("detour", "--polytope", SQUARE, "--bp1", spec, "--bp2", ok)
+        assert result.returncode == 2
+        assert result.stderr.startswith(b"parse error") and result.stderr.count(b"\n") == 1
+
     def test_unbounded_polytope_file_is_two(self, tmp_path):
         unbounded = tmp_path / "unbounded.json"
         unbounded.write_text(
@@ -224,6 +231,10 @@ class TestExitCodes:
     def test_orders_for_n3(self):
         result = run_cli("simplex-isom", "--n", "3", "--orders")
         assert json.loads(result.stdout) == {"coll_point_group": 24, "isom_point_group": 48}
+
+    def test_orders_for_n6(self):
+        result = run_cli("simplex-isom", "--n", "6", "--orders")
+        assert json.loads(result.stdout) == {"coll_point_group": 5040, "isom_point_group": 10080}
 
     def test_detour_of_identical_specs_is_zero(self):
         spec = '{"x": "0,1/4,1", "cone_index": [3], "p": "1/2,1/2,1"}'

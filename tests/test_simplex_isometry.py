@@ -9,6 +9,7 @@ import pytest
 from hilbertgeom import (
     DomainError,
     LogValue,
+    ParseError,
     apply_isometry,
     collineation_witness_failure,
     compose,
@@ -20,6 +21,7 @@ from hilbertgeom import (
     is_metric_preserving,
     log_chart,
     m_ratio,
+    permutation_group_elements,
     permutation_group_order,
     point_group_closure,
     point_group_elements,
@@ -31,6 +33,7 @@ from hilbertgeom import (
     var_norm,
     vclass,
     SimplexIsometry,
+    VClass,
 )
 from hilbertgeom.linalg import rank
 
@@ -41,11 +44,99 @@ def random_vclass(rng, n, den=12):
     return vclass([F(rng.randint(-4 * den, 4 * den), den) for _ in range(n + 1)])
 
 
-def random_element(rng, n):
+def random_element(rng, n, den=12):
     perm = list(range(n + 1))
     rng.shuffle(perm)
-    translation = random_vclass(rng, n)
+    translation = random_vclass(rng, n, den)
     return SimplexIsometry(translation, tuple(perm), rng.random() < 0.5)
+
+
+# Reference implementation on `Fraction` representatives (first coordinate
+# shifted to zero), the arithmetic the integer classes replaced.
+
+
+def _shift(values):
+    return tuple(c - values[0] for c in values)
+
+
+def _permute(perm, values):
+    out = [F(0)] * len(values)
+    for i, v in enumerate(values):
+        out[perm[i]] = v
+    return tuple(out)
+
+
+def ref_apply(g, rep):
+    if g.flip:
+        rep = tuple(-c for c in rep)
+    rep = _permute(g.permutation, rep)
+    return _shift(tuple(a + b for a, b in zip(g.translation.rep, rep)))
+
+
+def ref_compose(g, h):
+    perm = tuple(g.permutation[h.permutation[i]] for i in range(len(g.permutation)))
+    return ref_apply(g, h.translation.rep), perm, g.flip != h.flip
+
+
+def ref_inverse(g):
+    inv = [0] * len(g.permutation)
+    for i, target in enumerate(g.permutation):
+        inv[target] = i
+    moved = _permute(tuple(inv), g.translation.rep)
+    if g.flip:
+        moved = tuple(-c for c in moved)
+    return _shift(tuple(-c for c in moved)), tuple(inv), g.flip
+
+
+def ref_var_dist(v, w):
+    diffs = [a - b for a, b in zip(v, w)]
+    return max(diffs) - min(diffs)
+
+
+# Breadth-first closure over `compose` words: the point group construction
+# that enumeration replaced.
+
+
+def _basis_classes(n):
+    return [vclass([1 if j == i else 0 for j in range(n + 1)]) for i in range(1, n + 1)]
+
+
+def _signature(g, basis):
+    return tuple(apply_isometry(g, b).rep for b in basis)
+
+
+def _closure(n, generators):
+    basis = _basis_classes(n)
+    identity = identity_isometry(n)
+    seen = {_signature(identity, basis): identity}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for h in generators:
+                e = compose(h, g)
+                sig = _signature(e, basis)
+                if sig not in seen:
+                    seen[sig] = e
+                    fresh.append(e)
+        frontier = fresh
+    return sorted(seen.values(), key=lambda e: (e.flip, e.permutation))
+
+
+def _permutation_generators(n):
+    size = n + 1
+    zero = vclass([0] * size)
+    swap = list(range(size))
+    swap[0], swap[1] = swap[1], swap[0]
+    cycle = tuple((i + 1) % size for i in range(size))
+    return [
+        SimplexIsometry(zero, tuple(swap), False),
+        SimplexIsometry(zero, cycle, False),
+    ]
+
+
+def canonical(v):
+    return v.nums[0] == 0 and v.den > 0 and math.gcd(v.den, *v.nums) == 1
 
 
 class TestAction:
@@ -108,6 +199,72 @@ class TestGroupStructure:
         assert compose(g, h).flip is False
 
 
+class TestIntegerClasses:
+    """Integer classes against the `Fraction` reference and the BFS closure."""
+
+    def test_action_composition_inverse_and_distance_match_the_reference(self):
+        rng = random.Random(107)
+        reduced = 0
+        for n in (1, 2, 3, 4):
+            for _ in range(60):
+                g = random_element(rng, n, rng.choice((3, 4)))
+                h = random_element(rng, n, rng.choice((3, 4, 6)))
+                v = random_vclass(rng, n, rng.choice((1, 3, 4)))
+                w = random_vclass(rng, n, rng.choice((2, 3, 4)))
+                image = apply_isometry(g, v)
+                assert image.rep == ref_apply(g, v.rep)
+                assert canonical(image)
+                reduced += image.den < math.lcm(g.translation.den, v.den)
+                gh = compose(g, h)
+                assert (gh.translation.rep, gh.permutation, gh.flip) == ref_compose(g, h)
+                assert canonical(gh.translation)
+                inv = inverse(g)
+                assert (inv.translation.rep, inv.permutation, inv.flip) == ref_inverse(g)
+                assert var_dist(v, w) == ref_var_dist(v.rep, w.rep)
+                assert var_dist(image, apply_isometry(g, w)) == var_dist(v, w)
+        assert reduced > 0  # the sum's gcd was reduced on some inputs
+
+    def test_reduction_after_translation(self):
+        g = SimplexIsometry(vclass([0, F(1, 3), F(1, 4)]), (0, 1, 2), False)
+        image = apply_isometry(g, vclass([0, F(2, 3), F(3, 4)]))
+        assert (image.nums, image.den) == ((0, 1, 1), 1)
+        assert image == vclass([5, 6, 6])
+        assert hash(image) == hash(vclass([5, 6, 6]))
+
+    def test_routes_to_one_class_agree(self):
+        rng = random.Random(109)
+        for n in (1, 2, 3):
+            for _ in range(30):
+                v = random_vclass(rng, n, rng.choice((3, 4, 12)))
+                g = random_element(rng, n, rng.choice((3, 4)))
+                constant = F(rng.randint(-9, 9), rng.choice((1, 5, 7)))
+                routes = [
+                    vclass([c + constant for c in v.rep]),
+                    VClass(tuple(str(c) for c in v.rep)),
+                    apply_isometry(identity_isometry(n), v),
+                    apply_isometry(inverse(g), apply_isometry(g, v)),
+                    apply_isometry(compose(inverse(g), g), v),
+                ]
+                for u in routes:
+                    assert u == v and hash(u) == hash(v) and u.rep == v.rep
+        vertices = var_ball_vertices(3)
+        assert vertices == [vclass(v.rep) for v in vertices]
+        assert log_chart((2, 4, 1), F(2)) == vclass([1, 2, 0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_enumeration_matches_the_closure(self, n):
+        zero = vclass([0] * (n + 1))
+        flip = SimplexIsometry(zero, tuple(range(n + 1)), True)
+        assert point_group_elements(n) == _closure(n, _permutation_generators(n) + [flip])
+        assert permutation_group_elements(n) == _closure(n, _permutation_generators(n))
+
+    def test_floats_are_refused(self):
+        with pytest.raises(ParseError, match=r"coordinate 0 is the float 0\.5"):
+            vclass([0.5, 1])
+        with pytest.raises(ParseError, match=r"coordinate 1 is the float 0\.25"):
+            VClass((1, 0.25, F(1, 2)))
+
+
 class TestBallVertices:
     @pytest.mark.parametrize("n,count", [(1, 2), (2, 6), (3, 14), (6, 2**7 - 2)])
     def test_counts(self, n, count):
@@ -147,6 +304,10 @@ class TestPointGroup:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_index_two(self, n):
         assert point_group_closure(n) == 2 * permutation_group_order(n)
+
+    @pytest.mark.parametrize("n,order", [(5, 1440), (6, 10080)])
+    def test_large_orders(self, n, order):
+        assert point_group_closure(n) == order == 2 * permutation_group_order(n)
 
     def test_contains_all_permutations(self):
         n = 2
