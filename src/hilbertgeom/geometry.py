@@ -21,25 +21,22 @@ from typing import Iterable, Sequence
 from .linalg import (
     ONE,
     ZERO,
+    HilbertGeometryError,
+    ParseError,
     Vector,
     dot,
     in_cone,
     kernel_basis,
     linear_system_feasible,
+    rank,
+    rational,
     solve_square,
     vector,
 )
 
 VERTEX_ENUM_MAX_DIM = 6
 VERTEX_ENUM_MAX_FACETS = 32
-
-
-class HilbertGeometryError(Exception):
-    """Base class for all library errors."""
-
-
-class ParseError(HilbertGeometryError):
-    """Malformed rational, point, or polytope input."""
+FACE_LATTICE_MAX_FACETS = 20
 
 
 class ConstructionError(HilbertGeometryError):
@@ -164,7 +161,7 @@ class PolyCone:
     points exactly when their canonical facet lists coincide.
     """
 
-    __slots__ = ("ambient_dim", "facets", "lineality_basis")
+    __slots__ = ("ambient_dim", "facets", "lineality_basis", "_hash")
 
     def __init__(self, facets: Iterable, ambient_dim: int | None = None):
         funcs = _as_functionals(facets)
@@ -186,6 +183,8 @@ class PolyCone:
         self.ambient_dim = dim
         self.facets = facets
         self.lineality_basis = tuple(kernel_basis([f.coeffs for f in facets], dim))
+        # Cones key the face-lattice cache; hashing the Fraction rows on every lookup adds up.
+        self._hash = hash((dim, facets))
 
     @property
     def num_facets(self) -> int:
@@ -206,7 +205,7 @@ class PolyCone:
         return self.ambient_dim == other.ambient_dim and self.facets == other.facets
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.facets))
+        return self._hash
 
     def __repr__(self) -> str:
         rows = ", ".join("(" + ",".join(format_rational(c) for c in f.coeffs) + ")" for f in self.facets)
@@ -314,13 +313,13 @@ class HPolytope:
             functional = normal if isinstance(normal, LinearFunctional) else LinearFunctional(vector(normal))
             if functional.dim != dim:
                 raise ConstructionError(f"normal of dimension {functional.dim}, expected {dim}")
-            pairs.append((functional, Fraction(offset)))
+            pairs.append((functional, rational(offset)))
         if not pairs:
             raise ConstructionError("a polytope needs at least one halfspace")
         if dim > VERTEX_ENUM_MAX_DIM or len(pairs) > VERTEX_ENUM_MAX_FACETS:
             raise ConstructionError(
-                f"desk-scale guard: dim <= {VERTEX_ENUM_MAX_DIM} and at most "
-                f"{VERTEX_ENUM_MAX_FACETS} halfspaces"
+                f"desk-scale guard: got dim {dim} with {len(pairs)} halfspaces; the limits are "
+                f"dim <= {VERTEX_ENUM_MAX_DIM} and at most {VERTEX_ENUM_MAX_FACETS} halfspaces"
             )
         self.dim = dim
         self.halfspaces = tuple(pairs)
@@ -403,18 +402,32 @@ def lift_to_cone(point: Sequence[Fraction]) -> Vector:
 @lru_cache(maxsize=16)
 def _face_lattice_cached(cone: PolyCone) -> tuple[frozenset[int], ...]:
     n = cone.num_facets
-    if n > 20:
-        raise ConstructionError("face enumeration guard: more than 20 facets")
-    out: list[frozenset[int]] = []
-    indices = range(n)
-    for r in range(1, n):
-        for subset in combinations(indices, r):
-            active = set(subset)
-            equalities = [(cone.facets[i].coeffs, ZERO) for i in subset]
-            inequalities = [(cone.facets[j].coeffs, ONE) for j in indices if j not in active]
+    if n > FACE_LATTICE_MAX_FACETS:
+        raise ConstructionError(
+            f"face enumeration guard: the cone has {n} facets, more than {FACE_LATTICE_MAX_FACETS}"
+        )
+    rows = [f.coeffs for f in cone.facets]
+    full_rank = cone.ambient_dim - len(cone.lineality_basis)  # the rank of all facet rows
+    out = [frozenset({i}) for i in range(n)] if n > 1 else []
+    spanning: set[tuple[int, ...]] = set()  # subsets of the previous size with full rank
+    for r in range(2, n):
+        larger = set()
+        for subset in combinations(range(n), r):
+            if r < full_rank:
+                spans = False
+            elif r == full_rank:
+                spans = rank([rows[i] for i in subset]) == full_rank
+            else:
+                spans = any(subset[:k] + subset[k + 1 :] in spanning for k in range(r))
+            if spans:
+                larger.add(subset)
+                continue
+            equalities = [(rows[i], ZERO) for i in subset]
+            inequalities = [(rows[j], ONE) for j in range(n) if j not in subset]
             if linear_system_feasible(equalities, inequalities, cone.ambient_dim):
-                out.append(frozenset(active))
-    return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
+                out.append(frozenset(subset))
+        spanning = larger
+    return tuple(out)
 
 
 def face_lattice_active_sets(cone: PolyCone) -> list[frozenset[int]]:
@@ -422,6 +435,18 @@ def face_lattice_active_sets(cone: PolyCone) -> list[frozenset[int]]:
 
     A proper nonempty subset I of the facet indices is listed when
     {psi_i = 0 on I, psi_j > 0 off I} has a (necessarily nonzero) solution.
-    Results are memoised per canonical cone; cones are immutable values.
+    Rank and irredundancy decide most subsets without an LP:
+
+    - every singleton is listed, because the canonical facet list is
+      irredundant, so each functional cuts out a facet;
+    - no subset whose rows reach the rank of the whole list is listed: its
+      kernel is the lineality space, where every functional vanishes.  A
+      subset larger than that rank reaches it exactly when one of its
+      one-smaller subsets does, so only subsets of exactly that size take
+      an elimination.
+
+    The remaining subsets are decided by one LP each.  Sets come ordered
+    by size, then lexicographically.  Results are memoised per canonical
+    cone; cones are immutable values.
     """
     return list(_face_lattice_cached(cone))

@@ -28,7 +28,7 @@ from .geometry import (
     face_of,
     face_lattice_active_sets,
 )
-from .linalg import Vector, rank, rref, vector
+from .linalg import Vector, rank, rational, rref, vector
 from .metrics import LogValue, face_m_ratio, hilbert_cone, m_ratio
 from .tangent import canonical_index_set, hilbert_dimension, subcone
 
@@ -279,7 +279,7 @@ def horolimit_residual(
     Evaluates [d(w, gamma(t)) - d(base, gamma(t))] - xi(w) for the line
     gamma(t) = (1-t)z + ty; the argument tends to one as t -> 0.
     """
-    t = Fraction(t)
+    t = rational(t)
     if not 0 < t <= 1:
         raise DomainError("line parameter must satisfy 0 < t <= 1")
     z = vector(z)

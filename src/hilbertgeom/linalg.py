@@ -1,7 +1,8 @@
 """Exact rational linear algebra and a small exact LP feasibility kernel.
 
-Everything operates on `fractions.Fraction`, except that the LP kernel
-pivots on integers over a common denominator; no floating point anywhere.
+Values are `fractions.Fraction`s; elimination and the LP kernel pivot on
+integers and build `Fraction`s only for what they return.  No floating
+point anywhere: a float input is refused, not converted.
 """
 
 from __future__ import annotations
@@ -16,8 +17,31 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+class HilbertGeometryError(Exception):
+    """Base class for all library errors."""
+
+
+class ParseError(HilbertGeometryError):
+    """Malformed rational, point, or polytope input."""
+
+
+def rational(value) -> Fraction:
+    """`Fraction(value)`, refusing a float: it would enter as an inexact binary rational."""
+    if isinstance(value, float):
+        raise ParseError(f"the float {value!r} is not an exact rational")
+    return Fraction(value)
+
+
 def vector(values: Iterable) -> Vector:
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    """The values as a tuple of `Fraction`s; a float is refused with a `ParseError`."""
+    try:
+        return tuple(v if type(v) is Fraction else rational(v) for v in values)
+    except ParseError:
+        if isinstance(values, Sequence):
+            for i, v in enumerate(values):
+                if isinstance(v, float):
+                    raise ParseError(f"coordinate {i} is the float {v!r}, not an exact rational") from None
+        raise
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -39,43 +63,24 @@ def is_zero_vector(a: Sequence[Fraction]) -> bool:
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns the nonzero rows and pivot columns."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    ncols = len(mat[0]) if mat else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = ONE / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    reduced, pivots, d = _gauss_jordan(rows)
+    return [[Fraction(v, d) if v else ZERO for v in row] for row in reduced], pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[1])
+    return len(_gauss_jordan(rows)[1])
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], dim: int) -> list[Vector]:
     """Basis of the joint kernel {x : row . x = 0 for every row}."""
-    if not rows:
-        return [tuple(ONE if j == i else ZERO for j in range(dim)) for i in range(dim)]
-    reduced, pivots = rref(rows)
+    reduced, pivots, d = _gauss_jordan(rows)
     basis: list[Vector] = []
     for free in (c for c in range(dim) if c not in pivots):
         v = [ZERO] * dim
         v[free] = ONE
         for row, p in zip(reduced, pivots):
-            v[p] = -row[free]
+            if row[free]:
+                v[p] = Fraction(-row[free], d)
         basis.append(tuple(v))
     return basis
 
@@ -83,11 +88,51 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], dim: int) -> list[Vector]:
 def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """Solve an n x n linear system exactly; None if there is no unique solution."""
     n = len(rows)
-    aug = [list(row) + [r] for row, r in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
+    reduced, pivots, d = _gauss_jordan([[*row, r] for row, r in zip(rows, rhs)])
     if pivots != list(range(n)):
         return None
-    return tuple(reduced[i][n] for i in range(n))
+    return tuple(Fraction(row[n], d) for row in reduced)
+
+
+def _gauss_jordan(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
+
+    Returns the nonzero rows, their pivot columns and a divisor d such
+    that the reduced row echelon form is rows / d.  Each row is first
+    scaled to integers by the lcm of its own denominators, which changes
+    neither the row space nor the echelon form.  The pivot is the first
+    nonzero entry at or below the current row.  A pivot p leaves its row
+    as it is, replaces every other row r by (p*r - f*pivot_row) // d, and
+    then sets d = p, so each pivoted row holds d at its pivot and every
+    other row 0 there.  Every entry is a minor of the scaled input, so
+    each `//` is exact.
+    """
+    mat = [_over(lcm(*[q.denominator for q in row]), row) for row in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots: list[int] = []
+    d = 1
+    r = 0
+    for c in range(ncols):
+        k = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if k is None:
+            continue
+        mat[r], mat[k] = mat[k], mat[r]
+        pivot_row = mat[r]
+        p = pivot_row[c]
+        for i, row in enumerate(mat):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                mat[i] = [(p * v - f * w) // d for v, w in zip(row, pivot_row)]
+            elif p != d:
+                mat[i] = [p * v // d for v in row]
+        d = p
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots, d
 
 
 def feasible_standard(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> bool:

@@ -19,7 +19,7 @@ from .geometry import (
     PolyCone,
     format_rational,
 )
-from .linalg import ONE, Vector, vector, vsub
+from .linalg import ONE, Vector, rational, vector, vsub
 
 
 class LogValue:
@@ -35,7 +35,8 @@ class LogValue:
 
     def __init__(self, arg):
         if arg is not None:
-            arg = Fraction(arg)
+            if type(arg) is not Fraction:
+                arg = rational(arg)
             if arg <= 0:
                 raise DomainError(f"log argument must be positive, got {arg}")
         self._arg = arg
@@ -266,7 +267,7 @@ def almost_geodesic_check(
     Checks, for every prefix, that the accumulated path length exceeds the
     direct distance by at most log(slack); slack = 1 means eps = 0.
     """
-    slack = Fraction(slack)
+    slack = rational(slack)
     if slack < 1:
         raise DomainError("slack is e^eps and must be at least 1")
     if len(points) < 2:

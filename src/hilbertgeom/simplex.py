@@ -16,8 +16,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Callable, Sequence
 
-from .geometry import DomainError, ParseError, PolyCone, classify_point
-from .linalg import ONE, ZERO, Vector, dot, vector
+from .geometry import DomainError, PolyCone, classify_point
+from .linalg import ONE, ZERO, Vector, dot, rational, vector
 from .metrics import m_ratio
 
 POINT_GROUP_MAX_N = 6
@@ -40,13 +40,9 @@ class VClass:
     den: int
 
     def __init__(self, rep: Sequence) -> None:
-        rep = tuple(rep)
-        for i, c in enumerate(rep):
-            if isinstance(c, float):
-                raise ParseError(f"variation class coordinate {i} is the float {c!r}, not an exact rational")
+        rep = vector(rep)
         if len(rep) < 2:
             raise DomainError("a variation class needs at least two coordinates")
-        rep = vector(rep)
         rep = [c - rep[0] for c in rep]
         den = math.lcm(*(c.denominator for c in rep))
         _set_nums(self, tuple(c.numerator * (den // c.denominator) for c in rep))
@@ -227,7 +223,7 @@ def exp_chart(v: VClass, base: Fraction) -> Vector:
     exponents over one rational base keeps an exact isometry check between
     the variation distance and the cone metric.
     """
-    base = Fraction(base)
+    base = rational(base)
     if base <= 0 or base == 1:
         raise DomainError("chart base must be positive and different from 1")
     if v.den != 1:
@@ -258,7 +254,7 @@ def _int_log(q: Fraction, base: Fraction) -> int:
 
 def log_chart(x: Sequence[Fraction], base: Fraction) -> VClass:
     """Inverse of the exact chart, up to projective scaling of x."""
-    base = Fraction(base)
+    base = rational(base)
     if base <= 0 or base == 1:
         raise DomainError("chart base must be positive and different from 1")
     x = vector(x)

@@ -92,7 +92,9 @@ def tangent_family(cone: PolyCone, indices: Iterable[int] | None = None) -> list
     if not pool:
         raise DomainError("tangent family over an empty index pool")
     if len(pool) > TANGENT_FAMILY_MAX_FACETS:
-        raise ConstructionError(f"tangent family guard: more than {TANGENT_FAMILY_MAX_FACETS} facets")
+        raise ConstructionError(
+            f"tangent family guard: the index pool has {len(pool)} facets, more than {TANGENT_FAMILY_MAX_FACETS}"
+        )
     return [
         TangentFamilyEntry(frozenset(subset), subcone(cone, subset))
         for r in range(1, len(pool) + 1)

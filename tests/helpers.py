@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
-from hilbertgeom import HPolytope, cone_from_polytope, lift_to_cone, vector
+from hilbertgeom import ConstructionError, HPolytope, cone_from_polytope, lift_to_cone, vector
+from hilbertgeom.linalg import rank
 
 F = Fraction
 
@@ -48,6 +51,48 @@ def polygon(vertices) -> HPolytope:
 
 def pentagon() -> HPolytope:
     return polygon([(0, 0), (2, 0), (3, 2), (1, 4), (-1, 2)])
+
+
+def _circumscribed(dim: int, points) -> HPolytope:
+    """{x : <u, x> < 1 for each u}: tangent to the unit sphere at each point u."""
+    return HPolytope(dim, [(tuple(-c for c in u), -1) for u in points])
+
+
+def tangent_polygon(rng: random.Random, m: int) -> HPolytope:
+    """A seeded m-gon circumscribed about the unit circle.
+
+    Tangent points are rational points ((1 - t^2), 2t) / (1 + t^2) with
+    t = tan(theta / 2), one per angular bin, so no three facet lines meet.
+    """
+    points = []
+    for k in range(m):
+        theta = 2 * math.pi * (k + rng.uniform(0.3, 0.7)) / m
+        t = F(math.tan(theta / 2)).limit_denominator(40)
+        points.append(((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)))
+    return _circumscribed(2, points)
+
+
+def tangent_polytope3(rng: random.Random, m: int) -> HPolytope:
+    """A seeded simple 3-polytope with m facets, circumscribed about the unit sphere.
+
+    Tangent points are inverse stereographic images of small rationals;
+    no four of them are coplanar, so no four facet planes share a point
+    and every four lifted facet functionals are independent.
+    """
+    while True:
+        points = set()
+        while len(points) < m:
+            a, b = (F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(2))
+            s = a * a + b * b
+            points.add((2 * a / (s + 1), 2 * b / (s + 1), (s - 1) / (s + 1)))
+        points = sorted(points)
+        lifted = [(*u, F(1)) for u in points]
+        if any(rank([lifted[i] for i in quad]) < 4 for quad in combinations(range(m), 4)):
+            continue
+        try:
+            return _circumscribed(3, points)
+        except ConstructionError:  # unbounded: the points miss an open hemisphere
+            continue
 
 
 def interior_sample(polytope: HPolytope, rng: random.Random, hi: int = 12):

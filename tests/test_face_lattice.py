@@ -1,0 +1,176 @@
+"""The face lattice: rank and irredundancy decide, the LP decides only the rest."""
+
+import random
+from itertools import combinations
+
+import pytest
+
+import hilbertgeom.linalg as linalg
+from hilbertgeom import (
+    ConstructionError,
+    HPolytope,
+    PolyCone,
+    cone_from_polytope,
+    face_lattice_active_sets,
+    tangent_family,
+)
+from hilbertgeom.geometry import FACE_LATTICE_MAX_FACETS, _face_lattice_cached
+from hilbertgeom.linalg import linear_system_feasible, rank
+
+from helpers import F, pentagon, simplex2, tangent_polygon, tangent_polytope3, unit_cube, unit_square
+
+
+def lp_lattice(cone):
+    """Reference lattice: one LP for every proper nonempty facet subset."""
+    n = cone.num_facets
+    out = []
+    for r in range(1, n):
+        for subset in combinations(range(n), r):
+            equalities = [(cone.facets[i].coeffs, F(0)) for i in subset]
+            inequalities = [(cone.facets[j].coeffs, F(1)) for j in range(n) if j not in subset]
+            if linear_system_feasible(equalities, inequalities, cone.ambient_dim):
+                out.append(frozenset(subset))
+    return out
+
+
+def undecided_by_rank(cone):
+    """Subsets the LP must decide: not singletons, and rows short of the full rank."""
+    n = cone.num_facets
+    rows = [f.coeffs for f in cone.facets]
+    full = rank(rows)
+    return sum(
+        1
+        for r in range(2, n)
+        for subset in combinations(range(n), r)
+        if rank([rows[i] for i in subset]) < full
+    )
+
+
+def octahedron():
+    """|x| + |y| + |z| < 1: four facets meet at each vertex, so it is not simple."""
+    signs = [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    return HPolytope(3, [(s, -1) for s in signs])
+
+
+def square_pyramid():
+    """Apex (0, 0, 1) over the square [-1, 1]^2: four facets meet at the apex."""
+    sides = [((-1, 0, -1), -1), ((1, 0, -1), -1), ((0, -1, -1), -1), ((0, 1, -1), -1)]
+    return HPolytope(3, [((0, 0, 1), 0)] + sides)
+
+
+def pentagonal_pyramid():
+    """Apex (1, 2, 1) over a pentagon: five facets, more than the rank four, meet at the apex."""
+    sides = []
+    for f, b in pentagon().halfspaces:
+        a = f.coeffs
+        c = a[0] * 1 + a[1] * 2 - b  # the side through the apex and one base edge
+        sides.append(((a[0], a[1], -c), b))
+    return HPolytope(3, [((0, 0, 1), 0)] + sides)
+
+
+def square_with_line():
+    """The square's cone times a line: four facets of rank three in R^4."""
+    return PolyCone([(1, 0, 0, 0), (-1, 0, 1, 0), (0, 1, 0, 0), (0, -1, 1, 0)], 4)
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Counts LP solves; the lattice cache starts cold."""
+    calls = []
+    original = linalg.feasible_standard
+
+    def counted(rows, rhs):
+        calls.append(len(rows))
+        return original(rows, rhs)
+
+    monkeypatch.setattr(linalg, "feasible_standard", counted)
+    _face_lattice_cached.cache_clear()
+    yield calls
+    _face_lattice_cached.cache_clear()
+
+
+class TestAgainstLPLattice:
+    @pytest.mark.parametrize("domain", [unit_square(), simplex2(), unit_cube()], ids=["square", "triangle", "cube"])
+    def test_tangent_family(self, domain):
+        cone = cone_from_polytope(domain)
+        members = [entry.cone for entry in tangent_family(cone)]
+        assert any(not member.is_proper for member in members)
+        for member in members:
+            assert face_lattice_active_sets(member) == lp_lattice(member), member
+
+    @pytest.mark.parametrize(
+        "domain, apex",
+        [(octahedron(), 4), (square_pyramid(), 4), (pentagonal_pyramid(), 5)],
+        ids=["octahedron", "pyramid", "pentagonal-pyramid"],
+    )
+    def test_non_simple_polytopes(self, domain, apex):
+        cone = cone_from_polytope(domain)
+        lattice = face_lattice_active_sets(cone)
+        assert lattice == lp_lattice(cone)
+        assert max(len(active) for active in lattice) == apex
+
+    def test_pyramid_tangent_family(self):
+        for entry in tangent_family(cone_from_polytope(square_pyramid())):
+            assert face_lattice_active_sets(entry.cone) == lp_lattice(entry.cone), entry.index_set
+
+    @pytest.mark.parametrize("m", range(3, 10))
+    def test_seeded_polygons(self, m):
+        cone = cone_from_polytope(tangent_polygon(random.Random(m), m))
+        lattice = face_lattice_active_sets(cone)
+        assert lattice == lp_lattice(cone)
+        assert len(lattice) == 2 * m
+
+    def test_seeded_simple_polytope(self):
+        cone = cone_from_polytope(tangent_polytope3(random.Random(8), 8))
+        assert face_lattice_active_sets(cone) == lp_lattice(cone)
+
+    def test_cones_with_lineality(self):
+        # A simplicial cone in R^3, the same facets in R^4 with a line of
+        # lineality, and the square's cone times a line.
+        proper = PolyCone([(1, 0, 0), (0, 1, 0), (-1, -1, 1)], 3)
+        with_line = PolyCone([(1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 1, 0)], 4)
+        assert proper.is_proper and not with_line.is_proper
+        for cone in (proper, with_line, square_with_line()):
+            assert face_lattice_active_sets(cone) == lp_lattice(cone)
+
+
+class TestLPCount:
+    def test_polygon_asks_only_the_pairs(self, lp_calls):
+        cone = cone_from_polytope(tangent_polygon(random.Random(8), 8))
+        lp_calls.clear()
+        face_lattice_active_sets(cone)
+        assert len(lp_calls) == undecided_by_rank(cone) == 28
+
+    def test_simple_polytope_asks_pairs_and_triples(self, lp_calls):
+        cone = cone_from_polytope(tangent_polytope3(random.Random(8), 8))
+        lp_calls.clear()
+        face_lattice_active_sets(cone)
+        assert len(lp_calls) == undecided_by_rank(cone) == 28 + 56
+
+    def test_non_simple_polytope_asks_the_dependent_subsets(self, lp_calls):
+        cone = cone_from_polytope(octahedron())
+        lp_calls.clear()
+        face_lattice_active_sets(cone)
+        assert len(lp_calls) == undecided_by_rank(cone) == 96
+
+    def test_lineality_lowers_the_rank_that_decides(self, lp_calls):
+        cone = square_with_line()
+        lp_calls.clear()
+        face_lattice_active_sets(cone)
+        assert len(lp_calls) == undecided_by_rank(cone) == 6
+
+    def test_warm_cache_asks_nothing(self, lp_calls):
+        cone = cone_from_polytope(unit_cube())
+        face_lattice_active_sets(cone)
+        lp_calls.clear()
+        face_lattice_active_sets(cone)
+        assert lp_calls == []
+
+
+class TestGuard:
+    def test_names_the_facet_count(self):
+        m = FACE_LATTICE_MAX_FACETS + 1
+        cone = cone_from_polytope(tangent_polygon(random.Random(m), m))
+        assert cone.num_facets == m
+        with pytest.raises(ConstructionError, match=rf"has {m} facets, more than {FACE_LATTICE_MAX_FACETS}"):
+            face_lattice_active_sets(cone)

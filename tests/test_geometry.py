@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+import hilbertgeom
 from hilbertgeom import (
     ConstructionError,
     DomainError,
     HPolytope,
     LinearFunctional,
+    LogValue,
     ParseError,
     PolyCone,
     classify_point,
@@ -18,6 +20,7 @@ from hilbertgeom import (
     face_contains,
     face_of,
     format_rational,
+    hilbert_cross_ratio,
     interior_point,
     lift_to_cone,
     lineality_dim,
@@ -27,7 +30,7 @@ from hilbertgeom import (
     tangent_family,
     vertex_enumeration,
 )
-from hilbertgeom.linalg import in_cone
+from hilbertgeom.linalg import in_cone, rational, vector
 
 from helpers import F, facet_index, interior_sample, interval, simplex2, unit_square
 
@@ -73,6 +76,34 @@ class TestRationals:
             parse_point("1,2,3", dim=2)
 
 
+class TestFloatsRefused:
+    def test_vector_names_the_coordinate(self):
+        with pytest.raises(ParseError, match=r"coordinate 1 is the float 0\.1, not an exact rational"):
+            vector((F(1), 0.1, 2))
+        with pytest.raises(ParseError, match=r"the float 0\.25 is not an exact rational"):
+            vector(iter([0.25]))
+        assert vector((1, F(1, 3), "2/5")) == (F(1), F(1, 3), F(2, 5))
+
+    def test_library_entry_points(self):
+        square = unit_square()
+        with pytest.raises(ParseError, match=r"coordinate 0 is the float 0\.1"):
+            hilbert_cross_ratio(square, (0.1, 0.5), (F(1, 2), F(1, 2)))
+        with pytest.raises(ParseError, match=r"the float -1\.5 is not an exact rational"):
+            HPolytope(1, [((1,), 0), ((-1,), -1.5)])
+        with pytest.raises(ParseError, match=r"coordinate 1 is the float 1\.0"):
+            HPolytope(2, [((1, 1.0), 0), ((-1, 0), -1), ((0, -1), -1)])
+        with pytest.raises(ParseError, match=r"the float 0\.5 is not an exact rational"):
+            LogValue(0.5)
+        with pytest.raises(ParseError, match=r"coordinate 2 is the float 1\.0"):
+            classify_point(cone_from_polytope(square), (F(1, 2), F(1, 2), 1.0))
+        assert rational(F(3, 4)) == F(3, 4) and rational(-2) == F(-2)
+
+    def test_one_parse_error_class(self):
+        assert hilbertgeom.ParseError is ParseError is hilbertgeom.linalg.ParseError
+        assert hilbertgeom.geometry.ParseError is ParseError
+        assert issubclass(ParseError, hilbertgeom.HilbertGeometryError)
+
+
 class TestConeFromPolytope:
     def test_unit_square_facets(self):
         cone = cone_from_polytope(unit_square())
@@ -107,6 +138,14 @@ class TestConeFromPolytope:
     def test_rejects_unbounded(self):
         with pytest.raises(ConstructionError):
             HPolytope(1, [((1,), 0)])
+
+    def test_desk_scale_guard_names_the_input(self):
+        halfspaces = [(tuple(int(j == i) for j in range(7)), 0) for i in range(7)]
+        with pytest.raises(ConstructionError, match=r"got dim 7 with 7 halfspaces; the limits are dim <= 6"):
+            HPolytope(7, halfspaces)
+        many = [((1, 0), -k) for k in range(33)]
+        with pytest.raises(ConstructionError, match=r"got dim 2 with 33 halfspaces; .* at most 32 halfspaces"):
+            HPolytope(2, many)
 
     def test_rejects_empty_interior(self):
         with pytest.raises(ConstructionError):

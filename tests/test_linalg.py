@@ -1,11 +1,20 @@
-"""The LP feasibility kernel against the rational phase-one simplex it replaced."""
+"""The integer elimination and LP kernels against the rational ones they replaced."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from hilbertgeom.linalg import _phase_one, feasible_standard, in_cone, linear_system_feasible
+from hilbertgeom.linalg import (
+    _phase_one,
+    feasible_standard,
+    in_cone,
+    kernel_basis,
+    linear_system_feasible,
+    rank,
+    rref,
+    solve_square,
+)
 
 from helpers import F
 
@@ -189,3 +198,112 @@ class TestCallers:
                 rows.append(row)
                 rhs.append(b)
             assert linear_system_feasible(eqs, ineqs, dim) == fraction_phase_one(rows, rhs)[0]
+
+
+def fraction_rref(rows):
+    """Reference elimination: Gauss-Jordan on `Fraction`s, pivot on the first nonzero entry."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def fraction_kernel_basis(rows, dim):
+    if not rows:
+        return [tuple(F(int(j == i)) for j in range(dim)) for i in range(dim)]
+    reduced, pivots = fraction_rref(rows)
+    basis = []
+    for free in (c for c in range(dim) if c not in pivots):
+        v = [F(0)] * dim
+        v[free] = F(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[free]
+        basis.append(tuple(v))
+    return basis
+
+
+def fraction_solve_square(rows, rhs):
+    n = len(rows)
+    reduced, pivots = fraction_rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(reduced[i][n] for i in range(n))
+
+
+def random_matrix(rng):
+    """A seeded matrix of up to 7 x 8 in one of five shapes, denominators up to 325."""
+    m = rng.randint(1, 7)
+    n = rng.randint(1, 8)
+    rows = [[rand_rational(rng) for _ in range(n)] for _ in range(m)]
+    shape = rng.randrange(5)
+    if shape == 0 and m > 1:
+        # Rank-deficient: the last row is a combination of the others.
+        coeffs = [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(m - 1)]
+        rows[-1] = [sum((a * row[j] for a, row in zip(coeffs, rows)), F(0)) for j in range(n)]
+    elif shape == 1:
+        rows[rng.randrange(m)] = [F(0)] * n
+    elif shape == 2:
+        c = rng.randrange(n)
+        for row in rows:
+            row[c] = F(0)
+    elif shape == 3 and m > 1:
+        rows[rng.randrange(1, m)] = list(rows[0])
+    return rows
+
+
+class TestAgainstFractionElimination:
+    def test_random_matrices(self):
+        rng = random.Random(20261019)
+        deficient = 0
+        for _ in range(600):
+            rows = random_matrix(rng)
+            expected = fraction_rref(rows)
+            assert rref(rows) == expected, rows
+            assert rank(rows) == len(expected[1])
+            assert kernel_basis(rows, len(rows[0])) == fraction_kernel_basis(rows, len(rows[0]))
+            deficient += len(expected[1]) < min(len(rows), len(rows[0]))
+        assert deficient >= 150
+
+    def test_random_square_systems(self):
+        rng = random.Random(20261020)
+        solved = 0
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            rows = [[rand_rational(rng) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.3 and n > 1:
+                rows[-1] = [a + b for a, b in zip(rows[0], rows[1 % (n - 1)])]
+            rhs = [rand_rational(rng) for _ in range(n)]
+            expected = fraction_solve_square(rows, rhs)
+            assert solve_square(rows, rhs) == expected, (rows, rhs)
+            solved += expected is not None
+        assert 100 <= solved <= 350
+
+    def test_edge_shapes(self):
+        for rows in ([], [[]], [[F(0), F(0)]], [[F(0)], [F(0)]], [[F(-3, 7)]], [[1, 2], [2, 4]], [[0, -5, 10]]):
+            assert rref(rows) == fraction_rref(rows)
+            assert rank(rows) == len(fraction_rref(rows)[1])
+        assert kernel_basis([], 2) == fraction_kernel_basis([], 2)
+        assert kernel_basis([[0, 0, 0]], 3) == fraction_kernel_basis([[0, 0, 0]], 3)
+        assert solve_square([[F(0)]], [F(1)]) is None
+        assert solve_square([[F(2, 3)]], [F(1, 3)]) == (F(1, 2),)
+
+    def test_returns_fractions(self):
+        reduced, _ = rref([[2, 4, 1], [1, 3, 5]])
+        assert all(type(v) is Fraction for row in reduced for v in row)
+        assert all(type(v) is Fraction for v in solve_square([[2, 1], [1, 3]], [1, 2]))

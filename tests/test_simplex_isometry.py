@@ -263,6 +263,8 @@ class TestIntegerClasses:
             vclass([0.5, 1])
         with pytest.raises(ParseError, match=r"coordinate 1 is the float 0\.25"):
             VClass((1, 0.25, F(1, 2)))
+        with pytest.raises(ParseError, match=r"the float 2\.0 is not an exact rational"):
+            exp_chart(vclass([0, 1]), 2.0)
 
 
 class TestBallVertices:

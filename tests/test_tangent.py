@@ -180,7 +180,7 @@ class TestTangentFamily:
 
     def test_size_guard(self):
         cone = cone_from_polytope(unit_square())
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError, match="index pool has 25 facets, more than 20"):
             tangent_family(cone, indices=range(25))
 
     def test_subfamily_of_boundary_point(self):
