@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
+from operator import mul
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -24,10 +26,12 @@ from .linalg import (
     HilbertGeometryError,
     ParseError,
     Vector,
+    _primitive,
+    _scaled,
     dot,
     in_cone,
     kernel_basis,
-    linear_system_feasible,
+    open_cone_feasible,
     rank,
     rational,
     solve_square,
@@ -135,9 +139,14 @@ def _as_functionals(facets: Iterable) -> list[LinearFunctional]:
     return out
 
 
-def _strictly_feasible(functionals: Sequence[LinearFunctional], dim: int) -> bool:
-    # Scale invariance lets us test psi_i(x) >= 1 instead of psi_i(x) > 0.
-    return linear_system_feasible([], [(f.coeffs, ONE) for f in functionals], dim)
+def _signed_values(rows: Sequence[Sequence[int]], point: Sequence[Fraction]) -> list[int]:
+    """Integer dot products of `rows` with `point` scaled to integers once.
+
+    Each is a positive multiple of the rational dot product, so its sign
+    and its zeros are exact.
+    """
+    x = _scaled(point)
+    return [sum(map(mul, row, x)) for row in rows]
 
 
 def _irredundant(functionals: Sequence[LinearFunctional]) -> list[LinearFunctional]:
@@ -159,9 +168,14 @@ class PolyCone:
     coefficient has absolute value one, functionals implied by the others
     are removed, and the list is sorted.  Two cones are equal as sets of
     points exactly when their canonical facet lists coincide.
+
+    Next to each facet the cone keeps its primitive integer row, a positive
+    multiple of the functional.  Sign tests (`classify_point`, the face
+    lattice) run on these rows; gauges (`values`) stay on the `Fraction`
+    facets.  `subcone` slices both lists.
     """
 
-    __slots__ = ("ambient_dim", "facets", "lineality_basis", "_hash")
+    __slots__ = ("ambient_dim", "facets", "lineality_basis", "_rows", "_hash")
 
     def __init__(self, facets: Iterable, ambient_dim: int | None = None):
         funcs = _as_functionals(facets)
@@ -174,15 +188,17 @@ class PolyCone:
         if ambient_dim is not None and ambient_dim != dim:
             raise ConstructionError(f"functionals have dimension {dim}, expected {ambient_dim}")
         scaled = sorted({f.canonical() for f in funcs}, key=lambda f: f.coeffs)
-        if not _strictly_feasible(scaled, dim):
+        if not open_cone_feasible([], [f.coeffs for f in scaled], dim):
             raise ConstructionError("cone has empty interior")
-        self._assign(tuple(_irredundant(scaled)), dim)
+        facets = tuple(_irredundant(scaled))
+        self._assign(facets, tuple(_primitive(f.coeffs) for f in facets), dim)
 
-    def _assign(self, facets: tuple[LinearFunctional, ...], dim: int) -> None:
-        """Store an already canonical facet list and its lineality space."""
+    def _assign(self, facets: tuple[LinearFunctional, ...], rows: tuple[tuple[int, ...], ...], dim: int) -> None:
+        """Store an already canonical facet list, its integer rows and its lineality space."""
         self.ambient_dim = dim
         self.facets = facets
-        self.lineality_basis = tuple(kernel_basis([f.coeffs for f in facets], dim))
+        self._rows = rows
+        self.lineality_basis = tuple(kernel_basis(rows, dim))
         # Cones key the face-lattice cache; hashing the Fraction rows on every lookup adds up.
         self._hash = hash((dim, facets))
 
@@ -191,9 +207,12 @@ class PolyCone:
         return len(self.facets)
 
     def values(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        self._check_dim(point)
+        return tuple(f(point) for f in self.facets)
+
+    def _check_dim(self, point: Sequence[Fraction]) -> None:
         if len(point) != self.ambient_dim:
             raise DomainError(f"point has dimension {len(point)}, cone lives in {self.ambient_dim}")
-        return tuple(f(point) for f in self.facets)
 
     @property
     def is_proper(self) -> bool:
@@ -233,7 +252,9 @@ class PointLocation:
 
 def classify_point(cone: PolyCone, point: Sequence[Fraction]) -> PointLocation:
     """Interior, boundary (with the active facet set), or exterior."""
-    values = cone.values(vector(point))
+    point = vector(point)
+    cone._check_dim(point)
+    values = _signed_values(cone._rows, point)
     if any(v < 0 for v in values):
         return PointLocation(EXTERIOR)
     active = frozenset(i for i, v in enumerate(values) if v == 0)
@@ -263,7 +284,7 @@ def face_of(cone: PolyCone, x: Sequence[Fraction]) -> Face:
     if loc.kind == EXTERIOR:
         raise DomainError("point lies outside the closed cone")
     active = loc.active
-    span = kernel_basis([cone.facets[i].coeffs for i in sorted(active)], cone.ambient_dim)
+    span = kernel_basis([cone._rows[i] for i in sorted(active)], cone.ambient_dim)
     return Face(cone, active, tuple(span))
 
 
@@ -302,10 +323,12 @@ class HPolytope:
     """Bounded open polytope {x : <a_i, x> > b_i} with nonempty interior.
 
     Construction enumerates the vertices (exactly) and fails on unbounded,
-    empty, or lower-dimensional input.
+    empty, or lower-dimensional input.  Each halfspace is also kept as the
+    primitive integer row of (a_i, -b_i), on which membership is a sign
+    test of an integer dot product with the point at height one.
     """
 
-    __slots__ = ("dim", "halfspaces", "vertices")
+    __slots__ = ("dim", "halfspaces", "vertices", "_rows")
 
     def __init__(self, dim: int, halfspaces: Iterable):
         pairs: list[tuple[LinearFunctional, Fraction]] = []
@@ -323,6 +346,7 @@ class HPolytope:
             )
         self.dim = dim
         self.halfspaces = tuple(pairs)
+        self._rows = tuple(_primitive((*f.coeffs, -b)) for f, b in pairs)
         if not self._is_bounded():
             raise ConstructionError("polytope is unbounded")
         verts = self._enumerate_vertices()
@@ -351,7 +375,7 @@ class HPolytope:
             solution = solve_square(rows, rhs)
             if solution is None:
                 continue
-            if all(f(solution) >= b for f, b in self.halfspaces):
+            if all(v >= 0 for v in _signed_values(self._rows, (*solution, ONE))):
                 found.add(solution)
         return sorted(found)
 
@@ -359,7 +383,7 @@ class HPolytope:
         point = vector(point)
         if len(point) != self.dim:
             raise DomainError(f"point has dimension {len(point)}, polytope has {self.dim}")
-        return all(f(point) > b for f, b in self.halfspaces)
+        return all(v > 0 for v in _signed_values(self._rows, (*point, ONE)))
 
     def __repr__(self) -> str:
         return f"HPolytope(dim={self.dim}, halfspaces={len(self.halfspaces)}, vertices={len(self.vertices)})"
@@ -400,34 +424,39 @@ def lift_to_cone(point: Sequence[Fraction]) -> Vector:
 
 # Bounded: every fresh cone would otherwise stay cached for the life of the process.
 @lru_cache(maxsize=16)
-def _face_lattice_cached(cone: PolyCone) -> tuple[frozenset[int], ...]:
+def _face_lattice_cached(cone: PolyCone) -> dict[frozenset[int], int]:
+    """Each face's active set, mapped to the dimension of the face's linear span.
+
+    Callers only read the dict; it is shared by every hit on `cone`.
+    """
     n = cone.num_facets
     if n > FACE_LATTICE_MAX_FACETS:
         raise ConstructionError(
             f"face enumeration guard: the cone has {n} facets, more than {FACE_LATTICE_MAX_FACETS}"
         )
-    rows = [f.coeffs for f in cone.facets]
-    full_rank = cone.ambient_dim - len(cone.lineality_basis)  # the rank of all facet rows
-    out = [frozenset({i}) for i in range(n)] if n > 1 else []
+    rows = cone._rows
+    dim = cone.ambient_dim
+    full_rank = dim - len(cone.lineality_basis)  # the rank of all facet rows
+    out = {frozenset({i}): dim - 1 for i in range(n)} if n > 1 else {}
     spanning: set[tuple[int, ...]] = set()  # subsets of the previous size with full rank
     for r in range(2, n):
         larger = set()
         for subset in combinations(range(n), r):
+            zero_rows = [rows[i] for i in subset]
             if r < full_rank:
                 spans = False
             elif r == full_rank:
-                spans = rank([rows[i] for i in subset]) == full_rank
+                spans = rank(zero_rows) == full_rank
             else:
                 spans = any(subset[:k] + subset[k + 1 :] in spanning for k in range(r))
             if spans:
                 larger.add(subset)
-                continue
-            equalities = [(rows[i], ZERO) for i in subset]
-            inequalities = [(rows[j], ONE) for j in range(n) if j not in subset]
-            if linear_system_feasible(equalities, inequalities, cone.ambient_dim):
-                out.append(frozenset(subset))
+            elif open_cone_feasible(zero_rows, [rows[j] for j in range(n) if j not in subset], dim):
+                out[frozenset(subset)] = dim - rank(zero_rows)
+        if len(larger) == comb(n, r):
+            break  # every larger subset contains a spanning one
         spanning = larger
-    return tuple(out)
+    return out
 
 
 def face_lattice_active_sets(cone: PolyCone) -> list[frozenset[int]]:
@@ -443,10 +472,14 @@ def face_lattice_active_sets(cone: PolyCone) -> list[frozenset[int]]:
       kernel is the lineality space, where every functional vanishes.  A
       subset larger than that rank reaches it exactly when one of its
       one-smaller subsets does, so only subsets of exactly that size take
-      an elimination.
+      an elimination.  Once every subset of some size reaches it, so does
+      every larger one, and the walk stops.
 
-    The remaining subsets are decided by one LP each.  Sets come ordered
-    by size, then lexicographically.  Results are memoised per canonical
-    cone; cones are immutable values.
+    Each remaining subset costs one LP, posed on the Farkas side in the
+    subset's own kernel (`linalg.open_cone_feasible`): dim K + 1 rows and
+    one column per facet off I, on the cone's primitive integer rows.
+    Sets come ordered by size, then lexicographically.  Results are
+    memoised per canonical cone, with each face's span dimension; cones
+    are immutable values.
     """
     return list(_face_lattice_cached(cone))

@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 from .geometry import (
     DomainError,
     PolyCone,
+    _face_lattice_cached,
     _unit_lead,
     classify_point,
     face_of,
@@ -30,7 +31,7 @@ from .geometry import (
 )
 from .linalg import Vector, rank, rational, rref, vector
 from .metrics import LogValue, face_m_ratio, hilbert_cone, m_ratio
-from .tangent import canonical_index_set, hilbert_dimension, subcone
+from .tangent import canonical_index_set, subcone
 
 
 @dataclass(frozen=True)
@@ -221,24 +222,23 @@ def enumerate_parts(cone: PolyCone) -> list[PartId]:
     return sorted(out, key=lambda p: (sorted(p.face_active), len(p.cone_index), sorted(p.cone_index)))
 
 
-def _face_span_dim(cone: PolyCone, active: frozenset[int]) -> int:
-    return cone.ambient_dim - rank([cone.facets[i].coeffs for i in sorted(active)])
-
-
 VERTEX_PART = "vertex"
 FACET_PART = "facet"
 OTHER_PART = "other"
 
 
-def _validate_part(cone: PolyCone, part: PartId) -> None:
+def _validate_part(cone: PolyCone, part: PartId) -> int:
+    """Check that `part` names a part of `cone`; returns the dimension of its face's span."""
     if not part.face_active or not part.cone_index:
         raise DomainError("part has empty index data")
     if not part.cone_index <= part.face_active:
         raise DomainError("part cone indices must be active on the face")
     if any(i < 0 or i >= cone.num_facets for i in part.face_active):
         raise DomainError("part indices out of range")
-    if part.face_active not in face_lattice_active_sets(cone):
+    span = _face_lattice_cached(cone).get(part.face_active)
+    if span is None:
         raise DomainError("face active set does not describe a boundary face")
+    return span
 
 
 def classify_part(cone: PolyCone, part: PartId) -> str:
@@ -249,8 +249,7 @@ def classify_part(cone: PolyCone, part: PartId) -> str:
     cone.  In ambient dimension two a boundary ray is both; it is reported
     as a vertex part.
     """
-    _validate_part(cone, part)
-    span = _face_span_dim(cone, part.face_active)
+    span = _validate_part(cone, part)
     full_tangent = part.cone_index == part.face_active
     if span == 1 and full_tangent:
         return VERTEX_PART
@@ -260,10 +259,13 @@ def classify_part(cone: PolyCone, part: PartId) -> str:
 
 
 def part_dimension(cone: PolyCone, part: PartId) -> int:
-    """Detour-metric dimension: (face dimension - 1) + Hilbert dimension of the cone."""
-    _validate_part(cone, part)
-    span = _face_span_dim(cone, part.face_active)
-    return (span - 1) + hilbert_dimension(subcone(cone, part.cone_index))
+    """Detour-metric dimension: (face dimension - 1) + Hilbert dimension of the cone.
+
+    The cone cut out by the `cone_index` rows has Hilbert dimension their
+    rank minus one (see `tangent.hilbert_dimension`).
+    """
+    span = _validate_part(cone, part)
+    return (span - 1) + (rank([cone._rows[i] for i in sorted(part.cone_index)]) - 1)
 
 
 def horolimit_residual(

@@ -3,12 +3,18 @@
 Values are `fractions.Fraction`s; elimination and the LP kernel pivot on
 integers and build `Fraction`s only for what they return.  No floating
 point anywhere: a float input is refused, not converted.
+
+Strict feasibility of a homogeneous system, the question behind cone
+construction and the face lattice, is asked on its Farkas side
+(`open_cone_feasible`): one LP over the kernel of the equations, on
+primitive integer rows (`_primitive`), with no split variables and no
+slacks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -73,16 +79,26 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], dim: int) -> list[Vector]:
     """Basis of the joint kernel {x : row . x = 0 for every row}."""
+    basis, d = _kernel(rows, dim)
+    return [tuple(Fraction(v, d) if v else ZERO for v in k) for k in basis]
+
+
+def _kernel(rows: Sequence[Sequence[Fraction]], dim: int) -> tuple[list[list[int]], int]:
+    """The kernel basis of `kernel_basis` as integer vectors d times it, and d.
+
+    For each non-pivot column c the vector holds d at c and minus the
+    reduced entry of each pivot row there, all read off the integer
+    echelon form without a division.
+    """
     reduced, pivots, d = _gauss_jordan(rows)
-    basis: list[Vector] = []
+    basis: list[list[int]] = []
     for free in (c for c in range(dim) if c not in pivots):
-        v = [ZERO] * dim
-        v[free] = ONE
+        v = [0] * dim
+        v[free] = d
         for row, p in zip(reduced, pivots):
-            if row[free]:
-                v[p] = Fraction(-row[free], d)
-        basis.append(tuple(v))
-    return basis
+            v[p] = -row[free]
+        basis.append(v)
+    return basis, d
 
 
 def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
@@ -107,7 +123,7 @@ def _gauss_jordan(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], 
     other row 0 there.  Every entry is a minor of the scaled input, so
     each `//` is exact.
     """
-    mat = [_over(lcm(*[q.denominator for q in row]), row) for row in rows]
+    mat = [_scaled(row) for row in rows]
     ncols = len(mat[0]) if mat else 0
     pivots: list[int] = []
     d = 1
@@ -219,34 +235,45 @@ def in_cone(target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]
     return feasible_standard(rows, list(target))
 
 
-def linear_system_feasible(
-    equalities: Sequence[tuple[Sequence[Fraction], Fraction]],
-    inequalities: Sequence[tuple[Sequence[Fraction], Fraction]],
-    nvars: int,
+def open_cone_feasible(
+    zero_rows: Sequence[Sequence[Fraction]],
+    positive_rows: Sequence[Sequence[Fraction]],
+    dim: int,
 ) -> bool:
-    """Feasibility of {a.x = b} and {c.x >= d} over free rational variables.
+    """Is {x : z.x = 0 for each zero row, p.x > 0 for each positive row} nonempty?
 
-    Free variables are split into positive and negative parts and
-    inequalities get slack columns, reducing to standard form.  The rows
-    are built as integers over one common denominator, which leaves the
-    kernel's pivots unchanged.
+    Asked on the Farkas side, in the kernel's own coordinates.  With K an
+    integer basis of the kernel of the zero rows, x = K t, and the system
+    becomes (P K) t > 0.  By Gordan's alternative that has a solution
+    exactly when no y >= 0 with sum(y) = 1 has y^T (P K) = 0.  So the
+    answer is one `feasible_standard` call on (dim K + 1) rows and one
+    column per positive row, with no split variables and no slack columns.
+    A positive row that vanishes on the kernel makes a zero column, which
+    the LP takes as its certificate of emptiness.
     """
-    system = [*equalities, *inequalities]
-    nge = len(inequalities)
-    first_slack = len(system) - nge
-    scale = lcm(*[c.denominator for coeffs, b in system for c in (*coeffs, b)])
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for k, (coeffs, b) in enumerate(system):
-        *plus, b = _over(scale, [*coeffs, b])
-        row = plus + [-c for c in plus] + [0] * nge
-        if k >= first_slack:
-            row[2 * nvars + k - first_slack] = -scale
-        rows.append(row)
-        rhs.append(b)
-    return feasible_standard(rows, rhs)
+    basis, _ = _kernel(zero_rows, dim)
+    columns = [_primitive(p) for p in positive_rows]
+    rows = [[sum(a * b for a, b in zip(col, k)) for col in columns] for k in basis]
+    rows.append([1] * len(columns))
+    return not feasible_standard(rows, [0] * len(basis) + [1])
 
 
-def _over(scale: int, values: list) -> list[int]:
+def _primitive(values: Sequence[Fraction]) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of a rational vector.
+
+    It is the vector times a positive rational, so a dot product with it
+    has the sign of the dot product with the original.  Zero stays zero.
+    """
+    ints = _scaled(values)
+    g = gcd(*ints) or 1
+    return tuple(v // g for v in ints)
+
+
+def _scaled(values: Sequence[Fraction]) -> list[int]:
+    """The rationals times the lcm of their denominators: a positive integer multiple."""
+    return _over(lcm(*[q.denominator for q in values]), values)
+
+
+def _over(scale: int, values: Sequence) -> list[int]:
     """The integers scale * q for rationals q whose denominators divide `scale`."""
     return [q.numerator * (scale // q.denominator) for q in values]

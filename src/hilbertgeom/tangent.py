@@ -51,7 +51,7 @@ def subcone(cone: PolyCone, indices: Iterable[int]) -> PolyCone:
     """
     idx = sorted(canonical_index_set(cone, indices))
     sub = PolyCone.__new__(PolyCone)
-    sub._assign(tuple(cone.facets[i] for i in idx), cone.ambient_dim)
+    sub._assign(tuple(cone.facets[i] for i in idx), tuple(cone._rows[i] for i in idx), cone.ambient_dim)
     return sub
 
 

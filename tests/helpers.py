@@ -7,10 +7,34 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import hilbertgeom.linalg as linalg
 from hilbertgeom import ConstructionError, HPolytope, cone_from_polytope, lift_to_cone, vector
-from hilbertgeom.linalg import rank
+from hilbertgeom.linalg import _over, rank
 
 F = Fraction
+
+
+def linear_system_feasible(equalities, inequalities, nvars) -> bool:
+    """Primal oracle: feasibility of {a.x = b} and {c.x >= d} over free rational variables.
+
+    Free variables are split into positive and negative parts and
+    inequalities get slack columns, reducing to standard form.  The rows
+    are built as integers over one common denominator, which leaves the
+    kernel's pivots unchanged.
+    """
+    system = [*equalities, *inequalities]
+    nge = len(inequalities)
+    first_slack = len(system) - nge
+    scale = math.lcm(*[c.denominator for coeffs, b in system for c in (*coeffs, b)])
+    rows, rhs = [], []
+    for k, (coeffs, b) in enumerate(system):
+        *plus, b = _over(scale, [*coeffs, b])
+        row = plus + [-c for c in plus] + [0] * nge
+        if k >= first_slack:
+            row[2 * nvars + k - first_slack] = -scale
+        rows.append(row)
+        rhs.append(b)
+    return linalg.feasible_standard(rows, rhs)
 
 
 def unit_square() -> HPolytope:

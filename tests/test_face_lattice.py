@@ -1,6 +1,7 @@
 """The face lattice: rank and irredundancy decide, the LP decides only the rest."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -10,14 +11,16 @@ from hilbertgeom import (
     ConstructionError,
     HPolytope,
     PolyCone,
+    classify_point,
     cone_from_polytope,
     face_lattice_active_sets,
+    lift_to_cone,
     tangent_family,
 )
 from hilbertgeom.geometry import FACE_LATTICE_MAX_FACETS, _face_lattice_cached
-from hilbertgeom.linalg import linear_system_feasible, rank
+from hilbertgeom.linalg import rank
 
-from helpers import F, pentagon, simplex2, tangent_polygon, tangent_polytope3, unit_cube, unit_square
+from helpers import F, linear_system_feasible, pentagon, simplex2, tangent_polygon, tangent_polytope3, unit_cube, unit_square
 
 
 def lp_lattice(cone):
@@ -34,16 +37,16 @@ def lp_lattice(cone):
 
 
 def undecided_by_rank(cone):
-    """Subsets the LP must decide: not singletons, and rows short of the full rank."""
+    """Subsets the LP must decide: not singletons, and rows short of the full rank.
+
+    One entry per subset, in the lattice's order: the row count of its
+    Farkas LP, which is the dimension of the subset's kernel plus one.
+    """
     n = cone.num_facets
     rows = [f.coeffs for f in cone.facets]
     full = rank(rows)
-    return sum(
-        1
-        for r in range(2, n)
-        for subset in combinations(range(n), r)
-        if rank([rows[i] for i in subset]) < full
-    )
+    ranks = (rank([rows[i] for i in subset]) for r in range(2, n) for subset in combinations(range(n), r))
+    return [cone.ambient_dim - k + 1 for k in ranks if k < full]
 
 
 def octahedron():
@@ -139,25 +142,26 @@ class TestLPCount:
         cone = cone_from_polytope(tangent_polygon(random.Random(8), 8))
         lp_calls.clear()
         face_lattice_active_sets(cone)
-        assert len(lp_calls) == undecided_by_rank(cone) == 28
+        assert lp_calls == undecided_by_rank(cone) == [2] * 28
 
     def test_simple_polytope_asks_pairs_and_triples(self, lp_calls):
         cone = cone_from_polytope(tangent_polytope3(random.Random(8), 8))
         lp_calls.clear()
         face_lattice_active_sets(cone)
-        assert len(lp_calls) == undecided_by_rank(cone) == 28 + 56
+        assert lp_calls == undecided_by_rank(cone) == [3] * 28 + [2] * 56
 
     def test_non_simple_polytope_asks_the_dependent_subsets(self, lp_calls):
         cone = cone_from_polytope(octahedron())
         lp_calls.clear()
         face_lattice_active_sets(cone)
-        assert len(lp_calls) == undecided_by_rank(cone) == 96
+        assert lp_calls == undecided_by_rank(cone)
+        assert len(lp_calls) == 96
 
     def test_lineality_lowers_the_rank_that_decides(self, lp_calls):
         cone = square_with_line()
         lp_calls.clear()
         face_lattice_active_sets(cone)
-        assert len(lp_calls) == undecided_by_rank(cone) == 6
+        assert lp_calls == undecided_by_rank(cone) == [3] * 6
 
     def test_warm_cache_asks_nothing(self, lp_calls):
         cone = cone_from_polytope(unit_cube())
@@ -165,6 +169,42 @@ class TestLPCount:
         lp_calls.clear()
         face_lattice_active_sets(cone)
         assert lp_calls == []
+
+
+class TestEarlyStop:
+    def test_twenty_gon_is_its_edges_and_vertices(self, lp_calls):
+        domain = tangent_polygon(random.Random(20), 20)
+        cone = cone_from_polytope(domain)
+        lp_calls.clear()
+        start = time.perf_counter()
+        lattice = face_lattice_active_sets(cone)
+        elapsed = time.perf_counter() - start
+        vertices = {classify_point(cone, lift_to_cone(v)).active for v in domain.vertices}
+        assert len(vertices) == 20 and all(len(active) == 2 for active in vertices)
+        assert set(lattice) == {frozenset({i}) for i in range(20)} | vertices
+        assert len(lattice) == 40
+        # Every triple spans, so the walk stops there: one LP per pair, none larger.
+        assert lp_calls == [2] * 190
+        assert elapsed < 1.0
+
+    def test_concurrent_facets_take_the_full_walk(self):
+        # Five facets meet at the pyramid's apex, more than the rank four.
+        cone = cone_from_polytope(pentagonal_pyramid())
+        apex = classify_point(cone, lift_to_cone((1, 2, 1))).active
+        assert len(apex) == 5 and apex in face_lattice_active_sets(cone)
+        assert face_lattice_active_sets(cone) == lp_lattice(cone)
+
+
+class TestSpanDimensions:
+    def test_cached_spans_match_rank(self):
+        cones = [cone_from_polytope(d) for d in (octahedron(), pentagonal_pyramid(), tangent_polytope3(random.Random(8), 8))]
+        cones += [entry.cone for d in (unit_cube(), square_pyramid()) for entry in tangent_family(cone_from_polytope(d))]
+        cones.append(square_with_line())
+        for cone in cones:
+            faces = _face_lattice_cached(cone)
+            assert list(faces) == face_lattice_active_sets(cone)
+            for active, span in faces.items():
+                assert span == cone.ambient_dim - rank([cone.facets[i].coeffs for i in active])
 
 
 class TestGuard:

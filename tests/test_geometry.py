@@ -32,8 +32,21 @@ from hilbertgeom import (
 )
 from hilbertgeom.linalg import in_cone, rational, vector
 
-from helpers import F, facet_index, interior_sample, interval, simplex2, unit_square
+from helpers import (
+    F,
+    boundary_sample,
+    facet_index,
+    interior_sample,
+    interval,
+    pentagon,
+    simplex2,
+    tangent_polygon,
+    tangent_polytope3,
+    unit_cube,
+    unit_square,
+)
 
+import math
 import random
 
 
@@ -316,3 +329,114 @@ class TestInteriorPoint:
         domain = unit_square()
         for _ in range(30):
             assert domain.contains_interior(interior_sample(domain, rng))
+
+
+def seeded_domains():
+    return [
+        unit_square(),
+        simplex2(),
+        pentagon(),
+        unit_cube(),
+        tangent_polygon(random.Random(7), 7),
+        tangent_polytope3(random.Random(8), 8),
+    ]
+
+
+def rational_cones():
+    """Cones with rational facets, two with lineality."""
+    return [
+        PolyCone([(F(2, 3), F(-5, 7), 1), (F(-1, 9), F(4, 11), F(1, 2)), (0, F(3, 250), F(1, 8))], 3),
+        PolyCone([(F(2, 3), F(-5, 7), 0), (F(-1, 9), F(4, 11), 0)], 3),
+        PolyCone([(F(1, 6), 0, 0, F(-7, 12)), (F(-3, 4), 0, F(5, 2), 0), (0, 0, F(1, 300), F(2, 299))], 4),
+    ]
+
+
+def subcones_of_all():
+    """Every cone of the seeded domains and rational cones, with all their tangent-family members."""
+    cones = [cone_from_polytope(d) for d in seeded_domains()] + rational_cones()
+    return [entry.cone for cone in cones for entry in tangent_family(cone)]
+
+
+def rational_point(rng, dim, den=300):
+    return tuple(F(rng.randint(-4 * den, 4 * den), rng.randint(1, den)) for _ in range(dim))
+
+
+def fraction_location(cone, point):
+    """Reference classification from the `Fraction` facet values."""
+    values = cone.values(point)
+    if any(v < 0 for v in values):
+        return "exterior", frozenset()
+    active = frozenset(i for i, v in enumerate(values) if v == 0)
+    return ("boundary" if active else "interior"), active
+
+
+class TestIntegerRows:
+    def test_stored_rows_are_positive_primitive_multiples(self):
+        for cone in subcones_of_all():
+            assert len(cone._rows) == cone.num_facets
+            for row, f in zip(cone._rows, cone.facets):
+                assert all(type(v) is int for v in row) and math.gcd(*row) == 1
+                lead = next(j for j, c in enumerate(f.coeffs) if c != 0)
+                scale = row[lead] / f.coeffs[lead]
+                assert scale > 0 and row == tuple(scale * c for c in f.coeffs)
+        for domain in seeded_domains():
+            for row, (f, b) in zip(domain._rows, domain.halfspaces):
+                full = (*f.coeffs, -b)
+                lead = next(j for j, c in enumerate(full) if c != 0)
+                scale = row[lead] / full[lead]
+                assert math.gcd(*row) == 1 and scale > 0 and row == tuple(scale * c for c in full)
+
+    def test_classify_point_matches_fraction_signs(self):
+        rng = random.Random(20261023)
+        kinds = {"interior": 0, "boundary": 0, "exterior": 0}
+        for domain in seeded_domains():
+            cone = cone_from_polytope(domain)
+            members = [entry.cone for entry in tangent_family(cone)]
+            for _ in range(40):
+                lam = F(rng.randint(1, 300), rng.randint(1, 300))
+                points = [
+                    lift_to_cone(interior_sample(domain, rng, hi=300)),
+                    lift_to_cone(boundary_sample(domain, rng)),
+                    rational_point(rng, cone.ambient_dim),
+                ]
+                for point in points:
+                    point = tuple(lam * c for c in point)
+                    for member in (cone, rng.choice(members)):
+                        kind, active = fraction_location(member, point)
+                        loc = classify_point(member, point)
+                        assert (loc.kind, loc.active) == (kind, active), (member, point)
+                        kinds[kind] += 1
+        for cone in rational_cones():
+            for _ in range(200):
+                point = rational_point(rng, cone.ambient_dim, den=rng.choice([7, 300]))
+                kind, active = fraction_location(cone, point)
+                loc = classify_point(cone, point)
+                assert (loc.kind, loc.active) == (kind, active), (cone, point)
+                kinds[kind] += 1
+        assert min(kinds.values()) >= 200
+
+    def test_contains_interior_matches_fraction_signs(self):
+        rng = random.Random(20261024)
+        answers = {True: 0, False: 0}
+        for domain in seeded_domains():
+            for _ in range(60):
+                for point in (
+                    interior_sample(domain, rng, hi=300),
+                    boundary_sample(domain, rng),
+                    rational_point(rng, domain.dim, den=rng.choice([3, 300])),
+                ):
+                    expected = all(f(point) > b for f, b in domain.halfspaces)
+                    assert domain.contains_interior(point) is expected, (domain, point)
+                    answers[expected] += 1
+        assert min(answers.values()) >= 300
+
+    def test_input_messages_unchanged(self):
+        cone = cone_from_polytope(pentagon())
+        with pytest.raises(DomainError, match=r"^point has dimension 2, cone lives in 3$"):
+            classify_point(cone, (F(1), F(1)))
+        with pytest.raises(ParseError, match=r"^coordinate 1 is the float 0\.5, not an exact rational$"):
+            classify_point(cone, (F(1), 0.5, F(1)))
+        with pytest.raises(DomainError, match=r"^point has dimension 3, polytope has 2$"):
+            pentagon().contains_interior((F(1), F(1), F(1)))
+        with pytest.raises(ParseError, match=r"^coordinate 0 is the float 1\.5, not an exact rational$"):
+            pentagon().contains_interior((1.5, F(1)))

@@ -5,18 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+import hilbertgeom.linalg as linalg
 from hilbertgeom.linalg import (
     _phase_one,
     feasible_standard,
     in_cone,
     kernel_basis,
-    linear_system_feasible,
+    open_cone_feasible,
     rank,
     rref,
     solve_square,
 )
 
-from helpers import F
+from helpers import F, linear_system_feasible
 
 
 def fraction_phase_one(rows, rhs):
@@ -198,6 +199,96 @@ class TestCallers:
                 rows.append(row)
                 rhs.append(b)
             assert linear_system_feasible(eqs, ineqs, dim) == fraction_phase_one(rows, rhs)[0]
+
+
+OPEN_CONE_SHAPES = ("no zero rows", "no positive rows", "repeated rows", "zero row", "rank-deficient", "lineality", "witness")
+
+
+def random_open_cone_system(rng):
+    """Zero rows and positive rows in R^dim, denominators up to 325, in one of seven shapes."""
+    dim = rng.randint(1, 5)
+
+    def row():
+        return [rand_rational(rng) for _ in range(dim)]
+
+    zero = [row() for _ in range(rng.randint(0, 4))]
+    positive = [row() for _ in range(rng.randint(0, 6))]
+    shape = rng.randrange(len(OPEN_CONE_SHAPES))
+    if shape == 0:
+        zero = []
+    elif shape == 1:
+        positive = []
+    elif shape == 2:
+        # Copies within and across the two lists, some negated.
+        for _ in range(2):
+            source = rng.choice(zero + positive or [row()])
+            target = rng.choice([zero, positive])
+            target.append(list(source) if rng.random() < 0.7 else [-v for v in source])
+    elif shape == 3:
+        rng.choice([zero, positive]).append([F(0)] * dim)
+    elif shape == 4:
+        # The last zero row is a combination of the others.
+        zero = [row() for _ in range(rng.randint(1, 3))]
+        coeffs = [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in zero]
+        zero.append([sum((c * r[j] for c, r in zip(coeffs, zero)), F(0)) for j in range(dim)])
+    elif shape == 5:
+        # Every row vanishes on the last axis, a line of lineality.
+        for r in zero + positive:
+            r[-1] = F(0)
+    else:
+        # A point of the kernel of the zero rows, and positive rows flipped to be positive on it.
+        basis = kernel_basis(zero, dim)
+        x = [sum((F(rng.randint(-3, 3)) * k[j] for k in basis), F(0)) for j in range(dim)]
+        positive = [r if sum((a * b for a, b in zip(r, x)), F(0)) >= 0 else [-v for v in r] for r in positive]
+    return zero, positive, dim, shape
+
+
+def primal(zero, positive, dim):
+    return linear_system_feasible([(z, F(0)) for z in zero], [(p, F(1)) for p in positive], dim)
+
+
+class TestOpenConeFeasible:
+    def test_seeded_systems_match_the_primal_oracle(self):
+        rng = random.Random(20261021)
+        answers = {True: 0, False: 0}
+        shapes = [0] * len(OPEN_CONE_SHAPES)
+        for _ in range(2400):
+            zero, positive, dim, shape = random_open_cone_system(rng)
+            expected = primal(zero, positive, dim)
+            assert open_cone_feasible(zero, positive, dim) is expected, (zero, positive, dim)
+            answers[expected] += 1
+            shapes[shape] += 1
+        assert min(answers.values()) >= 600
+        assert min(shapes) >= 250
+
+    def test_one_lp_in_the_kernel(self, monkeypatch):
+        shapes = []
+        original = linalg.feasible_standard
+
+        def counted(rows, rhs):
+            shapes.append((len(rows), len(rows[0])))
+            return original(rows, rhs)
+
+        monkeypatch.setattr(linalg, "feasible_standard", counted)
+        rng = random.Random(20261022)
+        for _ in range(200):
+            zero, positive, dim, _ = random_open_cone_system(rng)
+            shapes.clear()
+            open_cone_feasible(zero, positive, dim)
+            assert shapes == [(dim - rank(zero) + 1, len(positive))]
+
+    def test_edge_cases(self):
+        x, y = (F(1), F(0)), (F(0), F(1))
+        assert open_cone_feasible([], [], 2) is True
+        assert open_cone_feasible([x, y], [], 2) is True
+        assert open_cone_feasible([x, y], [(F(1, 3), F(-2))], 2) is False
+        assert open_cone_feasible([], [(F(0), F(0))], 2) is False
+        assert open_cone_feasible([], [x, (F(-2, 7), F(0))], 2) is False
+        assert open_cone_feasible([], [x, (F(-2, 7), F(1))], 2) is True
+        # The zero row repeated with a negated copy leaves x free but forces y = 0.
+        assert open_cone_feasible([y, (F(0), F(-3))], [x], 2) is True
+        assert open_cone_feasible([y, (F(0), F(-3))], [y], 2) is False
+        assert open_cone_feasible([[1, 1]], [[3, 1]], 2) is True
 
 
 def fraction_rref(rows):
