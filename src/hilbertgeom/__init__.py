@@ -29,11 +29,8 @@ from .geometry import (
     format_rational,
     interior_point,
     lift_to_cone,
-    lineality_dim,
     parse_point,
     parse_rational,
-    same_face,
-    vertex_enumeration,
 )
 from .horoboundary import (
     BusemannPoint,
@@ -57,10 +54,8 @@ from .linalg import Vector, vector
 from .metrics import (
     LogValue,
     almost_geodesic_check,
-    face_funk,
     face_hilbert,
     face_m_ratio,
-    face_reverse_funk,
     funk,
     gromov_product,
     hilbert_cone,
@@ -68,8 +63,6 @@ from .metrics import (
     j_eval,
     m_ratio,
     reverse_funk,
-    variation_distance,
-    variation_norm,
 )
 from .simplex import (
     CollinearityWitness,
@@ -87,7 +80,6 @@ from .simplex import (
     log_chart,
     permutation_group_elements,
     permutation_group_order,
-    point_group_closure,
     point_group_elements,
     positive_orthant,
     reciprocal_map,

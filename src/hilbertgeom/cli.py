@@ -36,9 +36,9 @@ from .horoboundary import (
 )
 from .metrics import LogValue, hilbert_cone, hilbert_cross_ratio
 from .simplex import (
+    POINT_GROUP_MAX_N,
     collineation_witness_failure,
     permutation_group_order,
-    point_group_closure,
     point_group_elements,
 )
 from .tangent import hilbert_dimension, tangent_cone
@@ -157,13 +157,13 @@ def _cmd_detour(args: argparse.Namespace) -> None:
 
 def _cmd_simplex_isom(args: argparse.Namespace) -> None:
     n = args.n
-    if not 1 <= n <= 6:
-        raise DomainError("n must be between 1 and 6")
+    if not 1 <= n <= POINT_GROUP_MAX_N:
+        raise DomainError(f"n must be between 1 and {POINT_GROUP_MAX_N}")
     if args.orders:
         _emit(
             {
                 "coll_point_group": permutation_group_order(n),
-                "isom_point_group": point_group_closure(n),
+                "isom_point_group": len(point_group_elements(n)),
             }
         )
     elif args.list_group:

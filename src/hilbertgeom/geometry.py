@@ -26,6 +26,7 @@ from .linalg import (
     HilbertGeometryError,
     ParseError,
     Vector,
+    _kernel,
     _primitive,
     _scaled,
     dot,
@@ -34,7 +35,6 @@ from .linalg import (
     open_cone_feasible,
     rank,
     rational,
-    solve_square,
     vector,
 )
 
@@ -265,15 +265,14 @@ def classify_point(cone: PolyCone, point: Sequence[Fraction]) -> PointLocation:
 
 @dataclass(frozen=True)
 class Face:
-    """Face of a cone, realised by its active facet set.
+    """Face of a cone, named by its active facet set.
 
-    The face of x is {y in closure(C) : psi_i(y) = 0 for all i active at x};
-    `span_basis` spans the linear hull of that set.
+    The face of x is {y in closure(C) : psi_i(y) = 0 for all i active at x}.
+    The face lattice maps each boundary face's active set to its span dimension.
     """
 
     parent: PolyCone
     active: frozenset[int]
-    span_basis: tuple[Vector, ...]
 
 
 def face_of(cone: PolyCone, x: Sequence[Fraction]) -> Face:
@@ -283,9 +282,7 @@ def face_of(cone: PolyCone, x: Sequence[Fraction]) -> Face:
     loc = classify_point(cone, x)
     if loc.kind == EXTERIOR:
         raise DomainError("point lies outside the closed cone")
-    active = loc.active
-    span = kernel_basis([cone._rows[i] for i in sorted(active)], cone.ambient_dim)
-    return Face(cone, active, tuple(span))
+    return Face(cone, loc.active)
 
 
 def face_contains(face: Face, y: Sequence[Fraction]) -> bool:
@@ -294,16 +291,6 @@ def face_contains(face: Face, y: Sequence[Fraction]) -> bool:
     if loc.kind == EXTERIOR:
         return False
     return face.active <= loc.active
-
-
-def same_face(cone: PolyCone, x: Sequence[Fraction], y: Sequence[Fraction]) -> bool:
-    """True when x and y have identical active facet sets (mutual face membership)."""
-    return face_of(cone, x).active == face_of(cone, y).active
-
-
-def lineality_dim(cone: PolyCone) -> int:
-    """Dimension of the largest linear subspace contained in the closed cone."""
-    return len(cone.lineality_basis)
 
 
 def cone_subset(inner: PolyCone, outer: PolyCone) -> bool:
@@ -367,16 +354,24 @@ class HPolytope:
         return True
 
     def _enumerate_vertices(self) -> list[Vector]:
+        """The points where dim halfspace boundaries meet and every halfspace holds.
+
+        A dim-subset of the integer rows (a_i, -b_i) meets in one point x
+        exactly when its kernel is a single line, spanned by v = h (x, 1)
+        with h != 0.  That point is a vertex when every row . v is zero or
+        has the sign of h.  The test runs on integers; only accepted points
+        become `Fraction`s.
+        """
         found: set[Vector] = set()
         n = self.dim
-        for idx in combinations(range(len(self.halfspaces)), n):
-            rows = [self.halfspaces[i][0].coeffs for i in idx]
-            rhs = [self.halfspaces[i][1] for i in idx]
-            solution = solve_square(rows, rhs)
-            if solution is None:
+        for subset in combinations(self._rows, n):
+            basis, _ = _kernel(subset, n + 1)
+            if len(basis) != 1 or not basis[0][n]:
                 continue
-            if all(v >= 0 for v in _signed_values(self._rows, (*solution, ONE))):
-                found.add(solution)
+            v = basis[0]
+            h = v[n]
+            if all(sum(map(mul, row, v)) * h >= 0 for row in self._rows):
+                found.add(tuple(Fraction(c, h) for c in v[:n]))
         return sorted(found)
 
     def contains_interior(self, point: Sequence[Fraction]) -> bool:
@@ -387,11 +382,6 @@ class HPolytope:
 
     def __repr__(self) -> str:
         return f"HPolytope(dim={self.dim}, halfspaces={len(self.halfspaces)}, vertices={len(self.vertices)})"
-
-
-def vertex_enumeration(polytope: HPolytope) -> list[Vector]:
-    """All vertices, each the solution of dim active constraints."""
-    return list(polytope.vertices)
 
 
 def interior_point(polytope: HPolytope) -> Vector:

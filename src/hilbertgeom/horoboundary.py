@@ -22,15 +22,15 @@ from typing import Iterable, Sequence
 
 from .geometry import (
     DomainError,
+    Face,
     PolyCone,
     _face_lattice_cached,
     _unit_lead,
     classify_point,
-    face_of,
     face_lattice_active_sets,
 )
 from .linalg import Vector, rank, rational, rref, vector
-from .metrics import LogValue, face_m_ratio, hilbert_cone, m_ratio
+from .metrics import LogValue, face_hilbert, face_m_ratio, hilbert_cone, m_ratio
 from .tangent import canonical_index_set, subcone
 
 
@@ -156,10 +156,9 @@ def detour_cost(g: BusemannPoint, h: BusemannPoint) -> LogValue:
     if not (g.x_active <= h.x_active and h.funk_index <= g.funk_index):
         return LogValue.INFINITY
     cone = g.cone
-    face = face_of(cone, g.x)
     reverse_part = (
         m_ratio(g.x, g.base, cone)
-        * face_m_ratio(h.x, g.x, face)
+        * face_m_ratio(h.x, g.x, Face(cone, g.x_active))
         / m_ratio(h.x, g.base, cone)
     )
     funk_part = (
@@ -175,10 +174,7 @@ def detour_decomposition(g: BusemannPoint, h: BusemannPoint) -> tuple[LogValue, 
     _check_comparable(g, h)
     if g.x_active != h.x_active or g.funk_cone != h.funk_cone:
         return None
-    face = face_of(g.cone, g.x)
-    d_face = LogValue(face_m_ratio(h.x, g.x, face) * face_m_ratio(g.x, h.x, face))
-    d_cone = hilbert_cone(g.p, h.p, g.funk_cone)
-    return d_face, d_cone
+    return face_hilbert(g.x, h.x, Face(g.cone, g.x_active)), hilbert_cone(g.p, h.p, g.funk_cone)
 
 
 def detour_metric(g: BusemannPoint, h: BusemannPoint) -> LogValue:

@@ -32,10 +32,17 @@ class ParseError(HilbertGeometryError):
 
 
 def rational(value) -> Fraction:
-    """`Fraction(value)`, refusing a float: it would enter as an inexact binary rational."""
+    """`Fraction(value)`, refusing a float: it would enter as an inexact binary rational.
+
+    Anything else `Fraction` cannot read ("nan", "1/0", None, an infinite
+    `Decimal`) is a `ParseError` too.
+    """
     if isinstance(value, float):
         raise ParseError(f"the float {value!r} is not an exact rational")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
+        raise ParseError(f"not an exact rational: {value!r}") from None
 
 
 def vector(values: Iterable) -> Vector:
@@ -61,10 +68,6 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 
 def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def is_zero_vector(a: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in a)
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -99,15 +102,6 @@ def _kernel(rows: Sequence[Sequence[Fraction]], dim: int) -> tuple[list[list[int
             v[p] = -row[free]
         basis.append(v)
     return basis, d
-
-
-def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve an n x n linear system exactly; None if there is no unique solution."""
-    n = len(rows)
-    reduced, pivots, d = _gauss_jordan([[*row, r] for row, r in zip(rows, rhs)])
-    if pivots != list(range(n)):
-        return None
-    return tuple(Fraction(row[n], d) for row in reduced)
 
 
 def _gauss_jordan(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int]:
@@ -230,7 +224,7 @@ def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> t
 def in_cone(target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]) -> bool:
     """Farkas membership: is `target` a nonnegative combination of `generators`?"""
     if not generators:
-        return is_zero_vector(target)
+        return all(x == 0 for x in target)
     rows = [[g[i] for g in generators] for i in range(len(target))]
     return feasible_standard(rows, list(target))
 

@@ -61,6 +61,8 @@ class LogValue:
         return math.log(self._arg.numerator) - math.log(self._arg.denominator)
 
     def __add__(self, other: "LogValue") -> "LogValue":
+        if not isinstance(other, LogValue):
+            return NotImplemented
         if self._arg is None or other._arg is None:
             return LogValue.INFINITY
         return LogValue(self._arg * other._arg)
@@ -71,6 +73,8 @@ class LogValue:
         return LogValue(1 / self._arg)
 
     def __sub__(self, other: "LogValue") -> "LogValue":
+        if not isinstance(other, LogValue):
+            return NotImplemented
         if other._arg is None:
             raise DomainError("cannot subtract an infinite value")
         if self._arg is None:
@@ -81,16 +85,16 @@ class LogValue:
         return (1, Fraction(0)) if self._arg is None else (0, self._arg)
 
     def __lt__(self, other):
-        return self._key() < other._key()
+        return self._key() < other._key() if isinstance(other, LogValue) else NotImplemented
 
     def __le__(self, other):
-        return self._key() <= other._key()
+        return self._key() <= other._key() if isinstance(other, LogValue) else NotImplemented
 
     def __gt__(self, other):
-        return self._key() > other._key()
+        return self._key() > other._key() if isinstance(other, LogValue) else NotImplemented
 
     def __ge__(self, other):
-        return self._key() >= other._key()
+        return self._key() >= other._key() if isinstance(other, LogValue) else NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, LogValue):
@@ -213,29 +217,9 @@ def face_m_ratio(numerator: Sequence[Fraction], denominator: Sequence[Fraction],
     return _max_ratio([nums[i] for i in inactive], [dens[i] for i in inactive], refusal)
 
 
-def face_funk(x: Sequence[Fraction], y: Sequence[Fraction], face: Face) -> LogValue:
-    return _log_gauge(face_m_ratio(x, y, face), "face Funk")
-
-
-def face_reverse_funk(x: Sequence[Fraction], y: Sequence[Fraction], face: Face) -> LogValue:
-    return _log_gauge(face_m_ratio(y, x, face), "face reverse-Funk")
-
-
 def face_hilbert(x: Sequence[Fraction], y: Sequence[Fraction], face: Face) -> LogValue:
     """Hilbert metric of the face cone, inside its span."""
-    return face_funk(x, y, face) + face_reverse_funk(x, y, face)
-
-
-def variation_norm(v: Sequence[Fraction]) -> Fraction:
-    """max_i v_i - min_j v_j; constant shifts leave it unchanged."""
-    v = vector(v)
-    if not v:
-        raise DomainError("variation norm of the empty vector")
-    return max(v) - min(v)
-
-
-def variation_distance(v: Sequence[Fraction], w: Sequence[Fraction]) -> Fraction:
-    return variation_norm(vsub(vector(v), vector(w)))
+    return LogValue(face_m_ratio(x, y, face) * face_m_ratio(y, x, face))
 
 
 def gromov_product(

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .geometry import DomainError, PolyCone, classify_point
 from .linalg import ONE, ZERO, Vector, dot, rational, vector
-from .metrics import m_ratio
+from .metrics import hilbert_cone
 
 POINT_GROUP_MAX_N = 6
 BALL_VERTICES_MAX_N = 12
@@ -204,10 +204,6 @@ def point_group_elements(n: int) -> list[SimplexIsometry]:
     return _enumerate_group(n, (False, True))
 
 
-def point_group_closure(n: int) -> int:
-    return len(point_group_elements(n))
-
-
 def permutation_group_elements(n: int) -> list[SimplexIsometry]:
     return _enumerate_group(n, (False,))
 
@@ -382,8 +378,6 @@ def is_metric_preserving(
         images.append(image)
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            before = m_ratio(points[i], points[j], cone) * m_ratio(points[j], points[i], cone)
-            after = m_ratio(images[i], images[j], cone) * m_ratio(images[j], images[i], cone)
-            if before != after:
+            if hilbert_cone(points[i], points[j], cone) != hilbert_cone(images[i], images[j], cone):
                 return False
     return True

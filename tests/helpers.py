@@ -2,16 +2,32 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import hilbertgeom.linalg as linalg
 from hilbertgeom import ConstructionError, HPolytope, cone_from_polytope, lift_to_cone, vector
-from hilbertgeom.linalg import _over, rank
+from hilbertgeom.linalg import _gauss_jordan, _over, rank
 
 F = Fraction
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_gen():
+    """The benchmark's input generator `bench/gen.py`, loaded from its file without touching `sys.path`."""
+    module = sys.modules.get("bench_gen")
+    if module is None:
+        spec = importlib.util.spec_from_file_location("bench_gen", BENCH / "gen.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["bench_gen"] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return module
 
 
 def linear_system_feasible(equalities, inequalities, nvars) -> bool:
@@ -35,6 +51,29 @@ def linear_system_feasible(equalities, inequalities, nvars) -> bool:
         rows.append(row)
         rhs.append(b)
     return linalg.feasible_standard(rows, rhs)
+
+
+def solve_square(rows, rhs):
+    """Solve an n x n linear system exactly; None if there is no unique solution."""
+    n = len(rows)
+    reduced, pivots, d = _gauss_jordan([[*row, r] for row, r in zip(rows, rhs)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(Fraction(row[n], d) for row in reduced)
+
+
+def oracle_vertices(polytope: HPolytope) -> list:
+    """Vertices by solving every dim-subset of halfspace boundaries and testing the solution.
+
+    The rational route `HPolytope` took before its sign test moved to
+    integer kernel vectors.
+    """
+    found = set()
+    for idx in combinations(polytope.halfspaces, polytope.dim):
+        solution = solve_square([f.coeffs for f, _ in idx], [b for _, b in idx])
+        if solution is not None and all(f(solution) >= b for f, b in polytope.halfspaces):
+            found.add(solution)
+    return sorted(found)
 
 
 def unit_square() -> HPolytope:

@@ -1,6 +1,8 @@
 """Cone, polytope, and face primitives."""
 
+import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -14,30 +16,31 @@ from hilbertgeom import (
     LogValue,
     ParseError,
     PolyCone,
+    VClass,
     classify_point,
     cone_from_polytope,
     cone_subset,
     face_contains,
     face_of,
     format_rational,
+    hilbert_cone,
     hilbert_cross_ratio,
     interior_point,
     lift_to_cone,
-    lineality_dim,
     parse_point,
     parse_rational,
-    same_face,
     tangent_family,
-    vertex_enumeration,
 )
-from hilbertgeom.linalg import in_cone, rational, vector
+from hilbertgeom.linalg import in_cone, rank, rational, vector
 
 from helpers import (
     F,
+    bench_gen,
     boundary_sample,
     facet_index,
     interior_sample,
     interval,
+    oracle_vertices,
     pentagon,
     simplex2,
     tangent_polygon,
@@ -110,6 +113,23 @@ class TestFloatsRefused:
         with pytest.raises(ParseError, match=r"coordinate 2 is the float 1\.0"):
             classify_point(cone_from_polytope(square), (F(1, 2), F(1, 2), 1.0))
         assert rational(F(3, 4)) == F(3, 4) and rational(-2) == F(-2)
+
+    @pytest.mark.parametrize("bad", ["nan", "1/0", None, Decimal("Infinity"), 1j])
+    def test_unreadable_values_name_the_input(self, bad):
+        with pytest.raises(ParseError, match=re.escape(repr(bad))):
+            rational(bad)
+
+    def test_unreadable_values_at_library_entry_points(self):
+        with pytest.raises(ParseError, match="'nan'"):
+            vector((1, "nan"))
+        with pytest.raises(ParseError, match="'1/0'"):
+            LogValue("1/0")
+        with pytest.raises(ParseError, match="'nan'"):
+            LogValue("nan")
+        with pytest.raises(ParseError, match="None"):
+            VClass((0, None))
+        with pytest.raises(ParseError, match="'nan'"):
+            hilbert_cone(("nan", 1, 2), (1, 1, 1), orthant3())
 
     def test_one_parse_error_class(self):
         assert hilbertgeom.ParseError is ParseError is hilbertgeom.linalg.ParseError
@@ -185,6 +205,12 @@ class TestClassifyPoint:
                 assert classify_point(cone, scaled) == classify_point(cone, w)
 
 
+def span_dimension(face) -> int:
+    """Dimension of the face's linear span: the kernel of its active rows, by rank."""
+    cone = face.parent
+    return cone.ambient_dim - rank([cone.facets[i].coeffs for i in sorted(face.active)])
+
+
 class TestFaces:
     def test_orthant_extreme_ray(self):
         cone = orthant3()
@@ -193,19 +219,19 @@ class TestFaces:
             facet_index(cone, (0, 1, 0)),
             facet_index(cone, (0, 0, 1)),
         }
-        assert len(face.span_basis) == 1
+        assert span_dimension(face) == 1
 
     def test_square_cone_facet_face(self):
         cone = cone_from_polytope(unit_square())
         face = face_of(cone, (0, F(1, 2), 1))
         assert face.active == {facet_index(cone, (1, 0, 0))}
-        assert len(face.span_basis) == 2
+        assert span_dimension(face) == 2
 
     def test_interior_gives_whole_cone(self):
         cone = cone_from_polytope(unit_square())
         face = face_of(cone, (F(1, 2), F(1, 2), 1))
         assert face.active == frozenset()
-        assert len(face.span_basis) == 3
+        assert span_dimension(face) == 3
 
     def test_rejects_origin_and_exterior(self):
         cone = orthant3()
@@ -215,6 +241,9 @@ class TestFaces:
             face_of(cone, (-1, 0, 0))
 
     def test_same_face_examples(self):
+        def same_face(cone, x, y):
+            return face_of(cone, x).active == face_of(cone, y).active
+
         cone = orthant3()
         assert same_face(cone, (1, 0, 0), (2, 0, 0))
         assert not same_face(cone, (1, 0, 0), (0, 1, 0))
@@ -239,14 +268,14 @@ class TestFaces:
                 inside = face_contains(fx, y)
                 assert inside == (fx.active <= fy.active)
                 # same face holds exactly when membership is mutual
-                assert same_face(cone, x, y) == (inside and face_contains(fy, x))
+                assert (fx.active == fy.active) == (inside and face_contains(fy, x))
 
 
 class TestLineality:
     def test_examples(self):
-        assert lineality_dim(orthant3()) == 0
-        assert lineality_dim(halfspace3()) == 2
-        assert lineality_dim(quadrant3()) == 1
+        assert len(orthant3().lineality_basis) == 0
+        assert len(halfspace3().lineality_basis) == 2
+        assert len(quadrant3().lineality_basis) == 1
 
 
 class TestConeSubset:
@@ -273,22 +302,52 @@ class TestConeSubset:
 
 class TestVertexEnumeration:
     def test_examples(self):
-        assert set(vertex_enumeration(unit_square())) == {
+        assert set(unit_square().vertices) == {
             (F(0), F(0)),
             (F(0), F(1)),
             (F(1), F(0)),
             (F(1), F(1)),
         }
-        assert set(vertex_enumeration(interval(0, 4))) == {(F(0),), (F(4),)}
-        assert len(vertex_enumeration(simplex2())) == 3
+        assert set(interval(0, 4).vertices) == {(F(0),), (F(4),)}
+        assert len(simplex2().vertices) == 3
 
     @pytest.mark.parametrize("domain", [unit_square(), simplex2(), interval(0, 4)])
     def test_vertices_are_boundary_in_the_cone(self, domain):
         cone = cone_from_polytope(domain)
-        for v in vertex_enumeration(domain):
+        for v in domain.vertices:
             loc = classify_point(cone, lift_to_cone(v))
             assert loc.is_boundary
             assert len(loc.active) >= domain.dim
+
+    def test_integer_kernel_matches_oracle(self):
+        """Seeded polygons and simple 3-polytopes of the benchmark, and non-simple fixed ones.
+
+        Each must give exactly the vertices of the rational oracle, which
+        are also the ones the generator computes by its own elimination.
+        """
+        from test_face_lattice import octahedron, pentagonal_pyramid, square_pyramid
+
+        gen = bench_gen()
+        rng = random.Random(20261018)
+        checked = 0
+        for _ in range(3):
+            for m in range(3, 11):
+                domain = gen.tangent_polygon(rng, m)
+                polytope = HPolytope(domain.dim, domain.halfspaces)
+                assert list(polytope.vertices) == oracle_vertices(polytope) == list(domain.vertices)
+                checked += 1
+            for m in range(4, 9):
+                domain = gen.tangent_polytope3(rng, m)
+                polytope = HPolytope(domain.dim, domain.halfspaces)
+                assert list(polytope.vertices) == oracle_vertices(polytope) == list(domain.vertices)
+                checked += 1
+        # Non-simple vertices, parallel facets and a redundant halfspace through a vertex.
+        redundant = HPolytope(2, [*unit_square().halfspaces, ((-1, -1), -2)])
+        for polytope in (unit_cube(), octahedron(), square_pyramid(), pentagonal_pyramid(), redundant):
+            assert list(polytope.vertices) == oracle_vertices(polytope)
+            checked += 1
+        assert len(redundant.vertices) == 4
+        assert checked == 44
 
 
 class TestIrredundance:

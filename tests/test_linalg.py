@@ -14,10 +14,9 @@ from hilbertgeom.linalg import (
     open_cone_feasible,
     rank,
     rref,
-    solve_square,
 )
 
-from helpers import F, linear_system_feasible
+from helpers import F, linear_system_feasible, solve_square
 
 
 def fraction_phase_one(rows, rhs):

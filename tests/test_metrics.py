@@ -1,5 +1,6 @@
 """Gauge, Funk, Hilbert, cross-ratio, and variation-norm computations."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -24,8 +25,9 @@ from hilbertgeom import (
     lift_to_cone,
     m_ratio,
     reverse_funk,
-    variation_distance,
-    variation_norm,
+    var_dist,
+    var_norm,
+    vclass,
 )
 
 from helpers import (
@@ -66,6 +68,18 @@ def assert_gauge_is_infimum(numerator, denominator, cone, value):
         den = sum(p * q for p, q in zip(phi, denominator))
         assert den > 0
         assert num / den <= value
+
+
+class TestLogValueOperands:
+    @pytest.mark.parametrize("other", [3, F(3), 1.5, "3", None])
+    @pytest.mark.parametrize("value", [LogValue(2), LogValue.INFINITY])
+    def test_foreign_operands_raise_type_error(self, value, other):
+        for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(value, other)
+            with pytest.raises(TypeError):
+                op(other, value)
+        assert value != other
 
 
 class TestGauge:
@@ -230,9 +244,9 @@ class TestFaceMetrics:
 
 class TestVariationNorm:
     def test_examples(self):
-        assert variation_norm((1, 0, 0)) == 1
-        assert variation_norm((1, 0, 0)) == variation_norm((2, 1, 1))
-        assert variation_norm((-1, 0, 2)) == 3
+        assert var_norm(vclass((1, 0, 0))) == 1
+        assert var_norm(vclass((1, 0, 0))) == var_norm(vclass((2, 1, 1)))
+        assert var_norm(vclass((-1, 0, 2))) == 3
 
     def test_quotient_invariance(self):
         rng = random.Random(31)
@@ -240,8 +254,8 @@ class TestVariationNorm:
             v = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4)]
             shift = F(rng.randint(-5, 5), rng.randint(1, 5))
             shifted = [c + shift for c in v]
-            assert variation_norm(v) == variation_norm(shifted)
-            assert variation_distance(v, shifted) == 0
+            assert var_norm(vclass(v)) == var_norm(vclass(shifted))
+            assert var_dist(vclass(v), vclass(shifted)) == 0
 
 
 class TestGromovProduct:

@@ -23,7 +23,6 @@ from hilbertgeom import (
     m_ratio,
     permutation_group_elements,
     permutation_group_order,
-    point_group_closure,
     point_group_elements,
     positive_orthant,
     reciprocal_map,
@@ -294,9 +293,9 @@ class TestBallVertices:
 
 class TestPointGroup:
     def test_orders(self):
-        assert point_group_closure(1) == 2  # the swap already acts as the flip
-        assert point_group_closure(2) == 12
-        assert point_group_closure(3) == 48
+        assert len(point_group_elements(1)) == 2  # the swap already acts as the flip
+        assert len(point_group_elements(2)) == 12
+        assert len(point_group_elements(3)) == 48
 
     def test_permutation_closure_orders(self):
         assert permutation_group_order(1) == 2
@@ -305,11 +304,11 @@ class TestPointGroup:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_index_two(self, n):
-        assert point_group_closure(n) == 2 * permutation_group_order(n)
+        assert len(point_group_elements(n)) == 2 * permutation_group_order(n)
 
     @pytest.mark.parametrize("n,order", [(5, 1440), (6, 10080)])
     def test_large_orders(self, n, order):
-        assert point_group_closure(n) == order == 2 * permutation_group_order(n)
+        assert len(point_group_elements(n)) == order == 2 * permutation_group_order(n)
 
     def test_contains_all_permutations(self):
         n = 2
@@ -319,7 +318,7 @@ class TestPointGroup:
 
     def test_size_guard(self):
         with pytest.raises(DomainError):
-            point_group_closure(7)
+            point_group_elements(7)
 
 
 class TestCharts:

@@ -17,7 +17,6 @@ from hilbertgeom import (
     face_lattice_active_sets,
     hilbert_dimension,
     lift_to_cone,
-    lineality_dim,
     subcone,
     tangent_cone,
     tangent_family,
@@ -206,5 +205,5 @@ class TestHilbertDimension:
             from hilbertgeom.linalg import rank
 
             face_dim = cone.ambient_dim - rank([cone.facets[i].coeffs for i in sorted(active)])
-            assert lineality_dim(tangent) == face_dim
+            assert len(tangent.lineality_basis) == face_dim
             assert hilbert_dimension(tangent) == n - face_dim
