@@ -98,4 +98,7 @@ from .tangent import (
     tangent_family,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# The submodules are attributes of the package, not names it exports.
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

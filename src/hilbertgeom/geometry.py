@@ -26,14 +26,15 @@ from .linalg import (
     HilbertGeometryError,
     ParseError,
     Vector,
+    _fraction_kernel,
+    _gauss_jordan,
+    _gordan_empty,
     _kernel,
     _primitive,
     _scaled,
     dot,
     in_cone,
-    kernel_basis,
     open_cone_feasible,
-    rank,
     rational,
     vector,
 )
@@ -198,7 +199,7 @@ class PolyCone:
         self.ambient_dim = dim
         self.facets = facets
         self._rows = rows
-        self.lineality_basis = tuple(kernel_basis(rows, dim))
+        self.lineality_basis = tuple(_fraction_kernel(rows, dim))
         # Cones key the face-lattice cache; hashing the Fraction rows on every lookup adds up.
         self._hash = hash((dim, facets))
 
@@ -312,7 +313,10 @@ class HPolytope:
     Construction enumerates the vertices (exactly) and fails on unbounded,
     empty, or lower-dimensional input.  Each halfspace is also kept as the
     primitive integer row of (a_i, -b_i), on which membership is a sign
-    test of an integer dot product with the point at height one.
+    test of an integer dot product with the point at height one.  The
+    integer rows go into elimination as they are: boundedness is one rank
+    and one LP on their normal parts, and each vertex candidate is one
+    integer kernel of a dim-subset of them.
     """
 
     __slots__ = ("dim", "halfspaces", "vertices", "_rows")
@@ -344,14 +348,18 @@ class HPolytope:
             raise ConstructionError("polytope has empty interior")
 
     def _is_bounded(self) -> bool:
-        # Bounded iff the normals positively span the whole space.
-        normals = [f.coeffs for f, _ in self.halfspaces]
-        for j in range(self.dim):
-            for sign in (ONE, -ONE):
-                axis = tuple(sign if k == j else ZERO for k in range(self.dim))
-                if not in_cone(axis, normals):
-                    return False
-        return True
+        """Do the normals positively span the whole space?  Then no direction recedes.
+
+        Vectors positively span R^n exactly when they have rank n and a
+        strictly positive linear dependence (Davis 1954), that is when
+        -sum(a_i) is a nonnegative combination of the a_i: one LP.  The
+        normals are read off the integer rows, each a positive multiple of
+        its a_i, which changes neither property.
+        """
+        normals = [row[: self.dim] for row in self._rows]
+        if len(_gauss_jordan(normals)[1]) < self.dim:
+            return False
+        return in_cone([-sum(column) for column in zip(*normals)], normals)
 
     def _enumerate_vertices(self) -> list[Vector]:
         """The points where dim halfspace boundaries meet and every halfspace holds.
@@ -426,23 +434,22 @@ def _face_lattice_cached(cone: PolyCone) -> dict[frozenset[int], int]:
         )
     rows = cone._rows
     dim = cone.ambient_dim
-    full_rank = dim - len(cone.lineality_basis)  # the rank of all facet rows
+    lineality = len(cone.lineality_basis)
+    full_rank = dim - lineality  # the rank of all facet rows
     out = {frozenset({i}): dim - 1 for i in range(n)} if n > 1 else {}
     spanning: set[tuple[int, ...]] = set()  # subsets of the previous size with full rank
     for r in range(2, n):
         larger = set()
         for subset in combinations(range(n), r):
-            zero_rows = [rows[i] for i in subset]
-            if r < full_rank:
-                spans = False
-            elif r == full_rank:
-                spans = rank(zero_rows) == full_rank
-            else:
-                spans = any(subset[:k] + subset[k + 1 :] in spanning for k in range(r))
-            if spans:
+            if r > full_rank and any(subset[:k] + subset[k + 1 :] in spanning for k in range(r)):
                 larger.add(subset)
-            elif open_cone_feasible(zero_rows, [rows[j] for j in range(n) if j not in subset], dim):
-                out[frozenset(subset)] = dim - rank(zero_rows)
+                continue
+            # One kernel per subset: it decides spanning, poses the LP and gives the span.
+            basis, _ = _kernel([rows[i] for i in subset], dim)
+            if r == full_rank and len(basis) == lineality:
+                larger.add(subset)
+            elif not _gordan_empty(basis, [rows[j] for j in range(n) if j not in subset]):
+                out[frozenset(subset)] = len(basis)
         if len(larger) == comb(n, r):
             break  # every larger subset contains a spanning one
         spanning = larger
@@ -461,15 +468,18 @@ def face_lattice_active_sets(cone: PolyCone) -> list[frozenset[int]]:
     - no subset whose rows reach the rank of the whole list is listed: its
       kernel is the lineality space, where every functional vanishes.  A
       subset larger than that rank reaches it exactly when one of its
-      one-smaller subsets does, so only subsets of exactly that size take
-      an elimination.  Once every subset of some size reaches it, so does
-      every larger one, and the walk stops.
+      one-smaller subsets does, so only subsets of exactly that size are
+      checked by their kernel.  Once every subset of some size reaches it,
+      so does every larger one, and the walk stops.
 
-    Each remaining subset costs one LP, posed on the Farkas side in the
-    subset's own kernel (`linalg.open_cone_feasible`): dim K + 1 rows and
-    one column per facet off I, on the cone's primitive integer rows.
-    Sets come ordered by size, then lexicographically.  Results are
-    memoised per canonical cone, with each face's span dimension; cones
-    are immutable values.
+    One kernel per subset: each subset of exactly that size, and each
+    subset rank leaves open, is eliminated once, on the cone's primitive
+    integer rows as they are held.  That one integer kernel K decides
+    spanning (dim K equals the lineality dimension), poses the subset's LP
+    on the Farkas side (the step behind `linalg.open_cone_feasible`: dim
+    K + 1 rows and one column per facet off I), and gives a listed face's
+    span dimension, dim K.  Sets come ordered by size, then
+    lexicographically.  Results are memoised per canonical cone, with each
+    face's span dimension; cones are immutable values.
     """
     return list(_face_lattice_cached(cone))

@@ -29,7 +29,7 @@ from .geometry import (
     classify_point,
     face_lattice_active_sets,
 )
-from .linalg import Vector, rank, rational, rref, vector
+from .linalg import Vector, _gauss_jordan, rational, rref, vector
 from .metrics import LogValue, face_hilbert, face_m_ratio, hilbert_cone, m_ratio
 from .tangent import canonical_index_set, subcone
 
@@ -257,11 +257,19 @@ def classify_part(cone: PolyCone, part: PartId) -> str:
 def part_dimension(cone: PolyCone, part: PartId) -> int:
     """Detour-metric dimension: (face dimension - 1) + Hilbert dimension of the cone.
 
-    The cone cut out by the `cone_index` rows has Hilbert dimension their
-    rank minus one (see `tangent.hilbert_dimension`).
+    The cone cut out by the `cone_index` rows I has Hilbert dimension
+    rank(I) - 1 (see `tangent.hilbert_dimension`).  The face lattice gives
+    the span, and with it the rank of the face's active rows A, ambient
+    dimension - span.  When that rank is |A| the rows of A are
+    independent, so rank(I) = |I| with no elimination; only a non-simple
+    face eliminates I, on the cone's integer rows as they are held.
     """
     span = _validate_part(cone, part)
-    return (span - 1) + (rank([cone._rows[i] for i in sorted(part.cone_index)]) - 1)
+    if cone.ambient_dim - span == len(part.face_active):
+        independent = len(part.cone_index)
+    else:
+        independent = len(_gauss_jordan([cone._rows[i] for i in sorted(part.cone_index)])[1])
+    return (span - 1) + (independent - 1)
 
 
 def horolimit_residual(

@@ -4,17 +4,23 @@ Values are `fractions.Fraction`s; elimination and the LP kernel pivot on
 integers and build `Fraction`s only for what they return.  No floating
 point anywhere: a float input is refused, not converted.
 
+The elimination kernel (`_gauss_jordan`, `_kernel`) takes integer rows as
+given.  Cones and polytopes already hold their facets as primitive integer
+rows, so their callers pass those straight in; the public `rref`, `rank`
+and `kernel_basis` scale `Fraction` input to integers once, at entry.
+
 Strict feasibility of a homogeneous system, the question behind cone
 construction and the face lattice, is asked on its Farkas side
-(`open_cone_feasible`): one LP over the kernel of the equations, on
-primitive integer rows (`_primitive`), with no split variables and no
-slacks.
+(`open_cone_feasible`): one LP over the kernel of the equations, with no
+split variables and no slacks.  A caller that already holds the kernel
+poses that LP directly (`_gordan_empty`), so each kernel is computed once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -46,9 +52,15 @@ def rational(value) -> Fraction:
 
 
 def vector(values: Iterable) -> Vector:
-    """The values as a tuple of `Fraction`s; a float is refused with a `ParseError`."""
+    """The values as a tuple of `Fraction`s; a float or a non-iterable is refused with a `ParseError`."""
     try:
         return tuple(v if type(v) is Fraction else rational(v) for v in values)
+    except TypeError:
+        try:
+            iter(values)
+        except TypeError:
+            raise ParseError(f"a vector must be an iterable of rationals, not {type(values).__name__}") from None
+        raise
     except ParseError:
         if isinstance(values, Sequence):
             for i, v in enumerate(values):
@@ -72,26 +84,36 @@ def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns the nonzero rows and pivot columns."""
-    reduced, pivots, d = _gauss_jordan(rows)
+    reduced, pivots, d = _gauss_jordan(_integer_rows(rows))
     return [[Fraction(v, d) if v else ZERO for v in row] for row in reduced], pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(_gauss_jordan(rows)[1])
+    return len(_gauss_jordan(_integer_rows(rows))[1])
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], dim: int) -> list[Vector]:
     """Basis of the joint kernel {x : row . x = 0 for every row}."""
+    return _fraction_kernel(_integer_rows(rows), dim)
+
+
+def _fraction_kernel(rows: Sequence[Sequence[int]], dim: int) -> list[Vector]:
+    """`kernel_basis` of integer rows, taken as given."""
     basis, d = _kernel(rows, dim)
     return [tuple(Fraction(v, d) if v else ZERO for v in k) for k in basis]
 
 
-def _kernel(rows: Sequence[Sequence[Fraction]], dim: int) -> tuple[list[list[int]], int]:
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row times the lcm of its own denominators: same row space, same echelon form."""
+    return [_scaled(row) for row in rows]
+
+
+def _kernel(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[list[int]], int]:
     """The kernel basis of `kernel_basis` as integer vectors d times it, and d.
 
-    For each non-pivot column c the vector holds d at c and minus the
-    reduced entry of each pivot row there, all read off the integer
-    echelon form without a division.
+    The rows must be integers.  For each non-pivot column c the vector
+    holds d at c and minus the reduced entry of each pivot row there, all
+    read off the integer echelon form without a division.
     """
     reduced, pivots, d = _gauss_jordan(rows)
     basis: list[list[int]] = []
@@ -104,27 +126,30 @@ def _kernel(rows: Sequence[Sequence[Fraction]], dim: int) -> tuple[list[list[int
     return basis, d
 
 
-def _gauss_jordan(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
+def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[Sequence[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows.
 
     Returns the nonzero rows, their pivot columns and a divisor d such
-    that the reduced row echelon form is rows / d.  Each row is first
-    scaled to integers by the lcm of its own denominators, which changes
-    neither the row space nor the echelon form.  The pivot is the first
-    nonzero entry at or below the current row.  A pivot p leaves its row
-    as it is, replaces every other row r by (p*r - f*pivot_row) // d, and
-    then sets d = p, so each pivoted row holds d at its pivot and every
-    other row 0 there.  Every entry is a minor of the scaled input, so
-    each `//` is exact.
+    that the reduced row echelon form is rows / d.  The rows are taken as
+    given, never rescaled: callers holding `Fraction`s scale them first
+    (`_integer_rows`), which changes neither the row space nor the echelon
+    form.  The pivot is the first nonzero entry at or below the current
+    row.  A pivot p leaves its row as it is, replaces every other row r by
+    (p*r - f*pivot_row) // d, and then sets d = p, so each pivoted row
+    holds d at its pivot and every other row 0 there.  Every entry is a
+    minor of the input, so each `//` is exact.
     """
-    mat = [_scaled(row) for row in rows]
+    mat = list(rows)
+    m = len(mat)
     ncols = len(mat[0]) if mat else 0
     pivots: list[int] = []
     d = 1
     r = 0
     for c in range(ncols):
-        k = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if k is None:
+        for k in range(r, m):
+            if mat[k][c]:
+                break
+        else:
             continue
         mat[r], mat[k] = mat[k], mat[r]
         pivot_row = mat[r]
@@ -140,7 +165,7 @@ def _gauss_jordan(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], 
         d = p
         pivots.append(c)
         r += 1
-        if r == len(mat):
+        if r == m:
             break
     return mat[:r], pivots, d
 
@@ -245,11 +270,18 @@ def open_cone_feasible(
     A positive row that vanishes on the kernel makes a zero column, which
     the LP takes as its certificate of emptiness.
     """
-    basis, _ = _kernel(zero_rows, dim)
-    columns = [_primitive(p) for p in positive_rows]
-    rows = [[sum(a * b for a, b in zip(col, k)) for col in columns] for k in basis]
+    basis, _ = _kernel(_integer_rows(zero_rows), dim)
+    return not _gordan_empty(basis, [_primitive(p) for p in positive_rows])
+
+
+def _gordan_empty(basis: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]) -> bool:
+    """Gordan's alternative in the kernel spanned by `basis`: does y >= 0, sum(y) = 1 solve y^T (P K) = 0?
+
+    `columns` are the integer rows of P.  True means {t : (P K) t > 0} is empty.
+    """
+    rows = [[sum(map(mul, col, k)) for col in columns] for k in basis]
     rows.append([1] * len(columns))
-    return not feasible_standard(rows, [0] * len(basis) + [1])
+    return feasible_standard(rows, [0] * len(basis) + [1])
 
 
 def _primitive(values: Sequence[Fraction]) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import hilbertgeom.linalg as linalg
 from hilbertgeom import ConstructionError, HPolytope, cone_from_polytope, lift_to_cone, vector
-from hilbertgeom.linalg import _gauss_jordan, _over, rank
+from hilbertgeom.linalg import _gauss_jordan, _integer_rows, _over, rank
 
 F = Fraction
 
@@ -56,10 +56,24 @@ def linear_system_feasible(equalities, inequalities, nvars) -> bool:
 def solve_square(rows, rhs):
     """Solve an n x n linear system exactly; None if there is no unique solution."""
     n = len(rows)
-    reduced, pivots, d = _gauss_jordan([[*row, r] for row, r in zip(rows, rhs)])
+    reduced, pivots, d = _gauss_jordan(_integer_rows([[*row, r] for row, r in zip(rows, rhs)]))
     if pivots != list(range(n)):
         return None
     return tuple(Fraction(row[n], d) for row in reduced)
+
+
+def axes_bounded(dim: int, halfspaces) -> bool:
+    """Boundedness oracle: the normals positively span R^dim when their cone holds every +-axis.
+
+    The 2 * dim LPs `HPolytope` asked before one rank and one LP replaced them.
+    """
+    normals = [vector(a) for a, _ in halfspaces]
+    for j in range(dim):
+        for sign in (1, -1):
+            axis = tuple(F(sign if k == j else 0) for k in range(dim))
+            if not linalg.in_cone(axis, normals):
+                return False
+    return True
 
 
 def oracle_vertices(polytope: HPolytope) -> list:

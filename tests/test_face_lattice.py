@@ -6,6 +6,8 @@ from itertools import combinations
 
 import pytest
 
+import hilbertgeom.geometry as geometry
+import hilbertgeom.horoboundary as horoboundary
 import hilbertgeom.linalg as linalg
 from hilbertgeom import (
     ConstructionError,
@@ -13,8 +15,10 @@ from hilbertgeom import (
     PolyCone,
     classify_point,
     cone_from_polytope,
+    enumerate_parts,
     face_lattice_active_sets,
     lift_to_cone,
+    part_dimension,
     tangent_family,
 )
 from hilbertgeom.geometry import FACE_LATTICE_MAX_FACETS, _face_lattice_cached
@@ -74,6 +78,36 @@ def pentagonal_pyramid():
 def square_with_line():
     """The square's cone times a line: four facets of rank three in R^4."""
     return PolyCone([(1, 0, 0, 0), (-1, 0, 1, 0), (0, 1, 0, 0), (0, -1, 1, 0)], 4)
+
+
+def eliminated_by_lattice(cone):
+    """Subsets the lattice must eliminate, in its order: rows of each subset rank leaves open or of size full_rank."""
+    n = cone.num_facets
+    rows = [f.coeffs for f in cone.facets]
+    full = rank(rows)
+    return [
+        [cone._rows[i] for i in subset]
+        for r in range(2, n)
+        for subset in combinations(range(n), r)
+        if r == full or rank([rows[i] for i in subset]) < full
+    ]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The row lists eliminated, by a kernel or a rank; the lattice cache starts cold."""
+    calls = []
+    original = linalg._gauss_jordan
+
+    def counted(rows):
+        calls.append(list(rows))
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", counted)
+    monkeypatch.setattr(geometry, "_gauss_jordan", counted)
+    _face_lattice_cached.cache_clear()
+    yield calls
+    _face_lattice_cached.cache_clear()
 
 
 @pytest.fixture
@@ -169,6 +203,89 @@ class TestLPCount:
         lp_calls.clear()
         face_lattice_active_sets(cone)
         assert lp_calls == []
+
+
+class TestEliminationCount:
+    """One integer kernel per subset that rank leaves open or that has size full_rank, and no other."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: cone_from_polytope(tangent_polygon(random.Random(8), 8)),
+            lambda: cone_from_polytope(tangent_polytope3(random.Random(8), 8)),
+            lambda: cone_from_polytope(octahedron()),
+            lambda: cone_from_polytope(square_pyramid()),
+            lambda: cone_from_polytope(pentagonal_pyramid()),
+            square_with_line,
+            lambda: PolyCone([(1, 0, 0), (0, 1, 0), (-1, -1, 1)], 3),
+        ],
+        ids=["8-gon", "simple-3-polytope", "octahedron", "pyramid", "pentagonal-pyramid", "with-line", "simplicial"],
+    )
+    def test_once_per_subset(self, kernel_calls, make):
+        cone = make()
+        expected = eliminated_by_lattice(cone)
+        kernel_calls.clear()
+        face_lattice_active_sets(cone)
+        assert kernel_calls == expected
+
+    def test_polygon_counts(self, kernel_calls, lp_calls):
+        # Every pair of a polygon cone is short of rank three and is one LP;
+        # every triple has size full_rank, spans, and takes its kernel but no LP.
+        cone = cone_from_polytope(tangent_polygon(random.Random(8), 8))
+        kernel_calls.clear()
+        lp_calls.clear()
+        face_lattice_active_sets(cone)
+        assert [len(rows) for rows in kernel_calls] == [2] * 28 + [3] * 56
+        assert lp_calls == [2] * 28
+
+    def test_warm_cache_eliminates_nothing(self, kernel_calls):
+        cone = cone_from_polytope(unit_cube())
+        face_lattice_active_sets(cone)
+        kernel_calls.clear()
+        face_lattice_active_sets(cone)
+        assert kernel_calls == []
+
+
+def rank_part_dimension(cone, part):
+    """Oracle: (face span - 1) + (rank of the cone_index rows - 1), both by `rank` on the facets."""
+    rows = [f.coeffs for f in cone.facets]
+    span = cone.ambient_dim - rank([rows[i] for i in part.face_active])
+    return (span - 1) + (rank([rows[i] for i in part.cone_index]) - 1)
+
+
+class TestPartDimension:
+    @pytest.mark.parametrize(
+        "domain",
+        [octahedron(), square_pyramid(), pentagonal_pyramid()],
+        ids=["octahedron", "pyramid", "pentagonal-pyramid"],
+    )
+    def test_non_simple_polytopes_match_rank(self, domain, monkeypatch):
+        cone = cone_from_polytope(domain)
+        rows = [f.coeffs for f in cone.facets]
+        calls = []
+        original = horoboundary._gauss_jordan
+
+        def counted(rows):
+            calls.append(len(rows))
+            return original(rows)
+
+        monkeypatch.setattr(horoboundary, "_gauss_jordan", counted)
+        dependent = non_simple = 0
+        for part in enumerate_parts(cone):
+            assert part_dimension(cone, part) == rank_part_dimension(cone, part), part
+            simple = rank([rows[i] for i in part.face_active]) == len(part.face_active)
+            non_simple += not simple
+            dependent += rank([rows[i] for i in part.cone_index]) < len(part.cone_index)
+        # Only parts on a non-simple face eliminate; the apex makes |I| wrong for some.
+        assert len(calls) == non_simple > 0
+        assert dependent > 0
+
+    @pytest.mark.parametrize("seed", [3, 8, 11])
+    def test_seeded_simple_polytopes_match_rank_without_elimination(self, seed, monkeypatch):
+        cone = cone_from_polytope(tangent_polytope3(random.Random(seed), 7))
+        monkeypatch.setattr(horoboundary, "_gauss_jordan", None)  # a simple polytope never eliminates
+        for part in enumerate_parts(cone):
+            assert part_dimension(cone, part) == rank_part_dimension(cone, part), part
 
 
 class TestEarlyStop:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import hilbertgeom
+import hilbertgeom.linalg as linalg
 from hilbertgeom import (
     ConstructionError,
     DomainError,
@@ -35,6 +36,7 @@ from hilbertgeom.linalg import in_cone, rank, rational, vector
 
 from helpers import (
     F,
+    axes_bounded,
     bench_gen,
     boundary_sample,
     facet_index,
@@ -183,6 +185,67 @@ class TestConeFromPolytope:
     def test_rejects_empty_interior(self):
         with pytest.raises(ConstructionError):
             HPolytope(2, [((0, 1), 0), ((0, -1), 0), ((1, 0), -1), ((-1, 0), -1)])
+
+
+class TestBoundedness:
+    """One rank and at most one LP, against the 2 * dim axis LPs of the oracle."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+        original = linalg.feasible_standard
+
+        def counted(rows, rhs):
+            calls.append(len(rows))
+            return original(rows, rhs)
+
+        monkeypatch.setattr(linalg, "feasible_standard", counted)
+        return calls
+
+    def test_seeded_benchmark_polytopes(self, lp_calls):
+        gen = bench_gen()
+        rng = random.Random(20261023)
+        checked = 0
+        for _ in range(3):
+            domains = [gen.tangent_polygon(rng, m) for m in range(3, 11)]
+            domains += [gen.tangent_polytope3(rng, m) for m in range(4, 9)]
+            for domain in domains:
+                assert axes_bounded(domain.dim, domain.halfspaces)
+                lp_calls.clear()
+                polytope = HPolytope(domain.dim, domain.halfspaces)
+                # Construction asks no other LP, so this one is the boundedness check's.
+                assert lp_calls == [domain.dim]
+                assert polytope._is_bounded()
+                checked += 1
+        assert checked == 39
+
+    @pytest.mark.parametrize(
+        "dim, halfspaces, bounded",
+        [
+            (2, [((0, 1), 0), ((0, -1), -1)], False),  # strip
+            (2, [((1, 0), 0), ((1, 1), 0)], False),  # wedge
+            (2, [((1, -1), 0)], False),  # half-plane
+            (2, [((1, 0), 0), ((1, 0), -1)], False),  # half-plane, duplicated normal
+            (2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), -1), ((1, 0), -1)], True),  # triangle, duplicated normal
+            (2, [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)], True),  # square: the normals sum to zero
+            (3, [((1, 0, 0), 0), ((-1, 0, 0), -1), ((0, 1, 0), 0), ((0, -1, 0), -1), ((0, 0, 1), 0)], False),
+            (3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -1)], True),
+        ],
+        ids=["strip", "wedge", "half-plane", "duplicated-normal", "triangle-duplicated", "square", "chimney", "tetrahedron"],
+    )
+    def test_unbounded_and_rank_deficient(self, lp_calls, dim, halfspaces, bounded):
+        assert axes_bounded(dim, halfspaces) is bounded
+        full_rank = rank([a for a, _ in halfspaces]) == dim
+        lp_calls.clear()
+        if bounded:
+            polytope = HPolytope(dim, halfspaces)
+        else:
+            with pytest.raises(ConstructionError, match=r"^polytope is unbounded$"):
+                HPolytope(dim, halfspaces)
+        # A rank short of dim decides without an LP; otherwise one LP on dim rows.
+        assert lp_calls == ([dim] if full_rank else [])
+        if bounded:
+            assert polytope._is_bounded()
 
 
 class TestClassifyPoint:

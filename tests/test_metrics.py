@@ -10,6 +10,7 @@ from hilbertgeom import (
     DomainError,
     HPolytope,
     LogValue,
+    ParseError,
     PolyCone,
     almost_geodesic_check,
     classify_point,
@@ -24,6 +25,7 @@ from hilbertgeom import (
     j_eval,
     lift_to_cone,
     m_ratio,
+    positive_orthant,
     reverse_funk,
     var_dist,
     var_norm,
@@ -169,6 +171,11 @@ class TestHilbertCone:
             d = hilbert_cone(lift_to_cone(x), lift_to_cone(y), cone)
             assert d == hilbert_cone(lift_to_cone(y), lift_to_cone(x), cone)
             assert d.arg > 1
+
+    @pytest.mark.parametrize("point, kind", [(None, "NoneType"), (5, "int")])
+    def test_non_iterable_point_is_a_parse_error(self, point, kind):
+        with pytest.raises(ParseError, match=rf"^a vector must be an iterable of rationals, not {kind}$"):
+            hilbert_cone(point, (1, 1, 1), positive_orthant(3))
 
 
 class TestCrossRatio:

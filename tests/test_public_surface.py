@@ -12,7 +12,9 @@ import hilbertgeom
 
 from helpers import BENCH
 
-# `dir()` in the package also lists the imported submodules.
+# The submodules stay reachable as attributes but are not exported names.
+SUBMODULES = ["geometry", "horoboundary", "linalg", "metrics", "simplex", "tangent"]
+
 PUBLIC = [
     "BOUNDARY", "BusemannPoint", "CollinearityWitness", "ConstructionError", "DomainError",
     "EXTERIOR", "FACET_PART", "Face", "HPolytope", "HilbertGeometryError", "INTERIOR",
@@ -23,14 +25,14 @@ PUBLIC = [
     "classify_point", "collineation_witness_failure", "compose", "cone_from_polytope",
     "cone_subset", "detour_cost", "detour_decomposition", "detour_metric", "enumerate_parts",
     "exp_chart", "exp_chart_float", "face_contains", "face_hilbert", "face_lattice_active_sets",
-    "face_m_ratio", "face_of", "format_rational", "funk", "geometry", "gromov_product",
-    "hilbert_cone", "hilbert_cross_ratio", "hilbert_dimension", "horoboundary",
+    "face_m_ratio", "face_of", "format_rational", "funk", "gromov_product",
+    "hilbert_cone", "hilbert_cross_ratio", "hilbert_dimension",
     "horolimit_residual", "identity_isometry", "interior_point", "inverse",
-    "is_metric_preserving", "j_eval", "lift_to_cone", "linalg", "log_chart", "m_ratio",
-    "metrics", "parse_point", "parse_rational", "part_dimension", "part_of",
+    "is_metric_preserving", "j_eval", "lift_to_cone", "log_chart", "m_ratio",
+    "parse_point", "parse_rational", "part_dimension", "part_of",
     "permutation_group_elements", "permutation_group_order", "point_group_elements",
-    "positive_orthant", "reciprocal_map", "reverse_funk", "simplex", "simplex_collineation",
-    "subcone", "tangent", "tangent_cone", "tangent_family", "var_ball_vertices", "var_dist",
+    "positive_orthant", "reciprocal_map", "reverse_funk", "simplex_collineation",
+    "subcone", "tangent_cone", "tangent_family", "var_ball_vertices", "var_dist",
     "var_norm", "vclass", "vector",
 ]
 
@@ -48,6 +50,14 @@ def _assigned_literal(tree, target):
 
 def test_all_is_pinned():
     assert sorted(hilbertgeom.__all__) == PUBLIC
+
+
+def test_submodules_are_attributes_not_exports():
+    for name in SUBMODULES:
+        assert getattr(hilbertgeom, name) is importlib.import_module(f"hilbertgeom.{name}")
+    namespace = {}
+    exec("from hilbertgeom import *", namespace)
+    assert not set(SUBMODULES) & set(namespace)
 
 
 def test_benchmark_workload_names_resolve():

@@ -265,6 +265,10 @@ class TestIntegerClasses:
         with pytest.raises(ParseError, match=r"the float 2\.0 is not an exact rational"):
             exp_chart(vclass([0, 1]), 2.0)
 
+    def test_non_iterable_is_a_parse_error(self):
+        with pytest.raises(ParseError, match=r"^a vector must be an iterable of rationals, not NoneType$"):
+            VClass(None)
+
 
 class TestBallVertices:
     @pytest.mark.parametrize("n,count", [(1, 2), (2, 6), (3, 14), (6, 2**7 - 2)])
