@@ -11,37 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .geometry import (
-    ConstructionError,
-    DomainError,
-    HPolytope,
-    ParseError,
-    classify_point,
-    cone_from_polytope,
-    format_rational,
-    interior_point,
-    lift_to_cone,
-    parse_point,
-    parse_rational,
-)
-from .horoboundary import (
-    BusemannPoint,
-    busemann_point,
-    classify_part,
-    detour_decomposition,
-    detour_metric,
-    enumerate_parts,
-    part_dimension,
-)
-from .metrics import LogValue, hilbert_cone, hilbert_cross_ratio
-from .simplex import (
-    POINT_GROUP_MAX_N,
-    collineation_witness_failure,
-    permutation_group_order,
-    point_group_elements,
-)
-from .tangent import hilbert_dimension, tangent_cone
+# The handlers import the modules they run, so a fresh process loads only
+# what its subcommand needs; `geometry` holds the errors and parsers of all.
+from .geometry import (ConstructionError, DomainError, HPolytope, ParseError, classify_point,
+                       cone_from_polytope, format_rational, interior_point, lift_to_cone, parse_point,
+                       parse_rational)
+
+if TYPE_CHECKING:
+    from .horoboundary import BusemannPoint
+    from .metrics import LogValue
 
 
 def _load_polytope(path: str) -> HPolytope:
@@ -50,8 +30,12 @@ def _load_polytope(path: str) -> HPolytope:
             data = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read polytope file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"polytope file is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"polytope file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("polytope file nests JSON too deeply") from None
     try:
         dim = data["dim"]
         raw_facets = data["facets"]
@@ -81,6 +65,8 @@ def _log_value_fields(value: LogValue) -> dict:
 
 
 def _cmd_dist(args: argparse.Namespace) -> None:
+    from .metrics import hilbert_cone, hilbert_cross_ratio
+
     polytope = _load_polytope(args.polytope)
     x = parse_point(args.x, polytope.dim)
     y = parse_point(args.y, polytope.dim)
@@ -100,6 +86,8 @@ def _cmd_dist(args: argparse.Namespace) -> None:
 
 
 def _cmd_parts(args: argparse.Namespace) -> None:
+    from .horoboundary import classify_part, enumerate_parts, part_dimension
+
     polytope = _load_polytope(args.polytope)
     cone = cone_from_polytope(polytope)
     parts = enumerate_parts(cone)
@@ -120,10 +108,14 @@ def _cmd_parts(args: argparse.Namespace) -> None:
 
 
 def _parse_busemann_spec(raw: str, cone, base) -> BusemannPoint:
+    from .horoboundary import busemann_point
+
     try:
         spec = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"Busemann spec is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("Busemann spec nests JSON too deeply") from None
     try:
         x = parse_point(spec["x"], cone.ambient_dim)
         index = spec["cone_index"]
@@ -136,6 +128,8 @@ def _parse_busemann_spec(raw: str, cone, base) -> BusemannPoint:
 
 
 def _cmd_detour(args: argparse.Namespace) -> None:
+    from .horoboundary import detour_decomposition, detour_metric
+
     polytope = _load_polytope(args.polytope)
     cone = cone_from_polytope(polytope)
     base = lift_to_cone(interior_point(polytope))
@@ -156,6 +150,9 @@ def _cmd_detour(args: argparse.Namespace) -> None:
 
 
 def _cmd_simplex_isom(args: argparse.Namespace) -> None:
+    from .simplex import (POINT_GROUP_MAX_N, collineation_witness_failure, permutation_group_order,
+                          point_group_elements)
+
     n = args.n
     if not 1 <= n <= POINT_GROUP_MAX_N:
         raise DomainError(f"n must be between 1 and {POINT_GROUP_MAX_N}")
@@ -188,6 +185,8 @@ def _cmd_simplex_isom(args: argparse.Namespace) -> None:
 
 
 def _cmd_tangent(args: argparse.Namespace) -> None:
+    from .tangent import hilbert_dimension, tangent_cone
+
     polytope = _load_polytope(args.polytope)
     cone = cone_from_polytope(polytope)
     z = lift_to_cone(parse_point(args.z, polytope.dim))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -26,12 +25,14 @@ from .linalg import (
     HilbertGeometryError,
     ParseError,
     Vector,
+    _Frozen,
     _fraction_kernel,
     _gauss_jordan,
     _gordan_empty,
     _kernel,
     _primitive,
     _scaled,
+    _set,
     dot,
     in_cone,
     open_cone_feasible,
@@ -91,16 +92,16 @@ def parse_point(text: str, dim: int | None = None) -> Vector:
     return coords
 
 
-@dataclass(frozen=True)
-class LinearFunctional:
+class LinearFunctional(_Frozen):
     """A nonzero linear form x -> <coeffs, x>."""
 
-    coeffs: Vector
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", vector(self.coeffs))
-        if all(c == 0 for c in self.coeffs):
+    def __init__(self, coeffs: Sequence[Fraction]):
+        coeffs = vector(coeffs)
+        if all(c == 0 for c in coeffs):
             raise ConstructionError("the zero functional is not allowed")
+        _set(self, "coeffs", coeffs)
 
     def __call__(self, point: Sequence[Fraction]) -> Fraction:
         return dot(self.coeffs, point)
@@ -237,10 +238,12 @@ BOUNDARY = "boundary"
 EXTERIOR = "exterior"
 
 
-@dataclass(frozen=True)
-class PointLocation:
-    kind: str
-    active: frozenset[int] = frozenset()
+class PointLocation(_Frozen):
+    __slots__ = ("kind", "active")
+
+    def __init__(self, kind: str, active: frozenset[int] = frozenset()):
+        _set(self, "kind", kind)
+        _set(self, "active", active)
 
     @property
     def is_interior(self) -> bool:
@@ -264,16 +267,18 @@ def classify_point(cone: PolyCone, point: Sequence[Fraction]) -> PointLocation:
     return PointLocation(INTERIOR)
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(_Frozen):
     """Face of a cone, named by its active facet set.
 
     The face of x is {y in closure(C) : psi_i(y) = 0 for all i active at x}.
     The face lattice maps each boundary face's active set to its span dimension.
     """
 
-    parent: PolyCone
-    active: frozenset[int]
+    __slots__ = ("parent", "active")
+
+    def __init__(self, parent: PolyCone, active: frozenset[int]):
+        _set(self, "parent", parent)
+        _set(self, "active", active)
 
 
 def face_of(cone: PolyCone, x: Sequence[Fraction]) -> Face:

@@ -15,7 +15,6 @@ within a "part" (same face, same cone).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -29,13 +28,12 @@ from .geometry import (
     classify_point,
     face_lattice_active_sets,
 )
-from .linalg import Vector, _gauss_jordan, rational, rref, vector
+from .linalg import Vector, _Frozen, _gauss_jordan, _set, rational, rref, vector
 from .metrics import LogValue, face_hilbert, face_m_ratio, hilbert_cone, m_ratio
 from .tangent import canonical_index_set, subcone
 
 
-@dataclass(frozen=True)
-class BusemannPoint:
+class BusemannPoint(_Frozen):
     """Canonical data (boundary ray, tangent-family cone, reference point).
 
     Stored in canonical form: the boundary point and the reference point are
@@ -45,13 +43,12 @@ class BusemannPoint:
     points; the horofunction itself is available through `busemann_eval`.
     """
 
-    cone: PolyCone
-    x: Vector
-    x_active: frozenset[int]
-    funk_index: frozenset[int]
-    funk_cone: PolyCone
-    p: Vector
-    base: Vector
+    __slots__ = ("cone", "x", "x_active", "funk_index", "funk_cone", "p", "base")
+
+    def __init__(self, cone: PolyCone, x: Vector, x_active: frozenset[int], funk_index: frozenset[int],
+                 funk_cone: PolyCone, p: Vector, base: Vector):
+        for name, value in zip(self.__slots__, (cone, x, x_active, funk_index, funk_cone, p, base)):
+            _set(self, name, value)
 
 
 def _reduce_mod_subspace(point: Vector, basis: Sequence[Vector]) -> Vector:
@@ -193,12 +190,14 @@ def detour_metric(g: BusemannPoint, h: BusemannPoint) -> LogValue:
     return delta
 
 
-@dataclass(frozen=True)
-class PartId:
+class PartId(_Frozen):
     """Name of a part: the face's active set and the funk cone's index set."""
 
-    face_active: frozenset[int]
-    cone_index: frozenset[int]
+    __slots__ = ("face_active", "cone_index")
+
+    def __init__(self, face_active: frozenset[int], cone_index: frozenset[int]):
+        _set(self, "face_active", face_active)
+        _set(self, "cone_index", cone_index)
 
 
 def part_of(point: BusemannPoint) -> PartId:

@@ -14,13 +14,16 @@ construction and the face lattice, is asked on its Farkas side
 (`open_cone_feasible`): one LP over the kernel of the equations, with no
 split variables and no slacks.  A caller that already holds the kernel
 poses that LP directly (`_gordan_empty`), so each kernel is computed once.
+
+The module also holds what every other module shares: the error classes and
+`_Frozen`, the base of the immutable value classes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -35,6 +38,44 @@ class HilbertGeometryError(Exception):
 
 class ParseError(HilbertGeometryError):
     """Malformed rational, point, or polytope input."""
+
+
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the immutable value classes: a frozen dataclass's behaviour on slots.
+
+    A subclass lists its fields in `__slots__` and sets them in `__init__`
+    with `_set`, because assignment raises `AttributeError`.  The fields not
+    named with a leading underscore are compared and hashed as one tuple,
+    between objects of the same class only.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        slots = [name for c in reversed(cls.__mro__) for name in c.__dict__.get("__slots__", ())]
+        cls._fields = tuple(name for name in slots if name[0] != "_")
+        get = attrgetter(*cls._fields)
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __reduce__(self):
+        return type(self), self._key(self)
 
 
 def rational(value) -> Fraction:

@@ -11,21 +11,19 @@ flip becomes the coordinate-wise reciprocal map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Callable, Sequence
 
 from .geometry import DomainError, PolyCone, classify_point
-from .linalg import ONE, ZERO, Vector, dot, rational, vector
+from .linalg import ONE, ZERO, Vector, _Frozen, _set, dot, rational, vector
 from .metrics import hilbert_cone
 
 POINT_GROUP_MAX_N = 6
 BALL_VERTICES_MAX_N = 12
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class VClass:
+class VClass(_Frozen):
     """A vector of R^(n+1) modulo constant shifts, stored canonically.
 
     The class is held as integer numerators `nums` over one positive common
@@ -36,8 +34,7 @@ class VClass:
     compare integers only.  Float coordinates are refused.
     """
 
-    nums: tuple[int, ...]
-    den: int
+    __slots__ = ("nums", "den")
 
     def __init__(self, rep: Sequence) -> None:
         rep = vector(rep)
@@ -51,6 +48,17 @@ class VClass:
     @property
     def rep(self) -> Vector:
         return tuple(Fraction(a, self.den) for a in self.nums)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.nums == other.nums and self.den == other.den
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+    def __reduce__(self):
+        return _vclass, (self.nums, self.den)
 
     @property
     def n(self) -> int:
@@ -85,27 +93,27 @@ def var_dist(v: VClass, w: VClass) -> Fraction:
     return Fraction(max(diffs) - min(diffs), dv * dw)
 
 
-@dataclass(frozen=True)
-class SimplexIsometry:
+class SimplexIsometry(_Frozen):
     """Translation + permutation + optional flip, acting on variation classes.
 
     The action is v -> translation + permutation(flip ? -v : v), where the
     permutation moves coordinate i to position permutation[i].
     """
 
-    translation: VClass
-    permutation: tuple[int, ...]
-    flip: bool
-    # The inverse permutation: coordinate j of the image comes from gather[j].
-    _gather: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # `_gather` is the inverse permutation: coordinate j of the image comes
+    # from _gather[j].  It is derived, so equality and hashing skip it.
+    __slots__ = ("translation", "permutation", "flip", "_gather")
 
-    def __post_init__(self):
-        size = len(self.permutation)
-        if sorted(self.permutation) != list(range(size)):
+    def __init__(self, translation: VClass, permutation: tuple[int, ...], flip: bool):
+        size = len(permutation)
+        if sorted(permutation) != list(range(size)):
             raise DomainError("not a permutation of the coordinates")
-        if size != len(self.translation.nums):
+        if size != len(translation.nums):
             raise DomainError("permutation and translation sizes differ")
-        object.__setattr__(self, "_gather", tuple(sorted(range(size), key=self.permutation.__getitem__)))
+        _set(self, "translation", translation)
+        _set(self, "permutation", permutation)
+        _set(self, "flip", flip)
+        _set(self, "_gather", tuple(sorted(range(size), key=permutation.__getitem__)))
 
     @property
     def n(self) -> int:
@@ -280,11 +288,13 @@ def positive_orthant(dim: int) -> PolyCone:
     return PolyCone(facets, dim)
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(_Frozen):
     """A matrix acting on column points."""
 
-    rows: tuple[Vector, ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[Vector, ...]):
+        _set(self, "rows", rows)
 
     def __call__(self, point: Sequence[Fraction]) -> Vector:
         point = vector(point)
@@ -311,8 +321,7 @@ def simplex_collineation(perm: Sequence[int], diag: Sequence[Fraction]) -> Linea
     return LinearMap(tuple(tuple(row) for row in rows))
 
 
-@dataclass(frozen=True)
-class CollinearityWitness:
+class CollinearityWitness(_Frozen):
     """Three collinear points whose reciprocal images are not collinear.
 
     The nonzero 3x3 determinant over the given coordinate columns certifies
@@ -320,10 +329,12 @@ class CollinearityWitness:
     map is an isometry that is not a collineation.
     """
 
-    points: tuple[Vector, Vector, Vector]
-    images: tuple[Vector, Vector, Vector]
-    columns: tuple[int, int, int]
-    determinant: Fraction
+    __slots__ = ("points", "images", "columns", "determinant")
+
+    def __init__(self, points: tuple[Vector, Vector, Vector], images: tuple[Vector, Vector, Vector],
+                 columns: tuple[int, int, int], determinant: Fraction):
+        for name, value in zip(self.__slots__, (points, images, columns, determinant)):
+            _set(self, name, value)
 
 
 def _det3(rows: Sequence[Vector], cols: tuple[int, int, int]) -> Fraction:

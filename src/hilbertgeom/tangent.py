@@ -8,7 +8,6 @@ family {C_I : I a nonempty facet subset}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -21,7 +20,7 @@ from .geometry import (
     PolyCone,
     classify_point,
 )
-from .linalg import vector
+from .linalg import _Frozen, _set, vector
 
 TANGENT_FAMILY_MAX_FACETS = 20
 
@@ -72,12 +71,14 @@ def tangent_cone(cone: PolyCone, z: Sequence[Fraction]) -> PolyCone:
     return subcone(cone, loc.active)
 
 
-@dataclass(frozen=True)
-class TangentFamilyEntry:
+class TangentFamilyEntry(_Frozen):
     """A member cone of the tangent family, named by parent facet indices."""
 
-    index_set: frozenset[int]
-    cone: PolyCone
+    __slots__ = ("index_set", "cone")
+
+    def __init__(self, index_set: frozenset[int], cone: PolyCone):
+        _set(self, "index_set", index_set)
+        _set(self, "cone", cone)
 
 
 def tangent_family(cone: PolyCone, indices: Iterable[int] | None = None) -> list[TangentFamilyEntry]:

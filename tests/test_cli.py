@@ -178,6 +178,33 @@ class TestExitCodes:
         assert result.returncode == 2
         assert result.stderr.startswith(b"parse error") and result.stderr.count(b"\n") == 1
 
+    @staticmethod
+    def _one_line_parse_error(result, *words):
+        assert result.returncode == 2
+        assert result.stderr.startswith(b"parse error") and result.stderr.count(b"\n") == 1
+        assert b"Traceback" not in result.stderr
+        for word in words:
+            assert word in result.stderr
+
+    def test_non_utf8_polytope_file_is_two(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{}")
+        self._one_line_parse_error(run_cli("parts", "--polytope", str(path)), b"polytope file", b"UTF-8")
+
+    def test_deeply_nested_polytope_file_is_two(self, tmp_path):
+        for text in ("[" * 5000, "[" * 5000 + "]" * 5000):
+            path = tmp_path / "deep.json"
+            path.write_text(text)
+            self._one_line_parse_error(run_cli("parts", "--polytope", str(path)), b"polytope file", b"deep")
+
+    @pytest.mark.parametrize("which", ["--bp1", "--bp2"])
+    def test_deeply_nested_busemann_spec_is_two(self, which):
+        specs = {"--bp1": '{"x": "0,1/4,1", "cone_index": [3], "p": "1/2,1/2,1"}',
+                 "--bp2": '{"x": "0,1/2,1", "cone_index": [3], "p": "1/2,1/2,1"}'}
+        specs[which] = "[" * 5000
+        result = run_cli("detour", "--polytope", SQUARE, "--bp1", specs["--bp1"], "--bp2", specs["--bp2"])
+        self._one_line_parse_error(result, b"Busemann spec", b"deep")
+
     def test_unbounded_polytope_file_is_two(self, tmp_path):
         unbounded = tmp_path / "unbounded.json"
         unbounded.write_text(
