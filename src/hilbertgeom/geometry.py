@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 from .linalg import (
     ONE,
     ZERO,
+    DomainError,
     HilbertGeometryError,
     ParseError,
     Vector,
@@ -47,10 +48,6 @@ FACE_LATTICE_MAX_FACETS = 20
 
 class ConstructionError(HilbertGeometryError):
     """Input does not define a valid cone or polytope."""
-
-
-class DomainError(HilbertGeometryError):
-    """A point lies outside the region an operation requires."""
 
 
 _RATIONAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -98,13 +95,10 @@ class LinearFunctional(_Frozen):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Fraction]):
-        coeffs = vector(coeffs)
-        if all(c == 0 for c in coeffs):
-            raise ConstructionError("the zero functional is not allowed")
-        _set(self, "coeffs", coeffs)
+        _set(self, "coeffs", _nonzero(vector(coeffs)))
 
     def __call__(self, point: Sequence[Fraction]) -> Fraction:
-        return dot(self.coeffs, point)
+        return dot(self.coeffs, vector(point))
 
     @property
     def dim(self) -> int:
@@ -134,11 +128,10 @@ def _unit_lead(coords: Vector) -> Vector:
     return tuple(c * scale for c in coords)
 
 
-def _as_functionals(facets: Iterable) -> list[LinearFunctional]:
-    out = []
-    for f in facets:
-        out.append(f if isinstance(f, LinearFunctional) else LinearFunctional(vector(f)))
-    return out
+def _nonzero(coeffs: Vector) -> Vector:
+    if not any(coeffs):
+        raise ConstructionError("the zero functional is not allowed")
+    return coeffs
 
 
 def _signed_values(rows: Sequence[Sequence[int]], point: Sequence[Fraction]) -> list[int]:
@@ -149,18 +142,6 @@ def _signed_values(rows: Sequence[Sequence[int]], point: Sequence[Fraction]) -> 
     """
     x = _scaled(point)
     return [sum(map(mul, row, x)) for row in rows]
-
-
-def _irredundant(functionals: Sequence[LinearFunctional]) -> list[LinearFunctional]:
-    kept = list(functionals)
-    i = 0
-    while i < len(kept):
-        others = [g.coeffs for j, g in enumerate(kept) if j != i]
-        if others and in_cone(kept[i].coeffs, others):
-            del kept[i]
-        else:
-            i += 1
-    return kept
 
 
 class PolyCone:
@@ -175,25 +156,34 @@ class PolyCone:
     multiple of the functional.  Sign tests (`classify_point`, the face
     lattice) run on these rows; gauges (`values`) stay on the `Fraction`
     facets.  `subcone` slices both lists.
+
+    Construction keeps one primitive row per halfspace, refuses an empty
+    interior (one LP), and keeps a row exactly when its singleton face test
+    succeeds: some x has row . x = 0 and every other row . x > 0, one kernel
+    and one LP of `dim` rows per row (a lone row needs none).  A facet row
+    passes in its facet's relative interior; any other row is a nonnegative
+    combination of the facet rows, so it fails, whatever the order.
     """
 
     __slots__ = ("ambient_dim", "facets", "lineality_basis", "_rows", "_hash")
 
     def __init__(self, facets: Iterable, ambient_dim: int | None = None):
-        funcs = _as_functionals(facets)
-        if not funcs:
+        rows = [_primitive(f.coeffs if isinstance(f, LinearFunctional) else _nonzero(vector(f))) for f in facets]
+        if not rows:
             raise ConstructionError("a cone needs at least one facet functional")
-        dims = {f.dim for f in funcs}
+        dims = {len(row) for row in rows}
         if len(dims) != 1:
             raise ConstructionError("facet functionals have mixed dimensions")
         dim = dims.pop()
         if ambient_dim is not None and ambient_dim != dim:
             raise ConstructionError(f"functionals have dimension {dim}, expected {ambient_dim}")
-        scaled = sorted({f.canonical() for f in funcs}, key=lambda f: f.coeffs)
-        if not open_cone_feasible([], [f.coeffs for f in scaled], dim):
+        rows = list(set(rows))
+        if not open_cone_feasible([], rows, dim):
             raise ConstructionError("cone has empty interior")
-        facets = tuple(_irredundant(scaled))
-        self._assign(facets, tuple(_primitive(f.coeffs) for f in facets), dim)
+        if len(rows) > 1:
+            rows = [r for i, r in enumerate(rows) if not _gordan_empty(_kernel([r], dim)[0], rows[:i] + rows[i + 1 :])]
+        kept = sorted((_unit_lead(vector(row)), row) for row in rows)
+        self._assign(tuple(LinearFunctional(c) for c, _ in kept), tuple(row for _, row in kept), dim)
 
     def _assign(self, facets: tuple[LinearFunctional, ...], rows: tuple[tuple[int, ...], ...], dim: int) -> None:
         """Store an already canonical facet list, its integer rows and its lineality space."""
@@ -209,8 +199,9 @@ class PolyCone:
         return len(self.facets)
 
     def values(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        point = vector(point)
         self._check_dim(point)
-        return tuple(f(point) for f in self.facets)
+        return tuple(dot(f.coeffs, point) for f in self.facets)
 
     def _check_dim(self, point: Sequence[Fraction]) -> None:
         if len(point) != self.ambient_dim:
@@ -302,14 +293,15 @@ def face_contains(face: Face, y: Sequence[Fraction]) -> bool:
 def cone_subset(inner: PolyCone, outer: PolyCone) -> bool:
     """Exact containment test inner <= outer.
 
-    Farkas: the cone defined by the inner facet list is contained in the
-    outer one iff every outer functional is a nonnegative combination of
-    inner functionals.
+    Per outer row psi, the face test with no equations: is {inner rows > 0,
+    -psi > 0} empty?  One LP on the integer rows.  As `inner` has an
+    interior, Gordan's certificate weighs -psi positively, so this is
+    Farkas: psi is a nonnegative combination of the inner rows.
     """
     if inner.ambient_dim != outer.ambient_dim:
         raise DomainError("cones live in different ambient spaces")
-    generators = [f.coeffs for f in inner.facets]
-    return all(in_cone(f.coeffs, generators) for f in outer.facets)
+    dim = inner.ambient_dim
+    return all(not open_cone_feasible([], [*inner._rows, [-v for v in psi]], dim) for psi in outer._rows)
 
 
 class HPolytope:
@@ -412,9 +404,9 @@ def cone_from_polytope(polytope: HPolytope) -> PolyCone:
 
     Each halfspace <a, x> > b becomes the facet functional
     (x, h) -> <a, x> - b*h on R^(dim+1); the height coordinate is last.
+    The polytope's integer rows are positive multiples of these functionals.
     """
-    facets = [tuple(f.coeffs) + (-b,) for f, b in polytope.halfspaces]
-    cone = PolyCone(facets, polytope.dim + 1)
+    cone = PolyCone(polytope._rows, polytope.dim + 1)
     if not cone.is_proper:
         raise ConstructionError("homogenisation produced an improper cone")
     return cone
@@ -468,8 +460,8 @@ def face_lattice_active_sets(cone: PolyCone) -> list[frozenset[int]]:
     {psi_i = 0 on I, psi_j > 0 off I} has a (necessarily nonzero) solution.
     Rank and irredundancy decide most subsets without an LP:
 
-    - every singleton is listed, because the canonical facet list is
-      irredundant, so each functional cuts out a facet;
+    - every singleton is listed: the constructor kept exactly the rows
+      whose singleton face test succeeds, the same question asked here;
     - no subset whose rows reach the rank of the whole list is listed: its
       kernel is the lineality space, where every functional vanishes.  A
       subset larger than that rank reaches it exactly when one of its

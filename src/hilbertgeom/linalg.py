@@ -4,16 +4,17 @@ Values are `fractions.Fraction`s; elimination and the LP kernel pivot on
 integers and build `Fraction`s only for what they return.  No floating
 point anywhere: a float input is refused, not converted.
 
-The elimination kernel (`_gauss_jordan`, `_kernel`) takes integer rows as
-given.  Cones and polytopes already hold their facets as primitive integer
-rows, so their callers pass those straight in; the public `rref`, `rank`
-and `kernel_basis` scale `Fraction` input to integers once, at entry.
+One fraction-free pivot step (`_pivot`) serves elimination (`_gauss_jordan`,
+`_kernel`) and phase one (`_phase_one`).  Elimination takes integer rows as
+given: cones and polytopes pass their primitive integer rows straight in,
+and the public `rref`, `rank` and `kernel_basis` scale `Fraction` input once.
 
-Strict feasibility of a homogeneous system, the question behind cone
-construction and the face lattice, is asked on its Farkas side
-(`open_cone_feasible`): one LP over the kernel of the equations, with no
-split variables and no slacks.  A caller that already holds the kernel
-poses that LP directly (`_gordan_empty`), so each kernel is computed once.
+Apart from polytope boundedness (`in_cone`), the one LP question is the
+face test: is {z.x = 0 for each zero row, p.x > 0 for each positive row}
+nonempty?  Cone construction, cone containment and the face lattice ask
+it on its Farkas side (`open_cone_feasible`): one LP over the kernel of
+the equations.  A caller holding that kernel poses the LP directly
+(`_gordan_empty`), so each kernel is computed once.
 
 The module also holds what every other module shares: the error classes and
 `_Frozen`, the base of the immutable value classes.
@@ -38,6 +39,10 @@ class HilbertGeometryError(Exception):
 
 class ParseError(HilbertGeometryError):
     """Malformed rational, point, or polytope input."""
+
+
+class DomainError(HilbertGeometryError):
+    """A point lies outside the region an operation requires."""
 
 
 _set = object.__setattr__
@@ -112,7 +117,7 @@ def vector(values: Iterable) -> Vector:
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+        raise DomainError(f"point has dimension {len(b)}, expected {len(a)}")
     total = ZERO
     for x, y in zip(a, b):
         total += x * y
@@ -175,10 +180,8 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[Sequence[int]], l
     given, never rescaled: callers holding `Fraction`s scale them first
     (`_integer_rows`), which changes neither the row space nor the echelon
     form.  The pivot is the first nonzero entry at or below the current
-    row.  A pivot p leaves its row as it is, replaces every other row r by
-    (p*r - f*pivot_row) // d, and then sets d = p, so each pivoted row
-    holds d at its pivot and every other row 0 there.  Every entry is a
-    minor of the input, so each `//` is exact.
+    row, and each pivot is one `_pivot` step, so each pivoted row holds d
+    at its pivot and every other row 0 there.
     """
     mat = list(rows)
     m = len(mat)
@@ -193,22 +196,31 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[Sequence[int]], l
         else:
             continue
         mat[r], mat[k] = mat[k], mat[r]
-        pivot_row = mat[r]
-        p = pivot_row[c]
-        for i, row in enumerate(mat):
-            if i == r:
-                continue
-            f = row[c]
-            if f:
-                mat[i] = [(p * v - f * w) // d for v, w in zip(row, pivot_row)]
-            elif p != d:
-                mat[i] = [p * v // d for v in row]
-        d = p
+        d = _pivot(mat, r, c, d)
         pivots.append(c)
         r += 1
         if r == m:
             break
     return mat[:r], pivots, d
+
+
+def _pivot(mat: list[list[int]], r: int, c: int, d: int) -> int:
+    """Pivot on p = mat[r][c] under the running divisor d and return p, the next divisor.
+
+    Every other row becomes (p*row - f*pivot_row) // d, f its entry in
+    column c.  Entries stay minors of the start, so `//` is exact (Bareiss 1968).
+    """
+    pivot_row = mat[r]
+    p = pivot_row[c]
+    for i, row in enumerate(mat):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            mat[i] = [(p * v - f * w) // d for v, w in zip(row, pivot_row)]
+        elif p != d:
+            mat[i] = [p * v // d for v in row]
+    return p
 
 
 def feasible_standard(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> bool:
@@ -224,15 +236,12 @@ def feasible_standard(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction
 def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> tuple[bool, list[int]]:
     """Fraction-free phase one: (is A u = b, u >= 0 feasible, the final basis).
 
-    Integer-preserving Jordan elimination (Edmonds 1967, Bareiss 1968).
-    [A | b] is scaled by one positive common denominator and the artificial
-    columns start as the identity, with running divisor d = 1.  A pivot p
-    leaves its row as it is, replaces every other row r, the reduced-cost
-    row included, by (p*r - f*pivot_row) // d, and then sets d = p.  Every
-    entry is then a minor of the starting tableau, so each `//` is exact.
-    The integer tableau is a positive multiple of the rational one, row by
-    row and column by column, so every sign, ratio comparison and Bland
-    choice is the one the rational kernel makes.
+    [A | b] is scaled by one positive common denominator, the artificial
+    columns start as the identity, and the reduced-cost row is the last
+    tableau row, so one `_pivot` step updates it with the rest.  The
+    integer tableau is a positive multiple of the rational one, row by row
+    and column by column, so every sign, ratio comparison and Bland choice
+    is the one the rational kernel makes.
     """
     m = len(rows)
     if m == 0:
@@ -254,13 +263,16 @@ def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> t
     # artificial column's cost 1 cancels its single 1.
     z = [-sum(col) for col in zip(*tab)]
     z[n:total] = [0] * m
+    tab.append(z)
     d = 1
     while True:
+        z = tab[m]
         enter = next((j for j in range(total) if z[j] < 0), None)
         if enter is None:
             return z[-1] == 0, basis
         leave = None
-        for i, row in enumerate(tab):
+        for i in range(m):
+            row = tab[i]
             a = row[enter]
             if a > 0:
                 if leave is None:
@@ -271,19 +283,7 @@ def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> t
                     leave, num, den = i, row[-1], a
         if leave is None:
             raise ArithmeticError("unbounded phase-one objective; tableau is inconsistent")
-        pivot_row = tab[leave]
-        p = pivot_row[enter]
-        for i, row in enumerate(tab):
-            if i == leave:
-                continue
-            f = row[enter]
-            if f:
-                tab[i] = [(p * v - f * w) // d for v, w in zip(row, pivot_row)]
-            elif p != d:
-                tab[i] = [p * v // d for v in row]
-        f = z[enter]
-        z = [(p * v - f * w) // d for v, w in zip(z, pivot_row)]
-        d = p
+        d = _pivot(tab, leave, enter, d)
         basis[leave] = enter
 
 

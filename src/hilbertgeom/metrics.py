@@ -19,7 +19,7 @@ from .geometry import (
     PolyCone,
     format_rational,
 )
-from .linalg import ONE, Vector, rational, vector, vsub
+from .linalg import ONE, Vector, dot, rational, vector, vsub
 
 
 class LogValue:
@@ -141,8 +141,8 @@ def m_ratio(numerator: Sequence[Fraction], denominator: Sequence[Fraction], cone
     result may be nonpositive for points far outside the cone.
     """
     return _max_ratio(
-        cone.values(vector(numerator)),
-        cone.values(vector(denominator)),
+        cone.values(numerator),
+        cone.values(denominator),
         "gauge denominator point must be interior",
     )
 
@@ -184,10 +184,10 @@ def hilbert_cross_ratio(polytope: HPolytope, x: Sequence[Fraction], y: Sequence[
     lower = None
     upper = None
     for f, b in polytope.halfspaces:
-        slope = f(direction)
+        slope = dot(f.coeffs, direction)
         if slope == 0:
             continue
-        t = (b - f(x)) / slope
+        t = (b - dot(f.coeffs, x)) / slope
         if slope > 0:
             lower = t if lower is None or t > lower else lower
         else:
@@ -209,8 +209,8 @@ def face_m_ratio(numerator: Sequence[Fraction], denominator: Sequence[Fraction],
     inactive = [i for i in range(cone.num_facets) if i not in face.active]
     if not inactive:
         raise DomainError("face has no inactive constraints")
-    nums = cone.values(vector(numerator))
-    dens = cone.values(vector(denominator))
+    nums = cone.values(numerator)
+    dens = cone.values(denominator)
     refusal = "denominator point is not in the relative interior of the face"
     if any(dens[i] != 0 for i in face.active):
         raise DomainError(refusal)

@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 
 from .geometry import DomainError, PolyCone, classify_point
 from .linalg import ONE, ZERO, Vector, _Frozen, _set, dot, rational, vector
-from .metrics import hilbert_cone
 
 POINT_GROUP_MAX_N = 6
 BALL_VERTICES_MAX_N = 12
@@ -378,6 +377,8 @@ def is_metric_preserving(
     samples: Sequence[Sequence[Fraction]],
 ) -> bool:
     """Exact check that the map preserves the projective metric on all sample pairs."""
+    from .metrics import hilbert_cone
+
     points = [vector(s) for s in samples]
     images = []
     for p in points:

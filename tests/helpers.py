@@ -11,8 +11,10 @@ from itertools import combinations
 from pathlib import Path
 
 import hilbertgeom.linalg as linalg
-from hilbertgeom import ConstructionError, HPolytope, cone_from_polytope, lift_to_cone, vector
-from hilbertgeom.linalg import _gauss_jordan, _integer_rows, _over, rank
+from hilbertgeom import ConstructionError, HPolytope, LinearFunctional, cone_from_polytope, lift_to_cone, vector
+from hilbertgeom.linalg import (
+    _gauss_jordan, _integer_rows, _over, _primitive, in_cone, kernel_basis, open_cone_feasible, rank,
+)
 
 F = Fraction
 
@@ -62,6 +64,43 @@ def solve_square(rows, rhs):
     return tuple(Fraction(row[n], d) for row in reduced)
 
 
+def farkas_irredundant(rows) -> list:
+    """Irredundancy oracle: the indices left after dropping, in order, each row the remaining rows imply.
+
+    One `in_cone` (Farkas) LP per row still kept, on `Fraction` rows: the
+    sequential route `PolyCone` took before the singleton face test.
+    """
+    kept = list(range(len(rows)))
+    i = 0
+    while i < len(kept):
+        others = [rows[j] for j in kept if j != kept[i]]
+        if others and in_cone(rows[kept[i]], others):
+            del kept[i]
+        else:
+            i += 1
+    return kept
+
+
+def sequential_cone(facets, dim):
+    """Oracle for `PolyCone`: its facets, integer rows and lineality basis, or None for an empty interior.
+
+    The former route: unit-lead functionals without duplicates, sorted; one
+    strict-feasibility LP; then `farkas_irredundant` on the sorted list.
+    """
+    scaled = sorted({LinearFunctional(f).canonical() for f in facets}, key=lambda f: f.coeffs)
+    if not open_cone_feasible([], [f.coeffs for f in scaled], dim):
+        return None
+    kept = [scaled[i] for i in farkas_irredundant([f.coeffs for f in scaled])]
+    rows = tuple(_primitive(f.coeffs) for f in kept)
+    return tuple(kept), rows, tuple(kernel_basis([f.coeffs for f in kept], dim))
+
+
+def primal_cone_subset(inner, outer) -> bool:
+    """Containment oracle: every outer functional is a nonnegative combination of the inner ones (Farkas)."""
+    generators = [f.coeffs for f in inner.facets]
+    return all(in_cone(f.coeffs, generators) for f in outer.facets)
+
+
 def axes_bounded(dim: int, halfspaces) -> bool:
     """Boundedness oracle: the normals positively span R^dim when their cone holds every +-axis.
 
@@ -71,7 +110,7 @@ def axes_bounded(dim: int, halfspaces) -> bool:
     for j in range(dim):
         for sign in (1, -1):
             axis = tuple(F(sign if k == j else 0) for k in range(dim))
-            if not linalg.in_cone(axis, normals):
+            if not in_cone(axis, normals):
                 return False
     return True
 
@@ -328,5 +367,6 @@ def square_busemann_sample(base=None):
             # remaining parts: each strict subset of the active pair
             for j in sorted(active):
                 points.extend(distinct_reference_points(cone, base, x, frozenset({j}), 1))
-    assert len(points) == len(set(points))
+    if len(points) != len(set(points)):
+        raise AssertionError("the sample repeats a Busemann point")
     return cone, base, points

@@ -34,6 +34,8 @@ from hilbertgeom import (
 )
 from hilbertgeom.linalg import in_cone, rank, rational, vector
 
+from test_face_lattice import lp_calls  # noqa: F401  (fixture)
+
 from helpers import (
     F,
     axes_bounded,
@@ -44,6 +46,8 @@ from helpers import (
     interval,
     oracle_vertices,
     pentagon,
+    primal_cone_subset,
+    sequential_cone,
     simplex2,
     tangent_polygon,
     tangent_polytope3,
@@ -439,6 +443,102 @@ class TestIrredundance:
             raw_inside = all(LinearFunctional(c)(p) > 0 for c in raw)
             cone_inside = classify_point(cone, p).is_interior
             assert raw_inside == cone_inside
+
+
+def seeded_facet_lists(rng, count):
+    """Seeded (functionals, dim): dim 2-4, 1-7 functionals with entries p/q, |p| <= 3, q <= 3.
+
+    About half the lists also get a positive multiple of one functional and
+    the sum of two, so duplicates and implied functionals are common.
+    """
+    lists = []
+    while len(lists) < count:
+        dim = rng.randint(2, 4)
+        size = rng.randint(1, 7)
+        facets = []
+        while len(facets) < size:
+            f = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
+            if any(f):
+                facets.append(f)
+        if len(facets) > 1 and rng.random() < 0.5:
+            a, b = rng.sample(facets, 2)
+            facets.append(tuple(F(rng.randint(1, 3), rng.randint(1, 3)) * c for c in a))
+            if any(x + y for x, y in zip(a, b)):
+                facets.append(tuple(x + y for x, y in zip(a, b)))
+        rng.shuffle(facets)
+        lists.append((facets, dim))
+    return lists
+
+
+# Each special shape the constructor must reduce exactly as the sequential oracle does.
+SPECIAL_FACET_LISTS = [
+    ([(1, 0, 0), (1, 0, 0), (0, 1, 0)], 3),  # a duplicate
+    ([(2, 0, 0), (F(1, 3), 0, 0), (0, 5, 0)], 3),  # positive multiples
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 3)], 3),  # implied sums
+    ([(1, 0, 0, 0), (-1, 0, 1, 0), (0, 1, 0, 0), (0, -1, 1, 0)], 4),  # a line of lineality
+    ([(F(2, 3), F(-5, 7), 0)], 3),  # a lone functional
+    ([(1, -1)], 2),  # a lone functional already in unit-lead form
+    ([(1, 0), (-1, 0)], 2),  # empty interior
+    ([(1, 0, 0), (0, 1, 0), (-1, -1, 0)], 3),  # empty interior, no opposite pair
+    ([(1, 0), (0, 1), (1, 1), (2, 2)], 2),  # an implied functional, twice
+]
+
+
+class TestFaceTestConstruction:
+    """The singleton face test keeps what the sequential Farkas loop kept, in the same order."""
+
+    def lists(self):
+        return SPECIAL_FACET_LISTS + seeded_facet_lists(random.Random(20261018), 1000)
+
+    def test_matches_sequential_oracle(self):
+        refused = 0
+        for facets, dim in self.lists():
+            expected = sequential_cone(facets, dim)
+            if expected is None:
+                refused += 1
+                with pytest.raises(ConstructionError, match=r"^cone has empty interior$"):
+                    PolyCone(facets, dim)
+                continue
+            cone = PolyCone(facets, dim)
+            assert (cone.facets, cone._rows, cone.lineality_basis) == expected, facets
+        assert 100 < refused < 500
+
+    def test_lp_count(self, lp_calls):
+        # One LP of dim + 1 rows for the interior, then one of dim rows per distinct row.
+        for facets, dim in self.lists():
+            distinct = len({LinearFunctional(f).canonical() for f in facets})
+            lp_calls.clear()
+            try:
+                PolyCone(facets, dim)
+            except ConstructionError:
+                assert lp_calls == [dim + 1]
+                continue
+            assert lp_calls == [dim + 1] + ([dim] * distinct if distinct > 1 else [])
+
+    def test_cone_subset_matches_primal_oracle(self, lp_calls):
+        by_dim = {}
+        for facets, dim in self.lists()[:200]:
+            try:
+                cone = PolyCone(facets, dim)
+            except ConstructionError:
+                continue
+            family = by_dim.setdefault(dim, [])
+            family.append(cone)
+            # Every subcone contains the cone, so true answers are common too.
+            family.extend(entry.cone for entry in tangent_family(cone)[: cone.num_facets])
+        pairs = contained = 0
+        for cones in by_dim.values():
+            for inner in cones[:24]:
+                for outer in cones[:24]:
+                    lp_calls.clear()
+                    answer = cone_subset(inner, outer)
+                    if answer:  # one LP of dim + 1 rows per outer facet
+                        assert lp_calls == [inner.ambient_dim + 1] * outer.num_facets
+                    assert answer == primal_cone_subset(inner, outer)
+                    pairs += 1
+                    contained += answer
+        assert pairs == 3 * 24 * 24
+        assert 3 * 24 < contained < pairs
 
 
 class TestInteriorPoint:

@@ -17,7 +17,7 @@ from test_cli import GOLDEN_CASES, SRC, golden_bytes, run_cli
 NOT_LOADED = {
     "dist": {"simplex", "horoboundary", "tangent"},
     "tangent": {"metrics", "horoboundary", "simplex"},
-    "simplex-isom": {"horoboundary", "tangent"},
+    "simplex-isom": {"metrics", "horoboundary", "tangent"},
     "parts": {"simplex"},
     "detour": {"simplex"},
 }

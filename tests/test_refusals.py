@@ -1,0 +1,168 @@
+"""Every refusal the rest of the suite does not reach: its exception class and its exact message.
+
+One row per refusal.  Each row names the call that trips it, the
+`HilbertGeometryError` subclass it must raise, and the message word for
+word, so a rewrite of the code behind a refusal cannot change either.
+"""
+
+from fractions import Fraction as F
+from functools import cache
+
+import pytest
+
+from hilbertgeom import (
+    ConstructionError,
+    DomainError,
+    Face,
+    HilbertGeometryError,
+    HPolytope,
+    LinearFunctional,
+    LogValue,
+    ParseError,
+    PartId,
+    PolyCone,
+    VClass,
+    almost_geodesic_check,
+    apply_isometry,
+    busemann_eval,
+    busemann_point,
+    classify_part,
+    classify_point,
+    collineation_witness_failure,
+    compose,
+    cone_from_polytope,
+    cone_subset,
+    detour_cost,
+    detour_decomposition,
+    detour_metric,
+    enumerate_parts,
+    exp_chart,
+    face_m_ratio,
+    gromov_product,
+    horolimit_residual,
+    identity_isometry,
+    is_metric_preserving,
+    lift_to_cone,
+    log_chart,
+    part_dimension,
+    point_group_elements,
+    positive_orthant,
+    simplex_collineation,
+    tangent_family,
+    var_ball_vertices,
+    var_dist,
+)
+
+from helpers import simplex2, unit_square
+
+CENTRE = lift_to_cone((F(1, 2), F(1, 2)))
+EDGE = lift_to_cone((0, F(1, 2)))
+
+
+@cache
+def square():
+    return cone_from_polytope(unit_square())
+
+
+@cache
+def triangle():
+    return cone_from_polytope(simplex2())
+
+
+def on_square():
+    """A Busemann point on the square's cone: the edge x = 0, its full tangent cone."""
+    return busemann_point(square(), EDGE, classify_point(square(), EDGE).active, lift_to_cone((F(1, 3), F(1, 3))), CENTRE)
+
+
+def on_triangle():
+    base = lift_to_cone((F(1, 4), F(1, 4)))
+    return busemann_point(triangle(), EDGE, classify_point(triangle(), EDGE).active, base, base)
+
+
+def infinite(a, b):
+    return LogValue.INFINITY
+
+
+def zero_distance(a, b):
+    return LogValue(1)
+
+
+PART = "part has empty index data"
+NESTED = "part cone indices must be active on the face"
+RANGE = "part indices out of range"
+BASE = "chart base must be positive and different from 1"
+AT_LEAST_ONE = "dimension must be at least 1"
+FLOAT = "coordinate 0 is the float 0.5, not an exact rational"
+
+REFUSALS = [
+    # PolyCone: the same checks in the same order, whatever route construction takes.
+    ("cone-zero-functional", lambda: PolyCone([(0, 0)]), ConstructionError, "the zero functional is not allowed"),
+    ("cone-float", lambda: PolyCone([(0.5, 1)]), ParseError, FLOAT),
+    ("cone-zero-before-float", lambda: PolyCone([(0, 0), (0.5, 1)]), ConstructionError, "the zero functional is not allowed"),
+    ("cone-float-before-zero", lambda: PolyCone([(0.5, 1), (0, 0)]), ParseError, FLOAT),
+    ("cone-no-functional", lambda: PolyCone([]), ConstructionError, "a cone needs at least one facet functional"),
+    ("cone-mixed-dimensions", lambda: PolyCone([(1, 0), (1, 0, 0)]), ConstructionError, "facet functionals have mixed dimensions"),
+    ("cone-wrong-ambient-dim", lambda: PolyCone([(1, 0)], 3), ConstructionError, "functionals have dimension 2, expected 3"),
+    ("cone-empty-interior", lambda: PolyCone([(1, 0), (-1, 0)]), ConstructionError, "cone has empty interior"),
+    ("cone-subset-ambient", lambda: cone_subset(square(), positive_orthant(2)), DomainError, "cones live in different ambient spaces"),
+    # HPolytope.
+    ("polytope-normal-dimension", lambda: HPolytope(2, [((1, 0, 0), 0)]), ConstructionError, "normal of dimension 3, expected 2"),
+    ("polytope-no-halfspace", lambda: HPolytope(2, []), ConstructionError, "a polytope needs at least one halfspace"),
+    ("polytope-no-vertices", lambda: HPolytope(1, [((1,), 1), ((-1,), 0)]), ConstructionError, "polytope has no vertices"),
+    # LogValue.
+    ("log-zero", lambda: LogValue(0), DomainError, "log argument must be positive, got 0"),
+    ("log-infinite-arg", lambda: LogValue.INFINITY.arg, DomainError, "infinite value has no rational argument"),
+    ("log-negate-infinite", lambda: -LogValue.INFINITY, DomainError, "cannot negate an infinite value"),
+    ("log-subtract-infinite", lambda: LogValue(2) - LogValue.INFINITY, DomainError, "cannot subtract an infinite value"),
+    # Metrics.
+    ("face-all-active", lambda: face_m_ratio(CENTRE, CENTRE, Face(square(), frozenset(range(4)))), DomainError, "face has no inactive constraints"),
+    ("gromov-infinite", lambda: gromov_product(CENTRE, CENTRE, CENTRE, infinite), DomainError, "Gromov product needs finite distances"),
+    ("geodesic-slack", lambda: almost_geodesic_check([CENTRE, CENTRE], zero_distance, F(1, 2)), DomainError, "slack is e^eps and must be at least 1"),
+    ("geodesic-one-point", lambda: almost_geodesic_check([CENTRE], zero_distance), DomainError, "an almost-geodesic needs at least two points"),
+    # Simplex.
+    ("var-dist-sizes", lambda: var_dist(VClass([0, 1]), VClass([0, 1, 2])), DomainError, "variation classes of different dimension"),
+    ("apply-sizes", lambda: apply_isometry(identity_isometry(2), VClass([0, 1])), DomainError, "isometry and class dimensions differ"),
+    ("compose-sizes", lambda: compose(identity_isometry(2), identity_isometry(1)), DomainError, "isometry dimensions differ"),
+    ("ball-zero", lambda: var_ball_vertices(0), DomainError, AT_LEAST_ONE),
+    ("ball-guard", lambda: var_ball_vertices(13), DomainError, "vertex enumeration guard: n <= 12"),
+    ("point-group-zero", lambda: point_group_elements(0), DomainError, AT_LEAST_ONE),
+    ("exp-base-one", lambda: exp_chart(VClass([0, 1]), 1), DomainError, BASE),
+    ("exp-base-zero", lambda: exp_chart(VClass([0, 1]), 0), DomainError, BASE),
+    ("log-chart-base-one", lambda: log_chart((1, 2), 1), DomainError, BASE),
+    ("log-chart-base-negative", lambda: log_chart((1, 2), -2), DomainError, BASE),
+    ("log-chart-nonpositive", lambda: log_chart((1, 0), 2), DomainError, "chart point must have strictly positive coordinates"),
+    ("orthant-zero", lambda: positive_orthant(0), DomainError, AT_LEAST_ONE),
+    ("collineation-permutation", lambda: simplex_collineation([0, 0], [1, 1]), DomainError, "not a permutation of the coordinates"),
+    ("collineation-diagonal", lambda: simplex_collineation([0, 1], [1]), DomainError, "diagonal and permutation sizes differ"),
+    ("witness-zero", lambda: collineation_witness_failure(0), DomainError, AT_LEAST_ONE),
+    ("metric-preserving-sample", lambda: is_metric_preserving(lambda p: p, positive_orthant(2), [(1, 0)]), DomainError, "sample point is not interior"),
+    # Horoboundary.
+    ("busemann-base", lambda: busemann_point(square(), EDGE, classify_point(square(), EDGE).active, CENTRE, EDGE), DomainError, "base-point must be interior"),
+    ("busemann-eval-point", lambda: busemann_eval(on_square(), EDGE), DomainError, "horofunctions are evaluated at interior points"),
+    ("detour-cost-cones", lambda: detour_cost(on_square(), on_triangle()), DomainError, "Busemann points live on different cones"),
+    ("detour-decomposition-cones", lambda: detour_decomposition(on_square(), on_triangle()), DomainError, "Busemann points live on different cones"),
+    ("detour-metric-cones", lambda: detour_metric(on_square(), on_triangle()), DomainError, "Busemann points live on different cones"),
+    ("parts-improper", lambda: enumerate_parts(PolyCone([(1, 0, 0)], 3)), DomainError, "part enumeration requires a proper cone"),
+    ("classify-part-empty", lambda: classify_part(square(), PartId(frozenset(), frozenset())), DomainError, PART),
+    ("classify-part-nested", lambda: classify_part(square(), PartId(frozenset({0}), frozenset({1}))), DomainError, NESTED),
+    ("classify-part-range", lambda: classify_part(square(), PartId(frozenset({7}), frozenset({7}))), DomainError, RANGE),
+    ("part-dimension-empty", lambda: part_dimension(square(), PartId(frozenset({0}), frozenset())), DomainError, PART),
+    ("part-dimension-nested", lambda: part_dimension(square(), PartId(frozenset({0}), frozenset({1}))), DomainError, NESTED),
+    ("part-dimension-range", lambda: part_dimension(square(), PartId(frozenset({-1}), frozenset({-1}))), DomainError, RANGE),
+    ("horolimit-leaves", lambda: horolimit_residual(square(), (0, F(1, 2), 1), (2, F(1, 2), 1), CENTRE, CENTRE, 1), DomainError, "line point left the cone interior"),
+    ("tangent-family-empty", lambda: tangent_family(square(), []), DomainError, "tangent family over an empty index pool"),
+    # Facet callables: a float is refused, and a wrong dimension names both.
+    ("functional-float", lambda: LinearFunctional((1, 2))((0.5, 1)), ParseError, FLOAT),
+    ("orthant-values-float", lambda: positive_orthant(2).values((0.5, 1)), ParseError, FLOAT),
+    ("functional-dimension", lambda: LinearFunctional((1, 2))((1, 2, 3)), DomainError, "point has dimension 3, expected 2"),
+    ("collineation-dimension", lambda: simplex_collineation([0, 1], [1, 1])((1, 2, 3)), DomainError, "point has dimension 3, expected 2"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [row[1:] for row in REFUSALS], ids=[row[0] for row in REFUSALS])
+def test_refusal(call, error, message):
+    assert issubclass(error, HilbertGeometryError)
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message

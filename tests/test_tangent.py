@@ -22,9 +22,7 @@ from hilbertgeom import (
     tangent_family,
 )
 
-from hilbertgeom.linalg import in_cone
-
-from helpers import F, facet_index, interval, simplex2, unit_cube, unit_square
+from helpers import F, facet_index, farkas_irredundant, interval, simplex2, unit_cube, unit_square
 
 
 def orthant3():
@@ -88,14 +86,7 @@ class TestFacetSubsets:
     def lp_reduction(cone, subset):
         """Drop each index whose functional the rest of the subset implies (Farkas)."""
         kept = sorted(subset)
-        i = 0
-        while i < len(kept):
-            others = [cone.facets[j].coeffs for j in kept if j != kept[i]]
-            if others and in_cone(cone.facets[kept[i]].coeffs, others):
-                del kept[i]
-            else:
-                i += 1
-        return frozenset(kept)
+        return frozenset(kept[i] for i in farkas_irredundant([cone.facets[j].coeffs for j in kept]))
 
     @pytest.mark.parametrize("domain", [unit_square(), simplex2(), unit_cube()])
     def test_every_subset_is_its_own_canonical_name(self, domain):
