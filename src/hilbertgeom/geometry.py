@@ -5,7 +5,7 @@ The central object is the open polyhedral cone
 
     C = {x : psi_i(x) > 0 for each facet functional psi_i},
 
-kept in a canonical form so that cone equality is plain list equality.
+kept in a canonical form so that cone equality is plain tuple equality.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .linalg import (
     _set,
     dot,
     in_cone,
-    open_cone_feasible,
     rational,
     vector,
 )
@@ -116,8 +115,9 @@ class LinearFunctional(_Frozen):
 def _unit_lead(coords: Vector) -> Vector:
     """Positive rescaling that makes the leading nonzero entry +1 or -1.
 
-    The one normaliser for facet functionals and for rays: both matter only
-    up to positive scaling.  Returns `coords` itself when already normal.
+    The one normaliser for facet functionals, integer facet rows and rays:
+    all matter only up to positive scaling.  Returns `coords` itself when
+    already normal, and `Fraction`s otherwise.
     """
     lead = next((c for c in coords if c != 0), None)
     if lead is None:
@@ -125,7 +125,7 @@ def _unit_lead(coords: Vector) -> Vector:
     if abs(lead) == 1:
         return coords
     scale = ONE / abs(lead)
-    return tuple(c * scale for c in coords)
+    return tuple(scale * c for c in coords)
 
 
 def _nonzero(coeffs: Vector) -> Vector:
@@ -145,17 +145,14 @@ def _signed_values(rows: Sequence[Sequence[int]], point: Sequence[Fraction]) -> 
 
 
 class PolyCone:
-    """Open polyhedral cone with a canonical, irredundant facet list.
+    """Open polyhedral cone, stored only as its canonical integer rows.
 
-    Canonical form: each functional is scaled so its leading nonzero
-    coefficient has absolute value one, functionals implied by the others
-    are removed, and the list is sorted.  Two cones are equal as sets of
-    points exactly when their canonical facet lists coincide.
-
-    Next to each facet the cone keeps its primitive integer row, a positive
-    multiple of the functional.  Sign tests (`classify_point`, the face
-    lattice) run on these rows; gauges (`values`) stay on the `Fraction`
-    facets.  `subcone` slices both lists.
+    Each facet is one primitive integer row, the positive multiple of its
+    functional with coprime entries.  Implied rows are removed, and the rest
+    are sorted by unit-lead form (leading nonzero entry of absolute value
+    one).  Two cones are equal as sets exactly when their rows coincide, so
+    equality and hashing read the rows, and so do sign tests and gauges.
+    `facets` is a view: the unit-lead `LinearFunctional`s, built on access.
 
     Construction keeps one primitive row per halfspace, refuses an empty
     interior (one LP), and keeps a row exactly when its singleton face test
@@ -165,7 +162,7 @@ class PolyCone:
     combination of the facet rows, so it fails, whatever the order.
     """
 
-    __slots__ = ("ambient_dim", "facets", "lineality_basis", "_rows", "_hash")
+    __slots__ = ("ambient_dim", "lineality_basis", "_rows")
 
     def __init__(self, facets: Iterable, ambient_dim: int | None = None):
         rows = [_primitive(f.coeffs if isinstance(f, LinearFunctional) else _nonzero(vector(f))) for f in facets]
@@ -178,30 +175,26 @@ class PolyCone:
         if ambient_dim is not None and ambient_dim != dim:
             raise ConstructionError(f"functionals have dimension {dim}, expected {ambient_dim}")
         rows = list(set(rows))
-        if not open_cone_feasible([], rows, dim):
+        if _gordan_empty(_kernel([], dim)[0], rows):
             raise ConstructionError("cone has empty interior")
         if len(rows) > 1:
             rows = [r for i, r in enumerate(rows) if not _gordan_empty(_kernel([r], dim)[0], rows[:i] + rows[i + 1 :])]
-        kept = sorted((_unit_lead(vector(row)), row) for row in rows)
-        self._assign(tuple(LinearFunctional(c) for c, _ in kept), tuple(row for _, row in kept), dim)
+        self._assign(tuple(sorted(rows, key=_unit_lead)), dim)
 
-    def _assign(self, facets: tuple[LinearFunctional, ...], rows: tuple[tuple[int, ...], ...], dim: int) -> None:
-        """Store an already canonical facet list, its integer rows and its lineality space."""
+    def _assign(self, rows: tuple[tuple[int, ...], ...], dim: int) -> None:
+        """Store already canonical integer rows and their lineality space."""
         self.ambient_dim = dim
-        self.facets = facets
         self._rows = rows
         self.lineality_basis = tuple(_fraction_kernel(rows, dim))
-        # Cones key the face-lattice cache; hashing the Fraction rows on every lookup adds up.
-        self._hash = hash((dim, facets))
+
+    @property
+    def facets(self) -> tuple[LinearFunctional, ...]:
+        """The facet functionals in unit-lead form, built from the rows on each access."""
+        return tuple(LinearFunctional(_unit_lead(row)) for row in self._rows)
 
     @property
     def num_facets(self) -> int:
-        return len(self.facets)
-
-    def values(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        point = vector(point)
-        self._check_dim(point)
-        return tuple(dot(f.coeffs, point) for f in self.facets)
+        return len(self._rows)
 
     def _check_dim(self, point: Sequence[Fraction]) -> None:
         if len(point) != self.ambient_dim:
@@ -214,10 +207,10 @@ class PolyCone:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyCone):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.facets == other.facets
+        return self.ambient_dim == other.ambient_dim and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.ambient_dim, self._rows))
 
     def __repr__(self) -> str:
         rows = ", ".join("(" + ",".join(format_rational(c) for c in f.coeffs) + ")" for f in self.facets)
@@ -294,14 +287,14 @@ def cone_subset(inner: PolyCone, outer: PolyCone) -> bool:
     """Exact containment test inner <= outer.
 
     Per outer row psi, the face test with no equations: is {inner rows > 0,
-    -psi > 0} empty?  One LP on the integer rows.  As `inner` has an
-    interior, Gordan's certificate weighs -psi positively, so this is
-    Farkas: psi is a nonnegative combination of the inner rows.
+    -psi > 0} empty?  One LP on the primitive integer rows as they are held.
+    As `inner` has an interior, Gordan's certificate weighs -psi positively,
+    so this is Farkas: psi is a nonnegative combination of the inner rows.
     """
     if inner.ambient_dim != outer.ambient_dim:
         raise DomainError("cones live in different ambient spaces")
-    dim = inner.ambient_dim
-    return all(not open_cone_feasible([], [*inner._rows, [-v for v in psi]], dim) for psi in outer._rows)
+    free = _kernel([], inner.ambient_dim)[0]  # the identity: no equations
+    return all(_gordan_empty(free, [*inner._rows, tuple(-v for v in psi)]) for psi in outer._rows)
 
 
 class HPolytope:
@@ -319,8 +312,13 @@ class HPolytope:
     __slots__ = ("dim", "halfspaces", "vertices", "_rows")
 
     def __init__(self, dim: int, halfspaces: Iterable):
+        if not isinstance(halfspaces, Iterable):
+            raise ConstructionError(f"halfspaces must be an iterable of (normal, offset) pairs, not {halfspaces!r}")
         pairs: list[tuple[LinearFunctional, Fraction]] = []
-        for normal, offset in halfspaces:
+        for k, entry in enumerate(halfspaces):
+            if not isinstance(entry, Sequence) or len(entry) != 2:
+                raise ConstructionError(f"halfspace {k} is not a (normal, offset) pair: {entry!r}")
+            normal, offset = entry
             functional = normal if isinstance(normal, LinearFunctional) else LinearFunctional(vector(normal))
             if functional.dim != dim:
                 raise ConstructionError(f"normal of dimension {functional.dim}, expected {dim}")
@@ -469,14 +467,10 @@ def face_lattice_active_sets(cone: PolyCone) -> list[frozenset[int]]:
       checked by their kernel.  Once every subset of some size reaches it,
       so does every larger one, and the walk stops.
 
-    One kernel per subset: each subset of exactly that size, and each
-    subset rank leaves open, is eliminated once, on the cone's primitive
-    integer rows as they are held.  That one integer kernel K decides
-    spanning (dim K equals the lineality dimension), poses the subset's LP
-    on the Farkas side (the step behind `linalg.open_cone_feasible`: dim
-    K + 1 rows and one column per facet off I), and gives a listed face's
-    span dimension, dim K.  Sets come ordered by size, then
-    lexicographically.  Results are memoised per canonical cone, with each
-    face's span dimension; cones are immutable values.
+    Each subset left to check takes one integer kernel K of the cone's rows
+    as held.  K decides spanning (dim K equals the lineality dimension),
+    poses the face test (`linalg._gordan_empty`, one LP) and gives the span
+    dimension, dim K.  Sets come ordered by size, then lexicographically,
+    and are memoised per cone (cones are immutable values keyed by rows).
     """
     return list(_face_lattice_cached(cone))

@@ -228,8 +228,9 @@ def _validate_part(cone: PolyCone, part: PartId) -> int:
         raise DomainError("part has empty index data")
     if not part.cone_index <= part.face_active:
         raise DomainError("part cone indices must be active on the face")
-    if any(i < 0 or i >= cone.num_facets for i in part.face_active):
-        raise DomainError("part indices out of range")
+    # Both: a cone index 1.0 equals the face index 1 and so passes the nesting.
+    canonical_index_set(cone, part.face_active)
+    canonical_index_set(cone, part.cone_index)
     span = _face_lattice_cached(cone).get(part.face_active)
     if span is None:
         raise DomainError("face active set does not describe a boundary face")

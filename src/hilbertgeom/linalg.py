@@ -11,10 +11,8 @@ and the public `rref`, `rank` and `kernel_basis` scale `Fraction` input once.
 
 Apart from polytope boundedness (`in_cone`), the one LP question is the
 face test: is {z.x = 0 for each zero row, p.x > 0 for each positive row}
-nonempty?  Cone construction, cone containment and the face lattice ask
-it on its Farkas side (`open_cone_feasible`): one LP over the kernel of
-the equations.  A caller holding that kernel poses the LP directly
-(`_gordan_empty`), so each kernel is computed once.
+nonempty?  Its one entry, `_gordan_empty`, takes an integer basis of the
+equations' kernel (the identity for none) and primitive integer rows.
 
 The module also holds what every other module shares: the error classes and
 `_Frozen`, the base of the immutable value classes.
@@ -295,30 +293,14 @@ def in_cone(target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]
     return feasible_standard(rows, list(target))
 
 
-def open_cone_feasible(
-    zero_rows: Sequence[Sequence[Fraction]],
-    positive_rows: Sequence[Sequence[Fraction]],
-    dim: int,
-) -> bool:
-    """Is {x : z.x = 0 for each zero row, p.x > 0 for each positive row} nonempty?
-
-    Asked on the Farkas side, in the kernel's own coordinates.  With K an
-    integer basis of the kernel of the zero rows, x = K t, and the system
-    becomes (P K) t > 0.  By Gordan's alternative that has a solution
-    exactly when no y >= 0 with sum(y) = 1 has y^T (P K) = 0.  So the
-    answer is one `feasible_standard` call on (dim K + 1) rows and one
-    column per positive row, with no split variables and no slack columns.
-    A positive row that vanishes on the kernel makes a zero column, which
-    the LP takes as its certificate of emptiness.
-    """
-    basis, _ = _kernel(_integer_rows(zero_rows), dim)
-    return not _gordan_empty(basis, [_primitive(p) for p in positive_rows])
-
-
 def _gordan_empty(basis: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]) -> bool:
-    """Gordan's alternative in the kernel spanned by `basis`: does y >= 0, sum(y) = 1 solve y^T (P K) = 0?
+    """The face test: is {x = K t : (P K) t > 0} empty, for K the integer `basis`?
 
-    `columns` are the integer rows of P.  True means {t : (P K) t > 0} is empty.
+    `columns` are the integer rows of P.  By Gordan's alternative it is
+    empty exactly when some y >= 0 with sum(y) = 1 has y^T (P K) = 0: one
+    `feasible_standard` call on dim K + 1 rows and one column per row of P,
+    with no split or slack columns.  A row of P that vanishes on the kernel
+    gives a zero column, the LP's certificate of emptiness.
     """
     rows = [[sum(map(mul, col, k)) for col in columns] for k in basis]
     rows.append([1] * len(columns))

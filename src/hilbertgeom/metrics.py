@@ -3,6 +3,10 @@
 Metric values are logarithms of rationals.  They are stored multiplicatively
 as `LogValue` objects that carry the exact argument; floats only appear when
 a value is rendered for display.
+
+The cone gauges `m_ratio` and `face_m_ratio` take the largest ratio of the
+cone's integer-row values (`_max_ratio`); a row is a positive multiple of
+its facet functional, so each ratio and each sign is the functional's own.
 """
 
 from __future__ import annotations
@@ -115,6 +119,13 @@ LogValue.INFINITY = LogValue(None)
 Metric = Callable[[Sequence[Fraction], Sequence[Fraction]], LogValue]
 
 
+def _row_values(cone: PolyCone, point: Sequence[Fraction]) -> list[Fraction]:
+    """The `Fraction` value of each of the cone's integer rows at `point`."""
+    point = vector(point)
+    cone._check_dim(point)
+    return [dot(point, row) for row in cone._rows]
+
+
 def _max_ratio(numerators: Sequence[Fraction], denominators: Sequence[Fraction], refusal: str) -> Fraction:
     """The gauge kernel: the largest ratio of paired facet values.
 
@@ -141,8 +152,8 @@ def m_ratio(numerator: Sequence[Fraction], denominator: Sequence[Fraction], cone
     result may be nonpositive for points far outside the cone.
     """
     return _max_ratio(
-        cone.values(numerator),
-        cone.values(denominator),
+        _row_values(cone, numerator),
+        _row_values(cone, denominator),
         "gauge denominator point must be interior",
     )
 
@@ -209,8 +220,8 @@ def face_m_ratio(numerator: Sequence[Fraction], denominator: Sequence[Fraction],
     inactive = [i for i in range(cone.num_facets) if i not in face.active]
     if not inactive:
         raise DomainError("face has no inactive constraints")
-    nums = cone.values(numerator)
-    dens = cone.values(denominator)
+    nums = _row_values(cone, numerator)
+    dens = _row_values(cone, denominator)
     refusal = "denominator point is not in the relative interior of the face"
     if any(dens[i] != 0 for i in face.active):
         raise DomainError(refusal)

@@ -171,10 +171,17 @@ def inverse(g: SimplexIsometry) -> SimplexIsometry:
     return SimplexIsometry(translation, g._gather, g.flip)
 
 
-def var_ball_vertices(n: int) -> list[VClass]:
-    """Vertices of the unit variation ball: 0/1 vectors minus the two constants."""
+def _check_size(n: int) -> None:
+    """Refuse a size that is not an `int` (a `bool` included) of at least 1."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DomainError(f"dimension must be an integer, not {n!r}")
     if n < 1:
         raise DomainError("dimension must be at least 1")
+
+
+def var_ball_vertices(n: int) -> list[VClass]:
+    """Vertices of the unit variation ball: 0/1 vectors minus the two constants."""
+    _check_size(n)
     if n > BALL_VERTICES_MAX_N:
         raise DomainError(f"vertex enumeration guard: n <= {BALL_VERTICES_MAX_N}")
     out = []
@@ -185,8 +192,7 @@ def var_ball_vertices(n: int) -> list[VClass]:
 
 
 def _enumerate_group(n: int, flips: tuple[bool, ...]) -> list[SimplexIsometry]:
-    if n < 1:
-        raise DomainError("dimension must be at least 1")
+    _check_size(n)
     if n > POINT_GROUP_MAX_N:
         raise DomainError(f"point group guard: n <= {POINT_GROUP_MAX_N}")
     size = n + 1
@@ -279,8 +285,7 @@ def reciprocal_map(x: Sequence[Fraction]) -> Vector:
 
 
 def positive_orthant(dim: int) -> PolyCone:
-    if dim < 1:
-        raise DomainError("dimension must be at least 1")
+    _check_size(dim)
     facets = []
     for i in range(dim):
         facets.append(tuple(ONE if j == i else ZERO for j in range(dim)))
@@ -353,8 +358,7 @@ def collineation_witness_failure(n: int) -> CollinearityWitness | None:
     cone and exhibits a nonzero 3x3 minor of the image matrix.  For n = 1
     every candidate triple stays collinear and None is returned.
     """
-    if n < 1:
-        raise DomainError("dimension must be at least 1")
+    _check_size(n)
     if n == 1:
         return None
     size = n + 1

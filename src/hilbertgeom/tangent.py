@@ -32,12 +32,16 @@ def canonical_index_set(cone: PolyCone, indices: Iterable[int]) -> frozenset[int
     combination of the others.  By Farkas, C_I <= C_J then holds exactly
     when J <= I, so distinct subsets cut out distinct cones and every
     nonempty subset is already the canonical name of the cone it cuts out.
+    Each index must be an `int` (a `bool` is refused) and name a facet.
     """
     index = frozenset(indices)
     if not index:
         raise DomainError("facet index set must be nonempty")
-    if not all(0 <= i < cone.num_facets for i in index):
-        raise DomainError(f"facet index out of range for a cone with {cone.num_facets} facets")
+    for i in index:
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise DomainError(f"facet index {i!r} is not an integer")
+        if not 0 <= i < cone.num_facets:
+            raise DomainError(f"facet index {i} out of range for a cone with {cone.num_facets} facets")
     return index
 
 
@@ -45,12 +49,12 @@ def subcone(cone: PolyCone, indices: Iterable[int]) -> PolyCone:
     """The cone cut out by the facet subset `indices` of `cone`.
 
     A subset of a canonical facet list is canonical as it stands: still
-    scaled, sorted and irredundant, and its cone contains the parent, so
-    its interior is nonempty.  Nothing is re-canonicalised.
+    primitive, sorted and irredundant, and its cone contains the parent, so
+    its interior is nonempty.  The parent's rows are sliced as they are.
     """
-    idx = sorted(canonical_index_set(cone, indices))
+    rows = cone._rows
     sub = PolyCone.__new__(PolyCone)
-    sub._assign(tuple(cone.facets[i] for i in idx), tuple(cone._rows[i] for i in idx), cone.ambient_dim)
+    sub._assign(tuple(rows[i] for i in sorted(canonical_index_set(cone, indices))), cone.ambient_dim)
     return sub
 
 
@@ -89,13 +93,14 @@ def tangent_family(cone: PolyCone, indices: Iterable[int] | None = None) -> list
     `canonical_index_set`), so there is one entry per subset, ordered by
     size and then lexicographically.
     """
-    pool = sorted(set(range(cone.num_facets) if indices is None else indices))
+    pool = set(range(cone.num_facets) if indices is None else indices)
     if not pool:
         raise DomainError("tangent family over an empty index pool")
     if len(pool) > TANGENT_FAMILY_MAX_FACETS:
         raise ConstructionError(
             f"tangent family guard: the index pool has {len(pool)} facets, more than {TANGENT_FAMILY_MAX_FACETS}"
         )
+    pool = sorted(canonical_index_set(cone, pool))
     return [
         TangentFamilyEntry(frozenset(subset), subcone(cone, subset))
         for r in range(1, len(pool) + 1)

@@ -11,9 +11,11 @@ from itertools import combinations
 from pathlib import Path
 
 import hilbertgeom.linalg as linalg
-from hilbertgeom import ConstructionError, HPolytope, LinearFunctional, cone_from_polytope, lift_to_cone, vector
+from hilbertgeom import (
+    ConstructionError, DomainError, HPolytope, LinearFunctional, cone_from_polytope, lift_to_cone, vector,
+)
 from hilbertgeom.linalg import (
-    _gauss_jordan, _integer_rows, _over, _primitive, in_cone, kernel_basis, open_cone_feasible, rank,
+    _gauss_jordan, _gordan_empty, _integer_rows, _kernel, _over, _primitive, in_cone, kernel_basis, rank,
 )
 
 F = Fraction
@@ -53,6 +55,44 @@ def linear_system_feasible(equalities, inequalities, nvars) -> bool:
         rows.append(row)
         rhs.append(b)
     return linalg.feasible_standard(rows, rhs)
+
+
+def open_cone_feasible(zero_rows, positive_rows, dim) -> bool:
+    """Is {x : z.x = 0 for each zero row, p.x > 0 for each positive row} nonempty?
+
+    The face test on `Fraction` rows: the integer kernel of the zero rows
+    and the primitive positive rows go into `linalg._gordan_empty`, the
+    library's one entry, which cone construction and `cone_subset` call
+    directly on rows that are already primitive.
+    """
+    basis, _ = _kernel(_integer_rows(zero_rows), dim)
+    return not _gordan_empty(basis, [_primitive(p) for p in positive_rows])
+
+
+def fraction_m_ratio(numerator, denominator, cone):
+    """Gauge oracle: the largest ratio of the unit-lead `Fraction` facets' values.
+
+    The route `m_ratio` took while the cone stored those facets beside its
+    integer rows.
+    """
+    nums = [f(vector(numerator)) for f in cone.facets]
+    dens = [f(vector(denominator)) for f in cone.facets]
+    if any(d <= 0 for d in dens):
+        raise DomainError("gauge denominator point must be interior")
+    return max(n / d for n, d in zip(nums, dens))
+
+
+def fraction_face_m_ratio(numerator, denominator, face):
+    """Face-gauge oracle: `fraction_m_ratio` over the facets inactive on the face."""
+    facets = face.parent.facets
+    inactive = [i for i in range(len(facets)) if i not in face.active]
+    if not inactive:
+        raise DomainError("face has no inactive constraints")
+    nums = [f(vector(numerator)) for f in facets]
+    dens = [f(vector(denominator)) for f in facets]
+    if any(dens[i] != 0 for i in face.active) or any(dens[i] <= 0 for i in inactive):
+        raise DomainError("denominator point is not in the relative interior of the face")
+    return max(nums[i] / dens[i] for i in inactive)
 
 
 def solve_square(rows, rhs):
@@ -301,10 +341,11 @@ def small_point_in_subcone_outside(cone, index_set):
 
     dim = cone.ambient_dim
     others = [i for i in range(cone.num_facets) if i not in index_set]
+    facets = cone.facets
     for cand in iproduct(range(-2, 3), repeat=dim):
         if all(c == 0 for c in cand):
             continue
-        vals = [f(vector(cand)) for f in cone.facets]
+        vals = [f(vector(cand)) for f in facets]
         if all(vals[i] > 0 for i in index_set) and any(vals[j] < 0 for j in others):
             return vector(cand)
     return None

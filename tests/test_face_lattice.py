@@ -30,11 +30,12 @@ from helpers import F, linear_system_feasible, pentagon, simplex2, tangent_polyg
 def lp_lattice(cone):
     """Reference lattice: one LP for every proper nonempty facet subset."""
     n = cone.num_facets
+    rows = [f.coeffs for f in cone.facets]
     out = []
     for r in range(1, n):
         for subset in combinations(range(n), r):
-            equalities = [(cone.facets[i].coeffs, F(0)) for i in subset]
-            inequalities = [(cone.facets[j].coeffs, F(1)) for j in range(n) if j not in subset]
+            equalities = [(rows[i], F(0)) for i in subset]
+            inequalities = [(rows[j], F(1)) for j in range(n) if j not in subset]
             if linear_system_feasible(equalities, inequalities, cone.ambient_dim):
                 out.append(frozenset(subset))
     return out

@@ -22,6 +22,7 @@ from hilbertgeom import (
     cone_from_polytope,
     cone_subset,
     face_contains,
+    face_lattice_active_sets,
     face_of,
     format_rational,
     hilbert_cone,
@@ -32,6 +33,7 @@ from hilbertgeom import (
     parse_rational,
     tangent_family,
 )
+from hilbertgeom.geometry import _face_lattice_cached
 from hilbertgeom.linalg import in_cone, rank, rational, vector
 
 from test_face_lattice import lp_calls  # noqa: F401  (fixture)
@@ -445,6 +447,34 @@ class TestIrredundance:
             assert raw_inside == cone_inside
 
 
+class TestRowIdentity:
+    """A cone is its primitive integer rows: scaling, order and repeats do not change it."""
+
+    def test_scaled_lists_are_one_cone_and_one_lattice_entry(self):
+        first = PolyCone([(2, -1, 0), (0, 3, 1), (-1, 0, 4), (1, 1, 1)], 3)
+        second = PolyCone(
+            [(F(-1, 3), 0, F(4, 3)), (F(7, 2), F(7, 2), F(7, 2)), (0, 6, 2), (F(2, 5), F(-1, 5), 0), (4, -2, 0)], 3
+        )
+        assert first is not second and first == second and hash(first) == hash(second)
+        assert first._rows == second._rows and first.facets == second.facets
+        assert first.num_facets == 3 and first != PolyCone([(2, -1, 0), (0, 3, 1)], 3)
+        _face_lattice_cached.cache_clear()
+        face_lattice_active_sets(first)
+        face_lattice_active_sets(second)
+        info = _face_lattice_cached.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_facets_are_a_unit_lead_view_of_the_rows(self):
+        cone = PolyCone([(4, -6, 2), (0, F(3, 7), 3), (F(-1, 2), 0, 5)], 3)
+        assert cone._rows == ((-1, 0, 10), (0, 1, 7), (2, -3, 1))
+        assert [f.coeffs for f in cone.facets] == [
+            (F(-1), F(0), F(10)),
+            (F(0), F(1), F(7)),
+            (F(1), F(-3, 2), F(1, 2)),
+        ]
+        assert PolyCone.__slots__ == ("ambient_dim", "lineality_basis", "_rows")
+
+
 def seeded_facet_lists(rng, count):
     """Seeded (functionals, dim): dim 2-4, 1-7 functionals with entries p/q, |p| <= 3, q <= 3.
 
@@ -585,7 +615,7 @@ def rational_point(rng, dim, den=300):
 
 def fraction_location(cone, point):
     """Reference classification from the `Fraction` facet values."""
-    values = cone.values(point)
+    values = [f(vector(point)) for f in cone.facets]
     if any(v < 0 for v in values):
         return "exterior", frozenset()
     active = frozenset(i for i, v in enumerate(values) if v == 0)

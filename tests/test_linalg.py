@@ -11,12 +11,11 @@ from hilbertgeom.linalg import (
     feasible_standard,
     in_cone,
     kernel_basis,
-    open_cone_feasible,
     rank,
     rref,
 )
 
-from helpers import F, linear_system_feasible, solve_square
+from helpers import F, linear_system_feasible, open_cone_feasible, solve_square
 
 
 def fraction_phase_one(rows, rhs):

@@ -8,14 +8,17 @@ import pytest
 
 from hilbertgeom import (
     DomainError,
+    Face,
     HPolytope,
     LogValue,
     ParseError,
     PolyCone,
     almost_geodesic_check,
+    busemann_eval,
     classify_point,
     cone_from_polytope,
     face_hilbert,
+    face_lattice_active_sets,
     face_m_ratio,
     face_of,
     funk,
@@ -27,6 +30,7 @@ from hilbertgeom import (
     m_ratio,
     positive_orthant,
     reverse_funk,
+    tangent_family,
     var_dist,
     var_norm,
     vclass,
@@ -34,13 +38,19 @@ from hilbertgeom import (
 
 from helpers import (
     F,
+    boundary_face_points,
+    boundary_sample,
     distinct_interior_pair,
+    fraction_face_m_ratio,
+    fraction_m_ratio,
     interior_sample,
     interval,
     pentagon,
     simplex2,
+    square_busemann_sample,
     unit_square,
 )
+from test_geometry import rational_cones, seeded_domains
 
 
 def orthant3():
@@ -361,3 +371,91 @@ class TestJEval:
             left = j_eval(cone, x, mid, base)
             right = (j_eval(cone, x, y, base) + j_eval(cone, x, y2, base)) / 2
             assert left <= right
+
+
+def gauge_points(rng, domain, cone):
+    """Seeded points of the cone's space: interior, boundary and exterior.
+
+    Each is scaled by a positive rational whose denominator is at most 12
+    or near 2^40, so the integer rows meet both small and large arguments.
+    """
+    dim = cone.ambient_dim
+    points = [
+        lift_to_cone(interior_sample(domain, rng)),
+        lift_to_cone(boundary_sample(domain, rng)),
+        tuple(F(rng.randint(-24, 24), rng.randint(1, 12)) for _ in range(dim)),
+    ]
+    scaled = []
+    for point in points:
+        den = rng.randint(1, 12) if rng.random() < 0.5 else 2**40 + rng.randint(-99, 99)
+        lam = F(rng.randint(1, 2 * den), den)
+        scaled.append(tuple(lam * c for c in point))
+    return scaled
+
+
+def same_gauge(call, oracle):
+    """`call` and `oracle` agree exactly: the same value, or the same refusal."""
+    try:
+        expected = oracle()
+    except DomainError as refusal:
+        with pytest.raises(DomainError) as caught:
+            call()
+        assert str(caught.value) == str(refusal)
+        return False
+    assert call() == expected
+    return True
+
+
+class TestRowGaugeAgainstFractionFacets:
+    """The gauges on integer rows against the unit-lead `Fraction` facets they replaced."""
+
+    def test_cones_and_tangent_family_members(self):
+        rng = random.Random(20261025)
+        answers = {True: 0, False: 0}
+        for domain in seeded_domains():
+            cone = cone_from_polytope(domain)
+            members = [cone] + [entry.cone for entry in tangent_family(cone)]
+            for _ in range(24):
+                points = gauge_points(rng, domain, cone)
+                interior = points[0]
+                for member in (cone, rng.choice(members)):
+                    for num in points:
+                        for den in (interior, rng.choice(points)):
+                            answers[same_gauge(lambda: m_ratio(num, den, member),
+                                               lambda: fraction_m_ratio(num, den, member))] += 1
+        for cone in rational_cones():
+            for _ in range(40):
+                num, den = (tuple(F(rng.randint(-24, 24), rng.choice([rng.randint(1, 12), 2**40 + 1]))
+                                  for _ in range(cone.ambient_dim)) for _ in range(2))
+                answers[same_gauge(lambda: m_ratio(num, den, cone), lambda: fraction_m_ratio(num, den, cone))] += 1
+        assert min(answers.values()) >= 500
+
+    def test_faces(self):
+        rng = random.Random(20261026)
+        answers = {True: 0, False: 0}
+        patterns = [(1, 1), (1, 3), (3, 1), (2, 5, 7), (11, 1, 4)]
+        for domain in seeded_domains():
+            cone = cone_from_polytope(domain)
+            for active in face_lattice_active_sets(cone):
+                face = Face(cone, active)
+                dens = boundary_face_points(domain, cone, active, patterns)
+                others = gauge_points(rng, domain, cone)
+                for num in others + dens[:1]:
+                    for den in dens[:2] + others[:2]:
+                        answers[same_gauge(lambda: face_m_ratio(num, den, face),
+                                           lambda: fraction_face_m_ratio(num, den, face))] += 1
+        assert min(answers.values()) >= 500
+
+    def test_funk_cone_gauges_of_busemann_points(self):
+        cone, base, points = square_busemann_sample()
+        rng = random.Random(20261027)
+        square = unit_square()
+        for point in points:
+            for _ in range(3):
+                w = gauge_points(rng, square, cone)[0]
+                expected = (
+                    fraction_m_ratio(point.x, w, cone) * fraction_m_ratio(w, point.p, point.funk_cone)
+                    / (fraction_m_ratio(point.x, base, cone) * fraction_m_ratio(base, point.p, point.funk_cone))
+                )
+                assert busemann_eval(point, w).arg == expected
+                assert m_ratio(w, point.p, point.funk_cone) == fraction_m_ratio(w, point.p, point.funk_cone)

@@ -26,6 +26,7 @@ from hilbertgeom import (
     apply_isometry,
     busemann_eval,
     busemann_point,
+    canonical_index_set,
     classify_part,
     classify_point,
     collineation_witness_failure,
@@ -44,10 +45,13 @@ from hilbertgeom import (
     is_metric_preserving,
     lift_to_cone,
     log_chart,
+    m_ratio,
     part_dimension,
+    permutation_group_elements,
     point_group_elements,
     positive_orthant,
     simplex_collineation,
+    subcone,
     tangent_family,
     var_ball_vertices,
     var_dist,
@@ -89,7 +93,7 @@ def zero_distance(a, b):
 
 PART = "part has empty index data"
 NESTED = "part cone indices must be active on the face"
-RANGE = "part indices out of range"
+SIZE = "dimension must be an integer, not {!r}"
 BASE = "chart base must be positive and different from 1"
 AT_LEAST_ONE = "dimension must be at least 1"
 FLOAT = "coordinate 0 is the float 0.5, not an exact rational"
@@ -109,6 +113,9 @@ REFUSALS = [
     ("polytope-normal-dimension", lambda: HPolytope(2, [((1, 0, 0), 0)]), ConstructionError, "normal of dimension 3, expected 2"),
     ("polytope-no-halfspace", lambda: HPolytope(2, []), ConstructionError, "a polytope needs at least one halfspace"),
     ("polytope-no-vertices", lambda: HPolytope(1, [((1,), 1), ((-1,), 0)]), ConstructionError, "polytope has no vertices"),
+    ("polytope-halfspaces-int", lambda: HPolytope(2, 5), ConstructionError, "halfspaces must be an iterable of (normal, offset) pairs, not 5"),
+    ("polytope-halfspace-single", lambda: HPolytope(2, [((1, 0),)]), ConstructionError, "halfspace 0 is not a (normal, offset) pair: ((1, 0),)"),
+    ("polytope-halfspace-int", lambda: HPolytope(2, [((1, 0), 0), 3]), ConstructionError, "halfspace 1 is not a (normal, offset) pair: 3"),
     # LogValue.
     ("log-zero", lambda: LogValue(0), DomainError, "log argument must be positive, got 0"),
     ("log-infinite-arg", lambda: LogValue.INFINITY.arg, DomainError, "infinite value has no rational argument"),
@@ -126,6 +133,13 @@ REFUSALS = [
     ("ball-zero", lambda: var_ball_vertices(0), DomainError, AT_LEAST_ONE),
     ("ball-guard", lambda: var_ball_vertices(13), DomainError, "vertex enumeration guard: n <= 12"),
     ("point-group-zero", lambda: point_group_elements(0), DomainError, AT_LEAST_ONE),
+    # Sizes: one check refuses a non-integer before the range, naming it.
+    ("ball-float", lambda: var_ball_vertices(2.5), DomainError, SIZE.format(2.5)),
+    ("point-group-float", lambda: point_group_elements(2.0), DomainError, SIZE.format(2.0)),
+    ("permutation-group-float", lambda: permutation_group_elements(2.0), DomainError, SIZE.format(2.0)),
+    ("orthant-float", lambda: positive_orthant(2.0), DomainError, SIZE.format(2.0)),
+    ("orthant-bool", lambda: positive_orthant(True), DomainError, SIZE.format(True)),
+    ("witness-string", lambda: collineation_witness_failure("2"), DomainError, SIZE.format("2")),
     ("exp-base-one", lambda: exp_chart(VClass([0, 1]), 1), DomainError, BASE),
     ("exp-base-zero", lambda: exp_chart(VClass([0, 1]), 0), DomainError, BASE),
     ("log-chart-base-one", lambda: log_chart((1, 2), 1), DomainError, BASE),
@@ -145,15 +159,26 @@ REFUSALS = [
     ("parts-improper", lambda: enumerate_parts(PolyCone([(1, 0, 0)], 3)), DomainError, "part enumeration requires a proper cone"),
     ("classify-part-empty", lambda: classify_part(square(), PartId(frozenset(), frozenset())), DomainError, PART),
     ("classify-part-nested", lambda: classify_part(square(), PartId(frozenset({0}), frozenset({1}))), DomainError, NESTED),
-    ("classify-part-range", lambda: classify_part(square(), PartId(frozenset({7}), frozenset({7}))), DomainError, RANGE),
+    ("classify-part-range", lambda: classify_part(square(), PartId(frozenset({7}), frozenset({7}))), DomainError, "facet index 7 out of range for a cone with 4 facets"),
+    ("classify-part-string", lambda: classify_part(square(), PartId(frozenset({"a"}), frozenset({"a"}))), DomainError, "facet index 'a' is not an integer"),
     ("part-dimension-empty", lambda: part_dimension(square(), PartId(frozenset({0}), frozenset())), DomainError, PART),
     ("part-dimension-nested", lambda: part_dimension(square(), PartId(frozenset({0}), frozenset({1}))), DomainError, NESTED),
-    ("part-dimension-range", lambda: part_dimension(square(), PartId(frozenset({-1}), frozenset({-1}))), DomainError, RANGE),
+    ("part-dimension-range", lambda: part_dimension(square(), PartId(frozenset({-1}), frozenset({-1}))), DomainError, "facet index -1 out of range for a cone with 4 facets"),
+    # 1.0 == 1, so the cone index passes the nesting test; it is refused as a float.
+    ("part-dimension-float-cone-index", lambda: part_dimension(square(), PartId(frozenset({0, 1}), frozenset({1.0}))), DomainError, "facet index 1.0 is not an integer"),
     ("horolimit-leaves", lambda: horolimit_residual(square(), (0, F(1, 2), 1), (2, F(1, 2), 1), CENTRE, CENTRE, 1), DomainError, "line point left the cone interior"),
     ("tangent-family-empty", lambda: tangent_family(square(), []), DomainError, "tangent family over an empty index pool"),
+    ("tangent-family-string", lambda: tangent_family(square(), ["a"]), DomainError, "facet index 'a' is not an integer"),
+    ("tangent-family-mixed", lambda: tangent_family(square(), [0, "a"]), DomainError, "facet index 'a' is not an integer"),
+    # Facet index sets: ints only, each naming a facet.
+    ("index-set-float", lambda: canonical_index_set(square(), [1.5]), DomainError, "facet index 1.5 is not an integer"),
+    ("index-set-bool", lambda: canonical_index_set(square(), [True]), DomainError, "facet index True is not an integer"),
+    ("index-set-range", lambda: canonical_index_set(square(), [0, 4]), DomainError, "facet index 4 out of range for a cone with 4 facets"),
+    ("subcone-float", lambda: subcone(square(), [1.5]), DomainError, "facet index 1.5 is not an integer"),
+    ("busemann-float-index", lambda: busemann_point(square(), EDGE, [3.0], CENTRE, CENTRE), DomainError, "facet index 3.0 is not an integer"),
     # Facet callables: a float is refused, and a wrong dimension names both.
     ("functional-float", lambda: LinearFunctional((1, 2))((0.5, 1)), ParseError, FLOAT),
-    ("orthant-values-float", lambda: positive_orthant(2).values((0.5, 1)), ParseError, FLOAT),
+    ("orthant-m-ratio-float", lambda: m_ratio((0.5, 1), (1, 1), positive_orthant(2)), ParseError, FLOAT),
     ("functional-dimension", lambda: LinearFunctional((1, 2))((1, 2, 3)), DomainError, "point has dimension 3, expected 2"),
     ("collineation-dimension", lambda: simplex_collineation([0, 1], [1, 1])((1, 2, 3)), DomainError, "point has dimension 3, expected 2"),
 ]
