@@ -3,7 +3,8 @@
 All results go to stdout as a single JSON object with sorted keys; human
 diagnostics go to stderr.  Exit codes: 0 success, 1 domain error (points
 outside their required region, invalid Busemann data, out-of-range sizes),
-2 parse failure (malformed rationals, JSON, or polytope files).
+2 parse failure (malformed rationals, JSON, polytope files, or arguments).
+Every refusal is one stderr line.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ def _load_polytope(path: str) -> HPolytope:
             halfspaces.append((normal, offset))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"polytope file missing or malformed field: {exc}") from None
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise ParseError("polytope dim must be an integer")
     try:
         return HPolytope(dim, halfspaces)
     except ConstructionError as exc:
@@ -203,8 +202,15 @@ def _cmd_tangent(args: argparse.Namespace) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own errors as one stderr line, still with exit code 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"parse error: {self.prog}: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hilbertgeom",
         description="Exact Hilbert-geometry computations on polyhedral domains",
     )

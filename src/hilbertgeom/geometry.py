@@ -312,6 +312,8 @@ class HPolytope:
     __slots__ = ("dim", "halfspaces", "vertices", "_rows")
 
     def __init__(self, dim: int, halfspaces: Iterable):
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise ConstructionError(f"polytope dim must be an integer of at least 1, not {dim!r}")
         if not isinstance(halfspaces, Iterable):
             raise ConstructionError(f"halfspaces must be an iterable of (normal, offset) pairs, not {halfspaces!r}")
         pairs: list[tuple[LinearFunctional, Fraction]] = []

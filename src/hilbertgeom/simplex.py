@@ -3,9 +3,13 @@
 The Hilbert geometry of an open n-simplex is isometric to the quotient
 V = R^(n+1) / constants with the variation norm max - min.  Its isometry
 group is generated by translations, coordinate permutations, and the global
-flip x -> -x; dropping the flip gives exactly the collineations.  The
-exponential chart carries V to the interior of the positive cone, where the
-flip becomes the coordinate-wise reciprocal map.
+flip x -> -x; dropping the flip gives exactly the collineations.  For n >= 2
+the group is the semidirect product of the translations with
+S_(n+1) x Z/2, each (permutation, flip) pair a different isometry, so the
+point group is built one element per pair with no check for repeats; for
+n = 1 the flip acts as the swap.  The exponential chart carries V to the
+interior of the positive cone, where the flip becomes the coordinate-wise
+reciprocal map.
 """
 
 from __future__ import annotations
@@ -80,14 +84,28 @@ def vclass(values: Sequence[Fraction]) -> VClass:
     return VClass(values)
 
 
+def _refuse(role: str, cls: type, *values) -> None:
+    """Raise the refusal for the first of `values` that is not a `cls`."""
+    for value in values:
+        if value.__class__ is not cls:
+            raise DomainError(f"{role} must be a {cls.__name__}, not {type(value).__name__}")
+
+
 def var_norm(v: VClass) -> Fraction:
+    if v.__class__ is not VClass:
+        _refuse("point", VClass, v)
     return Fraction(max(v.nums) - min(v.nums), v.den)
 
 
 def var_dist(v: VClass, w: VClass) -> Fraction:
+    if v.__class__ is not VClass or w.__class__ is not VClass:
+        _refuse("point", VClass, v, w)
     if len(v.nums) != len(w.nums):
         raise DomainError("variation classes of different dimension")
     dv, dw = v.den, w.den
+    if dv == dw:
+        diffs = [a - b for a, b in zip(v.nums, w.nums)]
+        return Fraction(max(diffs) - min(diffs), dv)
     diffs = [a * dw - b * dv for a, b in zip(v.nums, w.nums)]
     return Fraction(max(diffs) - min(diffs), dv * dw)
 
@@ -96,27 +114,58 @@ class SimplexIsometry(_Frozen):
     """Translation + permutation + optional flip, acting on variation classes.
 
     The action is v -> translation + permutation(flip ? -v : v), where the
-    permutation moves coordinate i to position permutation[i].
+    permutation moves coordinate i to position permutation[i].  The
+    permutation may be given as any sequence of `int`s and is stored as a
+    tuple; `flip` must be a `bool` and `translation` a `VClass`.
     """
 
     # `_gather` is the inverse permutation: coordinate j of the image comes
-    # from _gather[j].  It is derived, so equality and hashing skip it.
-    __slots__ = ("translation", "permutation", "flip", "_gather")
+    # from _gather[j].  `_shift` is the translation, or None when it is zero.
+    # Both are derived, so equality and hashing skip them.
+    __slots__ = ("translation", "permutation", "flip", "_gather", "_shift")
 
-    def __init__(self, translation: VClass, permutation: tuple[int, ...], flip: bool):
-        size = len(permutation)
-        if sorted(permutation) != list(range(size)):
+    def __init__(self, translation: VClass, permutation: Sequence[int], flip: bool):
+        if not isinstance(permutation, Sequence):
+            raise DomainError(f"permutation must be a sequence of integers, not {permutation!r}")
+        permutation = tuple(permutation)
+        for p in permutation:
+            if p.__class__ is not int:
+                raise DomainError(f"permutation entry {p!r} is not an integer")
+        if sorted(permutation) != list(range(len(permutation))):
             raise DomainError("not a permutation of the coordinates")
-        if size != len(translation.nums):
+        _refuse("translation", VClass, translation)
+        if len(permutation) != len(translation.nums):
             raise DomainError("permutation and translation sizes differ")
-        _set(self, "translation", translation)
-        _set(self, "permutation", permutation)
-        _set(self, "flip", flip)
-        _set(self, "_gather", tuple(sorted(range(size), key=permutation.__getitem__)))
+        if flip.__class__ is not bool:
+            raise DomainError(f"flip must be a bool, not {flip!r}")
+        _fill(self, translation, permutation, flip, _inverse(permutation))
 
     @property
     def n(self) -> int:
         return len(self.permutation) - 1
+
+
+def _fill(g: SimplexIsometry, translation: VClass, permutation: tuple[int, ...], flip: bool,
+          gather: tuple[int, ...]) -> SimplexIsometry:
+    _set(g, "translation", translation)
+    _set(g, "permutation", permutation)
+    _set(g, "flip", flip)
+    _set(g, "_gather", gather)
+    _set(g, "_shift", translation if any(translation.nums) else None)
+    return g
+
+
+def _isometry(translation: VClass, permutation: tuple[int, ...], flip: bool,
+              gather: tuple[int, ...]) -> SimplexIsometry:
+    """An element from valid parts and the inverse of its permutation, without checks."""
+    return _fill(object.__new__(SimplexIsometry), translation, permutation, flip, gather)
+
+
+def _inverse(permutation: tuple[int, ...]) -> tuple[int, ...]:
+    gather = [0] * len(permutation)
+    for i, p in enumerate(permutation):
+        gather[p] = i
+    return tuple(gather)
 
 
 def identity_isometry(n: int) -> SimplexIsometry:
@@ -137,8 +186,8 @@ def _move(gather: Sequence[int], negate: bool, nums: tuple[int, ...]) -> tuple[i
 def _act(g: SimplexIsometry, nums: tuple[int, ...], den: int) -> VClass:
     """g applied to the class nums / den; reduced only after a translation."""
     moved = _move(g._gather, g.flip, nums)
-    t = g.translation
-    if not any(t.nums):
+    t = g._shift
+    if t is None:
         return _vclass(moved, den)
     common = math.lcm(den, t.den)
     sm, st = common // den, common // t.den
@@ -151,24 +200,33 @@ def _act(g: SimplexIsometry, nums: tuple[int, ...], den: int) -> VClass:
 
 
 def apply_isometry(g: SimplexIsometry, v: VClass) -> VClass:
-    if len(g.permutation) != len(v.nums):
+    if g.__class__ is not SimplexIsometry:
+        _refuse("isometry", SimplexIsometry, g)
+    if v.__class__ is not VClass:
+        _refuse("point", VClass, v)
+    if len(g._gather) != len(v.nums):
         raise DomainError("isometry and class dimensions differ")
     return _act(g, v.nums, v.den)
 
 
 def compose(g: SimplexIsometry, h: SimplexIsometry) -> SimplexIsometry:
     """The isometry acting as g after h."""
-    if g.n != h.n:
+    if g.__class__ is not SimplexIsometry or h.__class__ is not SimplexIsometry:
+        _refuse("isometry", SimplexIsometry, g, h)
+    if len(g._gather) != len(h._gather):
         raise DomainError("isometry dimensions differ")
-    perm = tuple(g.permutation[j] for j in h.permutation)
+    perm = tuple([g.permutation[j] for j in h.permutation])
+    gather = tuple([h._gather[j] for j in g._gather])
     translation = _act(g, h.translation.nums, h.translation.den)
-    return SimplexIsometry(translation, perm, g.flip != h.flip)
+    return _isometry(translation, perm, g.flip != h.flip, gather)
 
 
 def inverse(g: SimplexIsometry) -> SimplexIsometry:
+    if g.__class__ is not SimplexIsometry:
+        _refuse("isometry", SimplexIsometry, g)
     t = g.translation
     translation = _vclass(_move(g.permutation, not g.flip, t.nums), t.den)
-    return SimplexIsometry(translation, g._gather, g.flip)
+    return _isometry(translation, g._gather, g.flip, g.permutation)
 
 
 def _check_size(n: int) -> None:
@@ -192,27 +250,33 @@ def var_ball_vertices(n: int) -> list[VClass]:
 
 
 def _enumerate_group(n: int, flips: tuple[bool, ...]) -> list[SimplexIsometry]:
+    """One zero-translation element per permutation, for each flip in turn.
+
+    No two act alike, since the action is faithful for n >= 2 (see
+    `point_group_elements`); for n = 1 the flip acts as the swap.
+    """
     _check_size(n)
     if n > POINT_GROUP_MAX_N:
         raise DomainError(f"point group guard: n <= {POINT_GROUP_MAX_N}")
-    size = n + 1
-    zero = _vclass((0,) * size, 1)
-    basis = [tuple(int(j == i) for j in range(size)) for i in range(1, size)]
-    first = {}
-    for flip in flips:
-        for perm in permutations(range(size)):
-            g = SimplexIsometry(zero, perm, flip)
-            first.setdefault(tuple(_act(g, b, 1) for b in basis), g)
-    return list(first.values())
+    if n == 1:
+        flips = (False,)
+    zero = _vclass((0,) * (n + 1), 1)
+    pairs = [(perm, _inverse(perm)) for perm in permutations(range(n + 1))]
+    return [_isometry(zero, perm, flip, gather) for flip in flips for perm, gather in pairs]
 
 
 def point_group_elements(n: int) -> list[SimplexIsometry]:
-    """The coordinate permutations times the flip, up to equal action on V.
+    """The coordinate permutations times the flip, one element per isometry of V.
 
-    Enumerates the permutations in lexicographic order, without then with
-    the flip, all with zero translation, and keeps the first element for
-    each action on the basis classes.  For n = 1 the swap already acts as
-    the flip, so the group has order 2.
+    The elements have zero translation and come in lexicographic order of
+    the permutations, without then with the flip.  For n >= 2 the action on
+    V is faithful: the element (P, flip) sends the basis class e_k to
+    e_P(k), or to -e_P(k) with the flip.  Once there are at least three
+    coordinates, e_i and e_j differ for i != j, and e_i and -e_j differ for
+    all i and j, because neither e_i - e_j nor e_i + e_j is constant.  So the
+    images of the basis give back P and the flip, and the group has order
+    2 (n + 1)!.  For n = 1, -e_0 and e_1 are the same class: the swap already
+    acts as the flip, and the group has order 2.
     """
     return _enumerate_group(n, (False, True))
 
@@ -232,6 +296,8 @@ def exp_chart(v: VClass, base: Fraction) -> Vector:
     exponents over one rational base keeps an exact isometry check between
     the variation distance and the cone metric.
     """
+    if v.__class__ is not VClass:
+        _refuse("point", VClass, v)
     base = rational(base)
     if base <= 0 or base == 1:
         raise DomainError("chart base must be positive and different from 1")
@@ -273,6 +339,8 @@ def log_chart(x: Sequence[Fraction], base: Fraction) -> VClass:
 
 
 def exp_chart_float(v: VClass) -> tuple[float, ...]:
+    if v.__class__ is not VClass:
+        _refuse("point", VClass, v)
     return tuple(math.exp(a / v.den) for a in v.nums)
 
 

@@ -411,3 +411,25 @@ def square_busemann_sample(base=None):
     if len(points) != len(set(points)):
         raise AssertionError("the sample repeats a Busemann point")
     return cone, base, points
+
+
+def basis_action_group(n: int, flips) -> list:
+    """Oracle: the point group as the dedupe on the action that faithfulness replaced.
+
+    Every permutation in lexicographic order, for each flip in turn, with
+    zero translation; an element is kept when its images of the basis
+    classes e_1, ..., e_n differ from those of every element kept before.
+    """
+    from itertools import permutations
+
+    from hilbertgeom import SimplexIsometry, VClass, apply_isometry
+
+    size = n + 1
+    zero = VClass([0] * size)
+    basis = [VClass([int(j == i) for j in range(size)]) for i in range(1, size)]
+    first = {}
+    for flip in flips:
+        for perm in permutations(range(size)):
+            g = SimplexIsometry(zero, perm, flip)
+            first.setdefault(tuple(apply_isometry(g, b) for b in basis), g)
+    return list(first.values())

@@ -1,5 +1,6 @@
 """Golden-file and exit-code tests for the command-line interface."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -223,6 +224,26 @@ class TestExitCodes:
             '{"x": "0,1/2,1", "cone_index": [3], "p": "1/2,1/2,1"}',
         )
         assert result.returncode == 1
+
+    def test_non_integer_n_is_one_line_and_two(self):
+        result = run_cli("simplex-isom", "--n", "two", "--orders")
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr == b"parse error: hilbertgeom simplex-isom: argument --n: invalid int value: 'two'\n"
+
+    def test_separate_negative_value_is_one_line(self):
+        result = run_cli("dist", "--polytope", SQUARE, "--x", "1/2,1/2", "--y", "-1/3,1/3")
+        assert result.stdout == b""
+        # Newer argparse reads a separate "-1/3,1/3" as a negative number, older as an option.
+        probe = argparse.ArgumentParser(exit_on_error=False)
+        probe.add_argument("--y")
+        try:
+            probe.parse_args(["--y", "-1/3,1/3"])
+        except argparse.ArgumentError:
+            assert result.returncode == 2
+            assert result.stderr == b"parse error: hilbertgeom dist: argument --y: expected one argument\n"
+        else:
+            assert result.returncode == 1
+            assert result.stderr == b"domain error: point ('-1/3', '1/3') is not interior\n"
 
     def test_out_of_range_n_is_one(self):
         assert run_cli("simplex-isom", "--n", "9", "--orders").returncode == 1

@@ -21,6 +21,7 @@ from hilbertgeom import (
     ParseError,
     PartId,
     PolyCone,
+    SimplexIsometry,
     VClass,
     almost_geodesic_check,
     apply_isometry,
@@ -38,10 +39,12 @@ from hilbertgeom import (
     detour_metric,
     enumerate_parts,
     exp_chart,
+    exp_chart_float,
     face_m_ratio,
     gromov_product,
     horolimit_residual,
     identity_isometry,
+    inverse,
     is_metric_preserving,
     lift_to_cone,
     log_chart,
@@ -55,6 +58,7 @@ from hilbertgeom import (
     tangent_family,
     var_ball_vertices,
     var_dist,
+    var_norm,
 )
 
 from helpers import simplex2, unit_square
@@ -97,6 +101,10 @@ SIZE = "dimension must be an integer, not {!r}"
 BASE = "chart base must be positive and different from 1"
 AT_LEAST_ONE = "dimension must be at least 1"
 FLOAT = "coordinate 0 is the float 0.5, not an exact rational"
+DIM = "polytope dim must be an integer of at least 1, not {!r}"
+ZERO3 = VClass([0, 0, 0])
+POINT = "point must be a VClass, not {}"
+ISOMETRY = "isometry must be a SimplexIsometry, not {}"
 
 REFUSALS = [
     # PolyCone: the same checks in the same order, whatever route construction takes.
@@ -116,6 +124,12 @@ REFUSALS = [
     ("polytope-halfspaces-int", lambda: HPolytope(2, 5), ConstructionError, "halfspaces must be an iterable of (normal, offset) pairs, not 5"),
     ("polytope-halfspace-single", lambda: HPolytope(2, [((1, 0),)]), ConstructionError, "halfspace 0 is not a (normal, offset) pair: ((1, 0),)"),
     ("polytope-halfspace-int", lambda: HPolytope(2, [((1, 0), 0), 3]), ConstructionError, "halfspace 1 is not a (normal, offset) pair: 3"),
+    # The dim is checked before anything else, so a bad dim is named even with bad halfspaces.
+    ("polytope-dim-float", lambda: HPolytope(2.0, unit_square().halfspaces), ConstructionError, DIM.format(2.0)),
+    ("polytope-dim-string", lambda: HPolytope("2", unit_square().halfspaces), ConstructionError, DIM.format("2")),
+    ("polytope-dim-bool", lambda: HPolytope(True, [((1,), 0), ((-1,), -1)]), ConstructionError, DIM.format(True)),
+    ("polytope-dim-zero", lambda: HPolytope(0, [((), 1)]), ConstructionError, DIM.format(0)),
+    ("polytope-dim-before-halfspaces", lambda: HPolytope(-1, 5), ConstructionError, DIM.format(-1)),
     # LogValue.
     ("log-zero", lambda: LogValue(0), DomainError, "log argument must be positive, got 0"),
     ("log-infinite-arg", lambda: LogValue.INFINITY.arg, DomainError, "infinite value has no rational argument"),
@@ -130,6 +144,23 @@ REFUSALS = [
     ("var-dist-sizes", lambda: var_dist(VClass([0, 1]), VClass([0, 1, 2])), DomainError, "variation classes of different dimension"),
     ("apply-sizes", lambda: apply_isometry(identity_isometry(2), VClass([0, 1])), DomainError, "isometry and class dimensions differ"),
     ("compose-sizes", lambda: compose(identity_isometry(2), identity_isometry(1)), DomainError, "isometry dimensions differ"),
+    # Isometry input: each field by class, and each function by the class of its arguments.
+    ("isometry-float-entry", lambda: SimplexIsometry(ZERO3, (2.0, 0, 1), False), DomainError, "permutation entry 2.0 is not an integer"),
+    ("isometry-bool-entry", lambda: SimplexIsometry(ZERO3, (True, 0, 2), False), DomainError, "permutation entry True is not an integer"),
+    ("isometry-set-permutation", lambda: SimplexIsometry(ZERO3, {0, 1, 2}, False), DomainError, "permutation must be a sequence of integers, not {0, 1, 2}"),
+    ("isometry-translation", lambda: SimplexIsometry((0, 0, 0), (0, 1, 2), False), DomainError, "translation must be a VClass, not tuple"),
+    ("isometry-flip-int", lambda: SimplexIsometry(ZERO3, (0, 1, 2), 1), DomainError, "flip must be a bool, not 1"),
+    ("isometry-flip-none", lambda: SimplexIsometry(ZERO3, (0, 1, 2), None), DomainError, "flip must be a bool, not None"),
+    ("var-dist-first", lambda: var_dist((0, 1), VClass([0, 1])), DomainError, POINT.format("tuple")),
+    ("var-dist-second", lambda: var_dist(VClass([0, 1]), [0, 1]), DomainError, POINT.format("list")),
+    ("var-norm-point", lambda: var_norm([0, 1]), DomainError, POINT.format("list")),
+    ("apply-isometry", lambda: apply_isometry(VClass([0, 1]), VClass([0, 1])), DomainError, ISOMETRY.format("VClass")),
+    ("apply-point", lambda: apply_isometry(identity_isometry(1), (0, 1)), DomainError, POINT.format("tuple")),
+    ("compose-first", lambda: compose(None, identity_isometry(1)), DomainError, ISOMETRY.format("NoneType")),
+    ("compose-second", lambda: compose(identity_isometry(1), VClass([0, 1])), DomainError, ISOMETRY.format("VClass")),
+    ("inverse-isometry", lambda: inverse((0, 1)), DomainError, ISOMETRY.format("tuple")),
+    ("exp-chart-point", lambda: exp_chart((0, 1), 2), DomainError, POINT.format("tuple")),
+    ("exp-chart-float-point", lambda: exp_chart_float((0, 1)), DomainError, POINT.format("tuple")),
     ("ball-zero", lambda: var_ball_vertices(0), DomainError, AT_LEAST_ONE),
     ("ball-guard", lambda: var_ball_vertices(13), DomainError, "vertex enumeration guard: n <= 12"),
     ("point-group-zero", lambda: point_group_elements(0), DomainError, AT_LEAST_ONE),

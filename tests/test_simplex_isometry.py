@@ -36,7 +36,7 @@ from hilbertgeom import (
 )
 from hilbertgeom.linalg import rank
 
-from helpers import F
+from helpers import F, basis_action_group
 
 
 def random_vclass(rng, n, den=12):
@@ -256,6 +256,17 @@ class TestIntegerClasses:
         flip = SimplexIsometry(zero, tuple(range(n + 1)), True)
         assert point_group_elements(n) == _closure(n, _permutation_generators(n) + [flip])
         assert permutation_group_elements(n) == _closure(n, _permutation_generators(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_enumeration_matches_the_basis_action_dedupe(self, n):
+        for built, flips in ((point_group_elements(n), (False, True)), (permutation_group_elements(n), (False,))):
+            expected = basis_action_group(n, flips)
+            assert built == expected  # the same elements in the same order
+            assert [g._gather for g in built] == [
+                tuple(sorted(range(n + 1), key=g.permutation.__getitem__)) for g in expected
+            ]
+            assert all(type(g.permutation) is tuple and type(g.flip) is bool for g in built)
+            assert all(g._shift is None for g in built)
 
     def test_floats_are_refused(self):
         with pytest.raises(ParseError, match=r"coordinate 0 is the float 0\.5"):

@@ -120,6 +120,16 @@ def test_simplex_isometry_equality_ignores_gather():
     assert "_gather" not in repr(a)
 
 
+def test_simplex_isometry_takes_any_sequence_of_ints_as_a_tuple():
+    expected = SimplexIsometry(vclass([0, 1, 2]), (2, 0, 1), False)
+    for permutation in ([2, 0, 1], (2, 0, 1)):
+        g = SimplexIsometry(vclass([0, 1, 2]), permutation, False)
+        assert g.permutation == (2, 0, 1) and type(g.permutation) is tuple
+        assert g == expected and hash(g) == hash(expected)
+    identity = SimplexIsometry(vclass([0, 0]), range(2), False)
+    assert identity.permutation == (0, 1) and identity._gather == (0, 1)
+
+
 def test_validation_messages():
     with pytest.raises(ConstructionError, match="^the zero functional is not allowed$"):
         LinearFunctional([0, F(0)])
