@@ -41,14 +41,27 @@ class BusemannPoint(_Frozen):
     the reference point is reduced modulo the lineality space of the funk
     cone.  Equality of canonical forms is used as identity of Busemann
     points; the horofunction itself is available through `busemann_eval`.
+
+    `_anchor` holds the base gauges (M(x/base; cone), M(base/p; funk_cone))
+    once an evaluation has needed them, and None before; being underscored,
+    it takes no part in equality, hashing, repr or pickling.
     """
 
-    __slots__ = ("cone", "x", "x_active", "funk_index", "funk_cone", "p", "base")
+    __slots__ = ("cone", "x", "x_active", "funk_index", "funk_cone", "p", "base", "_anchor")
 
     def __init__(self, cone: PolyCone, x: Vector, x_active: frozenset[int], funk_index: frozenset[int],
                  funk_cone: PolyCone, p: Vector, base: Vector):
-        for name, value in zip(self.__slots__, (cone, x, x_active, funk_index, funk_cone, p, base)):
+        for name, value in zip(self.__slots__, (cone, x, x_active, funk_index, funk_cone, p, base, None)):
             _set(self, name, value)
+
+
+def _anchor(point: BusemannPoint) -> tuple[Fraction, Fraction]:
+    """(M(x/base; cone), M(base/p; funk_cone)), computed on first use and kept on the point."""
+    anchor = point._anchor
+    if anchor is None:
+        anchor = (m_ratio(point.x, point.base, point.cone), m_ratio(point.base, point.p, point.funk_cone))
+        _set(point, "_anchor", anchor)
+    return anchor
 
 
 def _reduce_mod_subspace(point: Vector, basis: Sequence[Vector]) -> Vector:
@@ -125,12 +138,9 @@ def busemann_eval(point: BusemannPoint, w: Sequence[Fraction]) -> LogValue:
     w = vector(w)
     if not classify_point(point.cone, w).is_interior:
         raise DomainError("horofunctions are evaluated at interior points")
-    arg = (
-        m_ratio(point.x, w, point.cone)
-        * m_ratio(w, point.p, point.funk_cone)
-        / (m_ratio(point.x, point.base, point.cone) * m_ratio(point.base, point.p, point.funk_cone))
-    )
-    return LogValue(arg)
+    moving = m_ratio(point.x, w, point.cone) * m_ratio(w, point.p, point.funk_cone)
+    face_gauge, funk_gauge = _anchor(point)
+    return LogValue(moving / (face_gauge * funk_gauge))
 
 
 def _check_comparable(g: BusemannPoint, h: BusemannPoint) -> None:
@@ -152,17 +162,11 @@ def detour_cost(g: BusemannPoint, h: BusemannPoint) -> LogValue:
     # contained in h's exactly when h's index set is a subset of g's.
     if not (g.x_active <= h.x_active and h.funk_index <= g.funk_index):
         return LogValue.INFINITY
-    cone = g.cone
-    reverse_part = (
-        m_ratio(g.x, g.base, cone)
-        * face_m_ratio(h.x, g.x, Face(cone, g.x_active))
-        / m_ratio(h.x, g.base, cone)
-    )
-    funk_part = (
-        m_ratio(g.base, g.p, g.funk_cone)
-        * m_ratio(g.p, h.p, h.funk_cone)
-        / m_ratio(g.base, h.p, h.funk_cone)
-    )
+    # The base-point is shared, so the outer gauges at it are the anchors.
+    g_face, g_funk = _anchor(g)
+    h_face, h_funk = _anchor(h)
+    reverse_part = g_face * face_m_ratio(h.x, g.x, Face(g.cone, g.x_active)) / h_face
+    funk_part = g_funk * m_ratio(g.p, h.p, h.funk_cone) / h_funk
     return LogValue(reverse_part * funk_part)
 
 

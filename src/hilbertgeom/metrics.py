@@ -7,6 +7,8 @@ a value is rendered for display.
 The cone gauges `m_ratio` and `face_m_ratio` take the largest ratio of the
 cone's integer-row values (`_max_ratio`); a row is a positive multiple of
 its facet functional, so each ratio and each sign is the functional's own.
+The two-sided metrics `hilbert_cone`, `face_hilbert` and `j_eval` read each
+point's row values once and take both ratios from them.
 """
 
 from __future__ import annotations
@@ -142,6 +144,10 @@ def _log_gauge(arg: Fraction, metric: str) -> LogValue:
     return LogValue(arg)
 
 
+_INTERIOR = "gauge denominator point must be interior"
+_RELATIVE_INTERIOR = "denominator point is not in the relative interior of the face"
+
+
 def m_ratio(numerator: Sequence[Fraction], denominator: Sequence[Fraction], cone: PolyCone) -> Fraction:
     """Order-unit gauge M(numerator / denominator; cone).
 
@@ -151,11 +157,7 @@ def m_ratio(numerator: Sequence[Fraction], denominator: Sequence[Fraction], cone
     forms with positive denominators obeys the mediant inequality.  The
     result may be nonpositive for points far outside the cone.
     """
-    return _max_ratio(
-        _row_values(cone, numerator),
-        _row_values(cone, denominator),
-        "gauge denominator point must be interior",
-    )
+    return _max_ratio(_row_values(cone, numerator), _row_values(cone, denominator), _INTERIOR)
 
 
 def funk(x: Sequence[Fraction], y: Sequence[Fraction], cone: PolyCone) -> LogValue:
@@ -169,8 +171,15 @@ def reverse_funk(x: Sequence[Fraction], y: Sequence[Fraction], cone: PolyCone) -
 
 
 def hilbert_cone(x: Sequence[Fraction], y: Sequence[Fraction], cone: PolyCone) -> LogValue:
-    """Hilbert's projective metric: Funk plus reverse-Funk."""
-    return funk(x, y, cone) + reverse_funk(x, y, cone)
+    """Hilbert's projective metric: Funk plus reverse-Funk.
+
+    One row-value pass per point feeds both gauges; the refusals are those
+    of `funk` then `reverse_funk`, in that order.
+    """
+    xs = _row_values(cone, x)
+    ys = _row_values(cone, y)
+    forward = _log_gauge(_max_ratio(xs, ys, _INTERIOR), "Funk")
+    return forward + _log_gauge(_max_ratio(ys, xs, _INTERIOR), "reverse-Funk")
 
 
 def _require_interior(polytope: HPolytope, point: Vector) -> None:
@@ -210,27 +219,40 @@ def hilbert_cross_ratio(polytope: HPolytope, x: Sequence[Fraction], y: Sequence[
     return LogValue(arg)
 
 
+def _inactive(face: Face) -> list[int]:
+    inactive = [i for i in range(face.parent.num_facets) if i not in face.active]
+    if not inactive:
+        raise DomainError("face has no inactive constraints")
+    return inactive
+
+
+def _face_ratio(nums: list[Fraction], dens: list[Fraction], face: Face, inactive: list[int]) -> Fraction:
+    if any(dens[i] != 0 for i in face.active):
+        raise DomainError(_RELATIVE_INTERIOR)
+    return _max_ratio([nums[i] for i in inactive], [dens[i] for i in inactive], _RELATIVE_INTERIOR)
+
+
 def face_m_ratio(numerator: Sequence[Fraction], denominator: Sequence[Fraction], face: Face) -> Fraction:
     """Gauge of the face cone: the maximum ratio over the inactive constraints.
 
     Valid because the denominator point satisfies every inactive constraint
     strictly; active constraints vanish on the whole face and drop out.
     """
+    inactive = _inactive(face)
     cone = face.parent
-    inactive = [i for i in range(cone.num_facets) if i not in face.active]
-    if not inactive:
-        raise DomainError("face has no inactive constraints")
-    nums = _row_values(cone, numerator)
-    dens = _row_values(cone, denominator)
-    refusal = "denominator point is not in the relative interior of the face"
-    if any(dens[i] != 0 for i in face.active):
-        raise DomainError(refusal)
-    return _max_ratio([nums[i] for i in inactive], [dens[i] for i in inactive], refusal)
+    return _face_ratio(_row_values(cone, numerator), _row_values(cone, denominator), face, inactive)
 
 
 def face_hilbert(x: Sequence[Fraction], y: Sequence[Fraction], face: Face) -> LogValue:
-    """Hilbert metric of the face cone, inside its span."""
-    return LogValue(face_m_ratio(x, y, face) * face_m_ratio(y, x, face))
+    """Hilbert metric of the face cone, inside its span.
+
+    One row-value pass per point; the refusals are those of
+    `face_m_ratio(x, y)` then `face_m_ratio(y, x)`.
+    """
+    inactive = _inactive(face)
+    xs = _row_values(face.parent, x)
+    ys = _row_values(face.parent, y)
+    return LogValue(_face_ratio(xs, ys, face, inactive) * _face_ratio(ys, xs, face, inactive))
 
 
 def gromov_product(
@@ -281,6 +303,11 @@ def j_eval(
     y: Sequence[Fraction],
     base: Sequence[Fraction],
 ) -> Fraction:
-    """Normalised gauge M(y/x) / M(base/x); convex in y, equals 1 at y = base."""
-    denominator = m_ratio(base, x, cone)
-    return m_ratio(y, x, cone) / denominator
+    """Normalised gauge M(y/x) / M(base/x); convex in y, equals 1 at y = base.
+
+    x's row values are read once and serve both gauges.
+    """
+    bases = _row_values(cone, base)
+    xs = _row_values(cone, x)
+    denominator = _max_ratio(bases, xs, _INTERIOR)
+    return _max_ratio(_row_values(cone, y), xs, _INTERIOR) / denominator

@@ -95,6 +95,57 @@ def fraction_face_m_ratio(numerator, denominator, face):
     return max(nums[i] / dens[i] for i in inactive)
 
 
+def two_pass_hilbert_cone(x, y, cone):
+    """Hilbert-metric oracle: `funk` plus `reverse_funk`, each reading both points.
+
+    The route `hilbert_cone` took before it read each point's row values once.
+    """
+    from hilbertgeom import funk, reverse_funk
+
+    return funk(x, y, cone) + reverse_funk(x, y, cone)
+
+
+def two_pass_face_hilbert(x, y, face):
+    """Face-metric oracle: the product of the two `face_m_ratio`s, each reading both points."""
+    from hilbertgeom import LogValue, face_m_ratio
+
+    return LogValue(face_m_ratio(x, y, face) * face_m_ratio(y, x, face))
+
+
+def four_gauge_busemann_eval(point, w):
+    """Horofunction oracle: all four gauges at every call, the base gauges included."""
+    from hilbertgeom import LogValue, classify_point, m_ratio
+
+    w = vector(w)
+    if not classify_point(point.cone, w).is_interior:
+        raise DomainError("horofunctions are evaluated at interior points")
+    return LogValue(
+        m_ratio(point.x, w, point.cone)
+        * m_ratio(w, point.p, point.funk_cone)
+        / (m_ratio(point.x, point.base, point.cone) * m_ratio(point.base, point.p, point.funk_cone))
+    )
+
+
+def six_gauge_detour_cost(g, h):
+    """Detour-cost oracle: all six gauges at every call, the base gauges of both points included."""
+    from hilbertgeom import Face, LogValue, face_m_ratio, m_ratio
+
+    if g.cone != h.cone:
+        raise DomainError("Busemann points live on different cones")
+    if g.base != h.base:
+        raise DomainError("Busemann points carry different base-points")
+    if not (g.x_active <= h.x_active and h.funk_index <= g.funk_index):
+        return LogValue.INFINITY
+    cone = g.cone
+    reverse_part = (
+        m_ratio(g.x, g.base, cone) * face_m_ratio(h.x, g.x, Face(cone, g.x_active)) / m_ratio(h.x, g.base, cone)
+    )
+    funk_part = (
+        m_ratio(g.base, g.p, g.funk_cone) * m_ratio(g.p, h.p, h.funk_cone) / m_ratio(g.base, h.p, h.funk_cone)
+    )
+    return LogValue(reverse_part * funk_part)
+
+
 def solve_square(rows, rhs):
     """Solve an n x n linear system exactly; None if there is no unique solution."""
     n = len(rows)

@@ -1,0 +1,230 @@
+"""Each gauge on the query path is computed once.
+
+The one-pass routes (`hilbert_cone`, `face_hilbert`, and `busemann_eval`
+and `detour_cost` on a Busemann point that keeps its base gauges) against
+the routes they replaced, kept as oracles in `helpers`: the same exact
+value, or the same refusal.  Then the number of row-value passes each call
+makes, counted on `metrics._row_values`, which every gauge goes through.
+"""
+
+import random
+from fractions import Fraction as F
+from functools import cache
+
+import pytest
+
+import hilbertgeom.metrics as metrics
+from hilbertgeom import (
+    Face,
+    HilbertGeometryError,
+    busemann_eval,
+    busemann_point,
+    classify_point,
+    cone_from_polytope,
+    detour_cost,
+    face_hilbert,
+    face_lattice_active_sets,
+    hilbert_cone,
+    j_eval,
+    lift_to_cone,
+)
+
+from helpers import (
+    boundary_face_points,
+    four_gauge_busemann_eval,
+    interior_sample,
+    pentagon,
+    six_gauge_detour_cost,
+    tangent_polytope3,
+    two_pass_face_hilbert,
+    two_pass_hilbert_cone,
+    unit_cube,
+    unit_square,
+)
+from test_metrics import gauge_points
+
+DOMAINS = {
+    "square": unit_square,
+    "pentagon": pentagon,
+    "cube": unit_cube,
+    "octa8": lambda: tangent_polytope3(random.Random(8), 8),
+}
+PATTERNS = [(1, 1, 1, 1), (1, 3, 2, 5)]
+
+
+@cache
+def domain(name):
+    polytope = DOMAINS[name]()
+    return polytope, cone_from_polytope(polytope)
+
+
+def scaled(rng, point):
+    """`point` times a positive rational whose denominator is at most 12 or near 2^40."""
+    den = rng.randint(1, 12) if rng.random() < 0.5 else 2**40 + rng.randint(-99, 99)
+    lam = F(rng.randint(1, 2 * den), den)
+    return tuple(lam * c for c in point)
+
+
+def same_result(call, oracle) -> bool:
+    """`call` and `oracle` give the same value, or refuse with the same class and message.
+
+    Returns whether the oracle gave a value.
+    """
+    try:
+        expected = oracle()
+    except HilbertGeometryError as refusal:
+        with pytest.raises(HilbertGeometryError) as caught:
+            call()
+        assert type(caught.value) is type(refusal) and str(caught.value) == str(refusal)
+        return False
+    assert call() == expected
+    return True
+
+
+def fresh(point):
+    """An equal Busemann point whose base gauges are not yet computed."""
+    return busemann_point(point.cone, point.x, point.funk_index, point.p, point.base)
+
+
+@cache
+def busemann_sample(name):
+    """Busemann points on every boundary face, with one shared base-point.
+
+    Each face carries its full tangent cone and the single facet of lowest
+    index, with two reference points each, so every group of two is a
+    finite-cost pair.
+    """
+    polytope, cone = domain(name)
+    rng = random.Random(f"busemann-{name}")
+    base = lift_to_cone(interior_sample(polytope, rng))
+    groups = []
+    for active in face_lattice_active_sets(cone):
+        x = boundary_face_points(polytope, cone, active, PATTERNS)[0]
+        for index in (active, frozenset({min(active)})):
+            groups.append([
+                busemann_point(cone, x, index, scaled(rng, lift_to_cone(interior_sample(polytope, rng))), base)
+                for _ in range(2)
+            ])
+    return base, groups
+
+
+@pytest.mark.parametrize("name", DOMAINS)
+class TestOnePassAgainstTheOldRoutes:
+    def test_hilbert_cone_is_funk_plus_reverse_funk(self, name):
+        polytope, cone = domain(name)
+        rng = random.Random(f"cone-{name}")
+        answers = {True: 0, False: 0}
+        for _ in range(12):
+            points = gauge_points(rng, polytope, cone) + gauge_points(rng, polytope, cone)
+            for x in points:
+                for y in points:
+                    answers[same_result(lambda: hilbert_cone(x, y, cone),
+                                        lambda: two_pass_hilbert_cone(x, y, cone))] += 1
+        assert min(answers.values()) >= 40
+
+    def test_face_hilbert_is_a_product_of_two_face_gauges(self, name):
+        polytope, cone = domain(name)
+        rng = random.Random(f"face-{name}")
+        answers = {True: 0, False: 0}
+        for active in face_lattice_active_sets(cone):
+            face = Face(cone, active)
+            on_face = [scaled(rng, p) for p in boundary_face_points(polytope, cone, active, PATTERNS) for _ in range(2)]
+            points = on_face + gauge_points(rng, polytope, cone)[1:]
+            for x in points:
+                for y in points:
+                    answers[same_result(lambda: face_hilbert(x, y, face),
+                                        lambda: two_pass_face_hilbert(x, y, face))] += 1
+        assert min(answers.values()) >= 40
+
+    def test_busemann_eval_before_and_after_the_anchor_is_filled(self, name):
+        polytope, cone = domain(name)
+        base, groups = busemann_sample(name)
+        rng = random.Random(f"eval-{name}")
+        for group in groups:
+            for kept in group:
+                point = fresh(kept)
+                assert point._anchor is None
+                for w in [base] + gauge_points(rng, polytope, cone):
+                    same_result(lambda: busemann_eval(point, w), lambda: four_gauge_busemann_eval(point, w))
+                assert point._anchor is not None
+                assert busemann_eval(point, base).arg == 1
+
+    def test_detour_cost_before_and_after_the_anchors_are_filled(self, name):
+        base, groups = busemann_sample(name)
+        points = [p for group in groups for p in group]
+        rng = random.Random(f"detour-{name}")
+        pairs = [tuple(group) for group in groups] + [tuple(rng.sample(points, 2)) for _ in range(3 * len(groups))]
+        answers = {"finite": 0, "infinite": 0}
+        for g, h in pairs:
+            for a, b in ((g, h), (h, g), (g, g)):
+                a, b = fresh(a), fresh(b)
+                expected = six_gauge_detour_cost(a, b)
+                assert detour_cost(a, b) == expected
+                assert detour_cost(a, b) == expected  # the anchors are filled now when finite
+                answers["infinite" if expected.is_infinite else "finite"] += 1
+        assert min(answers.values()) >= 20
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The number of `metrics._row_values` calls since the fixture was set up."""
+    count = [0]
+    row_values = metrics._row_values
+
+    def counted(cone, point):
+        count[0] += 1
+        return row_values(cone, point)
+
+    monkeypatch.setattr(metrics, "_row_values", counted)
+    return count
+
+
+def square_points():
+    cone = domain("square")[1]
+    centre = lift_to_cone((F(1, 2), F(1, 2)))
+    edge = lift_to_cone((0, F(1, 2)))
+    return cone, centre, edge, Face(cone, classify_point(cone, edge).active)
+
+
+class TestGaugePasses:
+    """One row-value pass per point and call; a Busemann point's base gauges once per point."""
+
+    def test_two_sided_metrics(self, passes):
+        cone, centre, edge, face = square_points()
+        hilbert_cone(centre, lift_to_cone((F(1, 3), F(1, 4))), cone)
+        assert passes[0] == 2
+        face_hilbert(edge, lift_to_cone((0, F(1, 4))), face)
+        assert passes[0] == 4
+        j_eval(cone, centre, lift_to_cone((F(1, 3), F(1, 4))), lift_to_cone((F(1, 4), F(1, 4))))
+        assert passes[0] == 7
+
+    def test_busemann_point_fills_no_anchor(self, passes):
+        cone, centre, edge, face = square_points()
+        point = busemann_point(cone, edge, face.active, centre, centre)
+        assert passes[0] == 0 and point._anchor is None
+
+    def test_busemann_eval(self, passes):
+        cone, centre, edge, face = square_points()
+        point = busemann_point(cone, edge, face.active, lift_to_cone((F(1, 3), F(1, 3))), centre)
+        busemann_eval(point, lift_to_cone((F(1, 4), F(2, 3))))
+        assert passes[0] == 8  # four gauges: the two at w and the two base gauges, kept
+        for k in range(1, 4):
+            busemann_eval(point, lift_to_cone((F(1, 5), F(k, 5))))
+            assert passes[0] == 8 + 4 * k
+
+    def test_detour_cost(self, passes):
+        cone, centre, edge, face = square_points()
+        g, h = (busemann_point(cone, x, face.active, centre, centre) for x in (edge, lift_to_cone((0, F(1, 4)))))
+        detour_cost(g, h)
+        assert passes[0] == 12  # the two base gauges of each point, kept, then one face gauge and one funk gauge
+        for k in range(1, 4):
+            detour_cost(h, g)
+            assert passes[0] == 12 + 4 * k
+
+    def test_infinite_detour_cost_makes_no_pass(self, passes):
+        cone, centre, edge, face = square_points()
+        g = busemann_point(cone, edge, face.active, centre, centre)
+        h = busemann_point(cone, lift_to_cone((F(1, 2), 0)), classify_point(cone, lift_to_cone((F(1, 2), 0))).active,
+                           centre, centre)
+        assert detour_cost(g, h).is_infinite and detour_cost(h, g).is_infinite
+        assert passes[0] == 0 and g._anchor is None and h._anchor is None

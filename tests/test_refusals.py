@@ -40,12 +40,15 @@ from hilbertgeom import (
     enumerate_parts,
     exp_chart,
     exp_chart_float,
+    face_hilbert,
     face_m_ratio,
     gromov_product,
+    hilbert_cone,
     horolimit_residual,
     identity_isometry,
     inverse,
     is_metric_preserving,
+    j_eval,
     lift_to_cone,
     log_chart,
     m_ratio,
@@ -65,11 +68,21 @@ from helpers import simplex2, unit_square
 
 CENTRE = lift_to_cone((F(1, 2), F(1, 2)))
 EDGE = lift_to_cone((0, F(1, 2)))
+EDGE_LOW = lift_to_cone((0, F(1, 4)))
+OUTSIDE = (F(-1, 2), F(-1, 2), -1)  # every facet value negative
+HALF_FLOAT = (0.5, 1, 1)
+SHORT = (1, 1)
 
 
 @cache
 def square():
     return cone_from_polytope(unit_square())
+
+
+@cache
+def left_edge():
+    """The square cone's face x = 0, on which EDGE and EDGE_LOW lie."""
+    return Face(square(), classify_point(square(), EDGE).active)
 
 
 @cache
@@ -105,6 +118,10 @@ DIM = "polytope dim must be an integer of at least 1, not {!r}"
 ZERO3 = VClass([0, 0, 0])
 POINT = "point must be a VClass, not {}"
 ISOMETRY = "isometry must be a SimplexIsometry, not {}"
+INTERIOR = "gauge denominator point must be interior"
+RELATIVE = "denominator point is not in the relative interior of the face"
+FUNK_SIGN = "Funk metric undefined: gauge argument is not positive"
+SHORT_DIM = "point has dimension 2, cone lives in 3"
 
 REFUSALS = [
     # PolyCone: the same checks in the same order, whatever route construction takes.
@@ -139,6 +156,28 @@ REFUSALS = [
     ("face-all-active", lambda: face_m_ratio(CENTRE, CENTRE, Face(square(), frozenset(range(4)))), DomainError, "face has no inactive constraints"),
     ("gromov-infinite", lambda: gromov_product(CENTRE, CENTRE, CENTRE, infinite), DomainError, "Gromov product needs finite distances"),
     ("geodesic-slack", lambda: almost_geodesic_check([CENTRE, CENTRE], zero_distance, F(1, 2)), DomainError, "slack is e^eps and must be at least 1"),
+    # Two-sided gauges read each point once, x then y, and refuse as the
+    # one-sided gauges they combine: hilbert_cone as funk then reverse_funk
+    # (y interior, the Funk sign, x interior), face_hilbert as
+    # face_m_ratio(x, y) then face_m_ratio(y, x), j_eval as M(base/x) then M(y/x).
+    ("hilbert-cone-bad-x", lambda: hilbert_cone(EDGE, CENTRE, square()), DomainError, INTERIOR),
+    ("hilbert-cone-bad-y", lambda: hilbert_cone(CENTRE, EDGE, square()), DomainError, INTERIOR),
+    ("hilbert-cone-funk-sign-before-x", lambda: hilbert_cone(OUTSIDE, CENTRE, square()), DomainError, FUNK_SIGN),
+    ("hilbert-cone-both-y-interior-first", lambda: hilbert_cone(OUTSIDE, EDGE, square()), DomainError, INTERIOR),
+    ("hilbert-cone-both-x-parsed-first", lambda: hilbert_cone(HALF_FLOAT, SHORT, square()), ParseError, FLOAT),
+    ("hilbert-cone-both-x-dimension-first", lambda: hilbert_cone(SHORT, HALF_FLOAT, square()), DomainError, SHORT_DIM),
+    ("hilbert-cone-both-x-read-before-y-interior", lambda: hilbert_cone(SHORT, EDGE, square()), DomainError, SHORT_DIM),
+    ("face-hilbert-bad-x", lambda: face_hilbert(CENTRE, EDGE, left_edge()), DomainError, RELATIVE),
+    ("face-hilbert-bad-y", lambda: face_hilbert(EDGE_LOW, CENTRE, left_edge()), DomainError, RELATIVE),
+    ("face-hilbert-both-x-parsed-first", lambda: face_hilbert(HALF_FLOAT, SHORT, left_edge()), ParseError, FLOAT),
+    ("face-hilbert-both-x-dimension-first", lambda: face_hilbert(SHORT, HALF_FLOAT, left_edge()), DomainError, SHORT_DIM),
+    ("face-hilbert-both-x-read-before-y-relative", lambda: face_hilbert(SHORT, CENTRE, left_edge()), DomainError, SHORT_DIM),
+    ("face-hilbert-all-active-first", lambda: face_hilbert(HALF_FLOAT, SHORT, Face(square(), frozenset(range(4)))), DomainError, "face has no inactive constraints"),
+    ("j-eval-bad-x", lambda: j_eval(square(), EDGE, CENTRE, CENTRE), DomainError, INTERIOR),
+    ("j-eval-bad-y", lambda: j_eval(square(), CENTRE, SHORT, CENTRE), DomainError, SHORT_DIM),
+    ("j-eval-both-x-interior-first", lambda: j_eval(square(), EDGE, HALF_FLOAT, CENTRE), DomainError, INTERIOR),
+    ("j-eval-both-x-parsed-before-y", lambda: j_eval(square(), HALF_FLOAT, SHORT, CENTRE), ParseError, FLOAT),
+    ("j-eval-base-parsed-first", lambda: j_eval(square(), SHORT, CENTRE, HALF_FLOAT), ParseError, FLOAT),
     ("geodesic-one-point", lambda: almost_geodesic_check([CENTRE], zero_distance), DomainError, "an almost-geodesic needs at least two points"),
     # Simplex.
     ("var-dist-sizes", lambda: var_dist(VClass([0, 1]), VClass([0, 1, 2])), DomainError, "variation classes of different dimension"),

@@ -24,6 +24,7 @@ from hilbertgeom import (
     SimplexIsometry,
     TangentFamilyEntry,
     VClass,
+    busemann_eval,
     busemann_point,
     collineation_witness_failure,
     cone_from_polytope,
@@ -118,6 +119,17 @@ def test_simplex_isometry_equality_ignores_gather():
     object.__setattr__(b, "_gather", (0, 1, 2))
     assert a._gather == (1, 2, 0) and a == b and hash(a) == hash(b)
     assert "_gather" not in repr(a)
+
+
+def test_busemann_point_with_a_filled_anchor_is_the_same_value():
+    a = _busemann()
+    busemann_eval(a, (F(1, 3), F(1, 4), 1))
+    assert a._anchor is not None
+    b = _busemann()
+    assert b._anchor is None and a == b and b == a and hash(a) == hash(b)
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin == a and hash(twin) == hash(a)
+    assert repr(a) == repr(b) and "_anchor" not in repr(a)
 
 
 def test_simplex_isometry_takes_any_sequence_of_ints_as_a_tuple():
