@@ -29,7 +29,7 @@ from .geometry import (
     face_lattice_active_sets,
 )
 from .linalg import Vector, _Frozen, _gauss_jordan, _set, rational, rref, vector
-from .metrics import LogValue, face_hilbert, face_m_ratio, hilbert_cone, m_ratio
+from .metrics import LogValue, _max_ratio, _row_values, face_hilbert, face_m_ratio, hilbert_cone, m_ratio
 from .tangent import canonical_index_set, subcone
 
 
@@ -133,12 +133,18 @@ def busemann_from_line(
     return busemann_point(cone, z, loc.active, y, base)
 
 
+_OFF_INTERIOR = "horofunctions are evaluated at interior points"
+
+
 def busemann_eval(point: BusemannPoint, w: Sequence[Fraction]) -> LogValue:
-    """Exact horofunction value at an interior point; zero at the base-point."""
+    """Exact horofunction value at an interior point; zero at the base-point.
+
+    w is interior exactly when its row values, the denominators of the
+    first gauge M(x/w; cone), are all positive: the gauge kernel's own test.
+    """
     w = vector(w)
-    if not classify_point(point.cone, w).is_interior:
-        raise DomainError("horofunctions are evaluated at interior points")
-    moving = m_ratio(point.x, w, point.cone) * m_ratio(w, point.p, point.funk_cone)
+    near = _max_ratio(_row_values(point.cone, point.x), _row_values(point.cone, w), _OFF_INTERIOR)
+    moving = near * m_ratio(w, point.p, point.funk_cone)
     face_gauge, funk_gauge = _anchor(point)
     return LogValue(moving / (face_gauge * funk_gauge))
 

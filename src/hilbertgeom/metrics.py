@@ -7,14 +7,23 @@ a value is rendered for display.
 The cone gauges `m_ratio` and `face_m_ratio` take the largest ratio of the
 cone's integer-row values (`_max_ratio`); a row is a positive multiple of
 its facet functional, so each ratio and each sign is the functional's own.
-The two-sided metrics `hilbert_cone`, `face_hilbert` and `j_eval` read each
-point's row values once and take both ratios from them.
+The kernel is integer-only: `_row_values` scales a point to integers once,
+by the lcm of its denominators, and `_max_ratio` finds the largest ratio
+by cross-multiplying, then builds one `Fraction` per gauge, with the two
+points' scales folded in.  The two-sided metrics `hilbert_cone`,
+`face_hilbert` and `j_eval` read each point's row values once and take both
+ratios from them.
+
+`hilbert_cross_ratio` stays on `Fraction`s and on the polytope's
+halfspaces.  It is the independent check of `hilbert_cone`; on the same
+integer rows its chord would reduce to the gauge's own formula.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
 from .geometry import (
@@ -25,7 +34,7 @@ from .geometry import (
     PolyCone,
     format_rational,
 )
-from .linalg import ONE, Vector, dot, rational, vector, vsub
+from .linalg import ONE, Vector, _over, dot, rational, vector, vsub
 
 
 class LogValue:
@@ -121,21 +130,37 @@ LogValue.INFINITY = LogValue(None)
 Metric = Callable[[Sequence[Fraction], Sequence[Fraction]], LogValue]
 
 
-def _row_values(cone: PolyCone, point: Sequence[Fraction]) -> list[Fraction]:
-    """The `Fraction` value of each of the cone's integer rows at `point`."""
+def _row_values(cone: PolyCone, point: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The cone's integer rows at `point` scaled to integers once, and that scale.
+
+    The point times the lcm s of its denominators is an integer vector, so
+    each row value is s times the row's `Fraction` value at the point.
+    """
     point = vector(point)
     cone._check_dim(point)
-    return [dot(point, row) for row in cone._rows]
+    scale = math.lcm(*[q.denominator for q in point])
+    ints = _over(scale, point)
+    return [sum(map(mul, row, ints)) for row in cone._rows], scale
 
 
-def _max_ratio(numerators: Sequence[Fraction], denominators: Sequence[Fraction], refusal: str) -> Fraction:
-    """The gauge kernel: the largest ratio of paired facet values.
+def _max_ratio(numerators: tuple[list[int], int], denominators: tuple[list[int], int], refusal: str) -> Fraction:
+    """The gauge kernel: the largest ratio of paired facet values, from `_row_values` pairs.
 
     Raises `DomainError(refusal)` unless every denominator value is positive.
+    The largest n/d is found by cross-multiplying integers; with the scales
+    ns and ds of the two points, the gauge is (n * ds) / (d * ns).
     """
-    if any(d <= 0 for d in denominators):
+    nums, ns = numerators
+    dens, ds = denominators
+    if min(dens) <= 0:
         raise DomainError(refusal)
-    return max(n / d for n, d in zip(numerators, denominators))
+    bn = nums[0]
+    bd = dens[0]
+    for n, d in zip(nums, dens):
+        if n * bd > bn * d:
+            bn = n
+            bd = d
+    return Fraction(bn * ds, bd * ns)
 
 
 def _log_gauge(arg: Fraction, metric: str) -> LogValue:
@@ -226,10 +251,13 @@ def _inactive(face: Face) -> list[int]:
     return inactive
 
 
-def _face_ratio(nums: list[Fraction], dens: list[Fraction], face: Face, inactive: list[int]) -> Fraction:
+def _face_ratio(xs: tuple[list[int], int], ys: tuple[list[int], int], face: Face, inactive: list[int]) -> Fraction:
+    """`_max_ratio` of the `_row_values` pairs xs over ys, on the inactive rows of the face."""
+    nums, ns = xs
+    dens, ds = ys
     if any(dens[i] != 0 for i in face.active):
         raise DomainError(_RELATIVE_INTERIOR)
-    return _max_ratio([nums[i] for i in inactive], [dens[i] for i in inactive], _RELATIVE_INTERIOR)
+    return _max_ratio(([nums[i] for i in inactive], ns), ([dens[i] for i in inactive], ds), _RELATIVE_INTERIOR)
 
 
 def face_m_ratio(numerator: Sequence[Fraction], denominator: Sequence[Fraction], face: Face) -> Fraction:

@@ -69,14 +69,25 @@ def open_cone_feasible(zero_rows, positive_rows, dim) -> bool:
     return not _gordan_empty(basis, [_primitive(p) for p in positive_rows])
 
 
+def _checked_points(cone, *points):
+    """The points as `Fraction` vectors, refused for parse or dimension as the library refuses them."""
+    out = []
+    for point in points:
+        point = vector(point)
+        cone._check_dim(point)
+        out.append(point)
+    return out
+
+
 def fraction_m_ratio(numerator, denominator, cone):
     """Gauge oracle: the largest ratio of the unit-lead `Fraction` facets' values.
 
     The route `m_ratio` took while the cone stored those facets beside its
     integer rows.
     """
-    nums = [f(vector(numerator)) for f in cone.facets]
-    dens = [f(vector(denominator)) for f in cone.facets]
+    numerator, denominator = _checked_points(cone, numerator, denominator)
+    nums = [f(numerator) for f in cone.facets]
+    dens = [f(denominator) for f in cone.facets]
     if any(d <= 0 for d in dens):
         raise DomainError("gauge denominator point must be interior")
     return max(n / d for n, d in zip(nums, dens))
@@ -88,47 +99,61 @@ def fraction_face_m_ratio(numerator, denominator, face):
     inactive = [i for i in range(len(facets)) if i not in face.active]
     if not inactive:
         raise DomainError("face has no inactive constraints")
-    nums = [f(vector(numerator)) for f in facets]
-    dens = [f(vector(denominator)) for f in facets]
+    numerator, denominator = _checked_points(face.parent, numerator, denominator)
+    nums = [f(numerator) for f in facets]
+    dens = [f(denominator) for f in facets]
     if any(dens[i] != 0 for i in face.active) or any(dens[i] <= 0 for i in inactive):
         raise DomainError("denominator point is not in the relative interior of the face")
     return max(nums[i] / dens[i] for i in inactive)
 
 
+def fraction_j_eval(cone, x, y, base):
+    """`j_eval` oracle: M(y/x) / M(base/x) on `fraction_m_ratio`, refusing base, then x, then y."""
+    denominator = fraction_m_ratio(base, x, cone)
+    return fraction_m_ratio(y, x, cone) / denominator
+
+
 def two_pass_hilbert_cone(x, y, cone):
-    """Hilbert-metric oracle: `funk` plus `reverse_funk`, each reading both points.
+    """Hilbert-metric oracle: `funk` plus `reverse_funk` on `fraction_m_ratio`, each reading both points.
 
-    The route `hilbert_cone` took before it read each point's row values once.
+    The route `hilbert_cone` took before it read each point's row values
+    once, in `Fraction` arithmetic.
     """
-    from hilbertgeom import funk, reverse_funk
+    from hilbertgeom import LogValue
 
-    return funk(x, y, cone) + reverse_funk(x, y, cone)
+    forward = fraction_m_ratio(x, y, cone)
+    if forward <= 0:
+        raise DomainError("Funk metric undefined: gauge argument is not positive")
+    reverse = fraction_m_ratio(y, x, cone)
+    if reverse <= 0:
+        raise DomainError("reverse-Funk metric undefined: gauge argument is not positive")
+    return LogValue(forward * reverse)
 
 
 def two_pass_face_hilbert(x, y, face):
-    """Face-metric oracle: the product of the two `face_m_ratio`s, each reading both points."""
-    from hilbertgeom import LogValue, face_m_ratio
+    """Face-metric oracle: the product of the two `fraction_face_m_ratio`s, each reading both points."""
+    from hilbertgeom import LogValue
 
-    return LogValue(face_m_ratio(x, y, face) * face_m_ratio(y, x, face))
+    return LogValue(fraction_face_m_ratio(x, y, face) * fraction_face_m_ratio(y, x, face))
 
 
 def four_gauge_busemann_eval(point, w):
-    """Horofunction oracle: all four gauges at every call, the base gauges included."""
-    from hilbertgeom import LogValue, classify_point, m_ratio
+    """Horofunction oracle: all four `fraction_m_ratio` gauges at every call, the base gauges included."""
+    from hilbertgeom import LogValue, classify_point
 
     w = vector(w)
     if not classify_point(point.cone, w).is_interior:
         raise DomainError("horofunctions are evaluated at interior points")
     return LogValue(
-        m_ratio(point.x, w, point.cone)
-        * m_ratio(w, point.p, point.funk_cone)
-        / (m_ratio(point.x, point.base, point.cone) * m_ratio(point.base, point.p, point.funk_cone))
+        fraction_m_ratio(point.x, w, point.cone)
+        * fraction_m_ratio(w, point.p, point.funk_cone)
+        / (fraction_m_ratio(point.x, point.base, point.cone) * fraction_m_ratio(point.base, point.p, point.funk_cone))
     )
 
 
 def six_gauge_detour_cost(g, h):
-    """Detour-cost oracle: all six gauges at every call, the base gauges of both points included."""
-    from hilbertgeom import Face, LogValue, face_m_ratio, m_ratio
+    """Detour-cost oracle: all six `Fraction` gauges at every call, the base gauges of both points included."""
+    from hilbertgeom import Face, LogValue
 
     if g.cone != h.cone:
         raise DomainError("Busemann points live on different cones")
@@ -138,10 +163,14 @@ def six_gauge_detour_cost(g, h):
         return LogValue.INFINITY
     cone = g.cone
     reverse_part = (
-        m_ratio(g.x, g.base, cone) * face_m_ratio(h.x, g.x, Face(cone, g.x_active)) / m_ratio(h.x, g.base, cone)
+        fraction_m_ratio(g.x, g.base, cone)
+        * fraction_face_m_ratio(h.x, g.x, Face(cone, g.x_active))
+        / fraction_m_ratio(h.x, g.base, cone)
     )
     funk_part = (
-        m_ratio(g.base, g.p, g.funk_cone) * m_ratio(g.p, h.p, h.funk_cone) / m_ratio(g.base, h.p, h.funk_cone)
+        fraction_m_ratio(g.base, g.p, g.funk_cone)
+        * fraction_m_ratio(g.p, h.p, h.funk_cone)
+        / fraction_m_ratio(g.base, h.p, h.funk_cone)
     )
     return LogValue(reverse_part * funk_part)
 

@@ -4,7 +4,7 @@ The one-pass routes (`hilbert_cone`, `face_hilbert`, and `busemann_eval`
 and `detour_cost` on a Busemann point that keeps its base gauges) against
 the routes they replaced, kept as oracles in `helpers`: the same exact
 value, or the same refusal.  Then the number of row-value passes each call
-makes, counted on `metrics._row_values`, which every gauge goes through.
+makes, counted on `_row_values`, which every gauge goes through.
 """
 
 import random
@@ -13,10 +13,12 @@ from functools import cache
 
 import pytest
 
+import hilbertgeom.geometry as geometry
+import hilbertgeom.horoboundary as horoboundary
 import hilbertgeom.metrics as metrics
 from hilbertgeom import (
+    DomainError,
     Face,
-    HilbertGeometryError,
     busemann_eval,
     busemann_point,
     classify_point,
@@ -41,7 +43,7 @@ from helpers import (
     unit_cube,
     unit_square,
 )
-from test_metrics import gauge_points
+from test_metrics import gauge_points, same_gauge
 
 DOMAINS = {
     "square": unit_square,
@@ -63,22 +65,6 @@ def scaled(rng, point):
     den = rng.randint(1, 12) if rng.random() < 0.5 else 2**40 + rng.randint(-99, 99)
     lam = F(rng.randint(1, 2 * den), den)
     return tuple(lam * c for c in point)
-
-
-def same_result(call, oracle) -> bool:
-    """`call` and `oracle` give the same value, or refuse with the same class and message.
-
-    Returns whether the oracle gave a value.
-    """
-    try:
-        expected = oracle()
-    except HilbertGeometryError as refusal:
-        with pytest.raises(HilbertGeometryError) as caught:
-            call()
-        assert type(caught.value) is type(refusal) and str(caught.value) == str(refusal)
-        return False
-    assert call() == expected
-    return True
 
 
 def fresh(point):
@@ -118,8 +104,8 @@ class TestOnePassAgainstTheOldRoutes:
             points = gauge_points(rng, polytope, cone) + gauge_points(rng, polytope, cone)
             for x in points:
                 for y in points:
-                    answers[same_result(lambda: hilbert_cone(x, y, cone),
-                                        lambda: two_pass_hilbert_cone(x, y, cone))] += 1
+                    answers[same_gauge(lambda: hilbert_cone(x, y, cone),
+                                       lambda: two_pass_hilbert_cone(x, y, cone))] += 1
         assert min(answers.values()) >= 40
 
     def test_face_hilbert_is_a_product_of_two_face_gauges(self, name):
@@ -132,8 +118,8 @@ class TestOnePassAgainstTheOldRoutes:
             points = on_face + gauge_points(rng, polytope, cone)[1:]
             for x in points:
                 for y in points:
-                    answers[same_result(lambda: face_hilbert(x, y, face),
-                                        lambda: two_pass_face_hilbert(x, y, face))] += 1
+                    answers[same_gauge(lambda: face_hilbert(x, y, face),
+                                       lambda: two_pass_face_hilbert(x, y, face))] += 1
         assert min(answers.values()) >= 40
 
     def test_busemann_eval_before_and_after_the_anchor_is_filled(self, name):
@@ -145,7 +131,7 @@ class TestOnePassAgainstTheOldRoutes:
                 point = fresh(kept)
                 assert point._anchor is None
                 for w in [base] + gauge_points(rng, polytope, cone):
-                    same_result(lambda: busemann_eval(point, w), lambda: four_gauge_busemann_eval(point, w))
+                    same_gauge(lambda: busemann_eval(point, w), lambda: four_gauge_busemann_eval(point, w))
                 assert point._anchor is not None
                 assert busemann_eval(point, base).arg == 1
 
@@ -165,18 +151,23 @@ class TestOnePassAgainstTheOldRoutes:
         assert min(answers.values()) >= 20
 
 
+def counter(monkeypatch, function, modules):
+    """A one-item list counting calls to `function` through the names it has in `modules`."""
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return function(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, function.__name__, counted)
+    return count
+
+
 @pytest.fixture
 def passes(monkeypatch):
-    """The number of `metrics._row_values` calls since the fixture was set up."""
-    count = [0]
-    row_values = metrics._row_values
-
-    def counted(cone, point):
-        count[0] += 1
-        return row_values(cone, point)
-
-    monkeypatch.setattr(metrics, "_row_values", counted)
-    return count
+    """The number of `_row_values` calls, from `metrics` or `horoboundary`, since set-up."""
+    return counter(monkeypatch, metrics._row_values, (metrics, horoboundary))
 
 
 def square_points():
@@ -203,14 +194,19 @@ class TestGaugePasses:
         point = busemann_point(cone, edge, face.active, centre, centre)
         assert passes[0] == 0 and point._anchor is None
 
-    def test_busemann_eval(self, passes):
+    def test_busemann_eval(self, passes, monkeypatch):
         cone, centre, edge, face = square_points()
         point = busemann_point(cone, edge, face.active, lift_to_cone((F(1, 3), F(1, 3))), centre)
+        classified = counter(monkeypatch, classify_point, (geometry, horoboundary))
         busemann_eval(point, lift_to_cone((F(1, 4), F(2, 3))))
         assert passes[0] == 8  # four gauges: the two at w and the two base gauges, kept
         for k in range(1, 4):
             busemann_eval(point, lift_to_cone((F(1, 5), F(k, 5))))
             assert passes[0] == 8 + 4 * k
+        # w is found interior from its row values in the gauge M(x/w), with no classification
+        with pytest.raises(DomainError, match="horofunctions are evaluated at interior points"):
+            busemann_eval(point, edge)
+        assert classified[0] == 0
 
     def test_detour_cost(self, passes):
         cone, centre, edge, face = square_points()

@@ -9,6 +9,7 @@ import pytest
 from hilbertgeom import (
     DomainError,
     Face,
+    HilbertGeometryError,
     HPolytope,
     LogValue,
     ParseError,
@@ -42,12 +43,15 @@ from helpers import (
     boundary_sample,
     distinct_interior_pair,
     fraction_face_m_ratio,
+    fraction_j_eval,
     fraction_m_ratio,
     interior_sample,
     interval,
     pentagon,
     simplex2,
     square_busemann_sample,
+    two_pass_face_hilbert,
+    two_pass_hilbert_cone,
     unit_square,
 )
 from test_geometry import rational_cones, seeded_domains
@@ -393,14 +397,17 @@ def gauge_points(rng, domain, cone):
     return scaled
 
 
-def same_gauge(call, oracle):
-    """`call` and `oracle` agree exactly: the same value, or the same refusal."""
+def same_gauge(call, oracle) -> bool:
+    """`call` and `oracle` agree exactly: the same value, or a refusal of the same class and message.
+
+    Returns whether the oracle gave a value.
+    """
     try:
         expected = oracle()
-    except DomainError as refusal:
-        with pytest.raises(DomainError) as caught:
+    except HilbertGeometryError as refusal:
+        with pytest.raises(HilbertGeometryError) as caught:
             call()
-        assert str(caught.value) == str(refusal)
+        assert type(caught.value) is type(refusal) and str(caught.value) == str(refusal)
         return False
     assert call() == expected
     return True
@@ -459,3 +466,100 @@ class TestRowGaugeAgainstFractionFacets:
                 )
                 assert busemann_eval(point, w).arg == expected
                 assert m_ratio(w, point.p, point.funk_cone) == fraction_m_ratio(w, point.p, point.funk_cone)
+
+    def test_two_sided_metrics(self):
+        rng = random.Random(20261028)
+        answers = {True: 0, False: 0}
+        patterns = [(1, 1), (1, 3), (2, 5, 7)]
+        for domain in seeded_domains():
+            cone = cone_from_polytope(domain)
+            for _ in range(6):
+                points = gauge_points(rng, domain, cone) + gauge_points(rng, domain, cone)
+                base = points[3]  # interior, so M(base/x) is positive wherever x is interior
+                for x in points:
+                    for y in points:
+                        answers[same_gauge(lambda: hilbert_cone(x, y, cone),
+                                           lambda: two_pass_hilbert_cone(x, y, cone))] += 1
+                        answers[same_gauge(lambda: j_eval(cone, x, y, base),
+                                           lambda: fraction_j_eval(cone, x, y, base))] += 1
+            for active in face_lattice_active_sets(cone):
+                face = Face(cone, active)
+                points = boundary_face_points(domain, cone, active, patterns)[:2] + gauge_points(rng, domain, cone)
+                for x in points:
+                    for y in points:
+                        answers[same_gauge(lambda: face_hilbert(x, y, face),
+                                           lambda: two_pass_face_hilbert(x, y, face))] += 1
+        assert min(answers.values()) >= 500
+
+
+SQUARE = cone_from_polytope(unit_square())
+EDGE_FACE = Face(SQUARE, classify_point(SQUARE, (0, F(1, 2), 1)).active)
+NEAR_2_40 = 2**40 + 3
+
+
+class TestIntegerKernelEdgeCases:
+    """Cases the integer cross-multiplication must get right, against the `Fraction` oracles."""
+
+    @pytest.mark.parametrize("x, y, gauge, hilbert", [
+        # Two facet ratios tie at the maximum, from different value pairs (1/4 over 1/8, 1/2 over 1/4).
+        ((F(1, 2), F(1, 4), 1), (F(1, 4), F(1, 8), 1), F(2), F(3)),
+        # Every ratio ties: y is a multiple of x.
+        ((F(1, 2), F(1, 2), 1), (F(3, 2), F(3, 2), 3), F(1, 3), F(1)),
+        # Scales 1 and about 2^40.
+        ((1, 1, 4), (F(5, NEAR_2_40), F(7, NEAR_2_40), F(12, NEAR_2_40)), F(3 * NEAR_2_40, 5), F(21, 5)),
+        ((F(5, NEAR_2_40), F(7, NEAR_2_40), F(12, NEAR_2_40)), (1, 1, 4), F(7, NEAR_2_40), F(21, 5)),
+    ])
+    def test_ties_and_wide_scales(self, x, y, gauge, hilbert):
+        assert m_ratio(x, y, SQUARE) == fraction_m_ratio(x, y, SQUARE) == gauge
+        assert hilbert_cone(x, y, SQUARE).arg == two_pass_hilbert_cone(x, y, SQUARE).arg == hilbert
+        base = (F(1, 3), F(1, 5), 1)
+        assert j_eval(SQUARE, y, x, base) == fraction_j_eval(SQUARE, y, x, base)
+
+    def test_ties_and_wide_scales_on_a_face(self):
+        for x, y in [
+            ((0, F(1, 2), 1), (0, F(3, 2), 3)),  # every inactive ratio ties
+            ((0, 1, 4), (0, F(5, NEAR_2_40), F(12, NEAR_2_40))),
+            ((0, F(5, NEAR_2_40), F(12, NEAR_2_40)), (0, 1, 4)),
+        ]:
+            assert face_m_ratio(x, y, EDGE_FACE) == fraction_face_m_ratio(x, y, EDGE_FACE)
+            assert face_hilbert(x, y, EDGE_FACE) == two_pass_face_hilbert(x, y, EDGE_FACE)
+
+    @pytest.mark.parametrize("x, gauge", [
+        ((0, 0, 0), F(0)),  # every numerator value zero
+        ((0, F(1, 2), 0), F(1)),  # zero and negative numerator values, a positive maximum
+        ((-1, F(1, 2), 1), F(4)),
+        ((-3, -1, -1), F(4)),
+        ((F(-1, 2), F(-1, 2), -1), F(-1)),  # every numerator value negative
+        ((-3, -1, -5), F(-2)),
+    ])
+    def test_nonpositive_numerator_values(self, x, gauge):
+        y = (F(1, 2), F(1, 2), 1)
+        assert m_ratio(x, y, SQUARE) == fraction_m_ratio(x, y, SQUARE) == gauge
+        same_gauge(lambda: hilbert_cone(x, y, SQUARE), lambda: two_pass_hilbert_cone(x, y, SQUARE))
+        same_gauge(lambda: hilbert_cone(y, x, SQUARE), lambda: two_pass_hilbert_cone(y, x, SQUARE))
+        assert j_eval(SQUARE, y, x, y) == fraction_j_eval(SQUARE, y, x, y) == gauge
+        assert face_m_ratio(x, (0, F(1, 2), 1), EDGE_FACE) == fraction_face_m_ratio(x, (0, F(1, 2), 1), EDGE_FACE)
+
+    def test_refusal_parity(self):
+        good = [(F(1, 2), F(1, 3), 1), (0, F(1, 2), 1), (1, 1, 4)]
+        bad = [
+            (0, 0, 1),  # a vertex: on the face's inactive rows too
+            (F(1, 2), F(1, 2), 1),  # interior, off the face
+            (2, F(1, 2), 1),  # exterior
+            (F(1, 2), 1),  # wrong dimension
+            (F(1, 2), 0.5, 1),  # a float
+            5,  # not a vector
+        ]
+        refused = 0
+        for x in good + bad:
+            for y in good + bad:
+                if x in good and y in good:
+                    continue
+                calls = [
+                    (lambda: hilbert_cone(x, y, SQUARE), lambda: two_pass_hilbert_cone(x, y, SQUARE)),
+                    (lambda: face_hilbert(x, y, EDGE_FACE), lambda: two_pass_face_hilbert(x, y, EDGE_FACE)),
+                    (lambda: j_eval(SQUARE, x, y, good[0]), lambda: fraction_j_eval(SQUARE, x, y, good[0])),
+                    (lambda: j_eval(SQUARE, good[0], x, y), lambda: fraction_j_eval(SQUARE, good[0], x, y)),
+                ]
+                refused += sum(not same_gauge(call, oracle) for call, oracle in calls)
+        assert refused >= 240

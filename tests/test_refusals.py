@@ -223,6 +223,9 @@ REFUSALS = [
     # Horoboundary.
     ("busemann-base", lambda: busemann_point(square(), EDGE, classify_point(square(), EDGE).active, CENTRE, EDGE), DomainError, "base-point must be interior"),
     ("busemann-eval-point", lambda: busemann_eval(on_square(), EDGE), DomainError, "horofunctions are evaluated at interior points"),
+    ("busemann-eval-exterior", lambda: busemann_eval(on_square(), OUTSIDE), DomainError, "horofunctions are evaluated at interior points"),
+    ("busemann-eval-parsed-first", lambda: busemann_eval(on_square(), HALF_FLOAT), ParseError, FLOAT),
+    ("busemann-eval-dimension", lambda: busemann_eval(on_square(), SHORT), DomainError, SHORT_DIM),
     ("detour-cost-cones", lambda: detour_cost(on_square(), on_triangle()), DomainError, "Busemann points live on different cones"),
     ("detour-decomposition-cones", lambda: detour_decomposition(on_square(), on_triangle()), DomainError, "Busemann points live on different cones"),
     ("detour-metric-cones", lambda: detour_metric(on_square(), on_triangle()), DomainError, "Busemann points live on different cones"),
