@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -31,8 +31,8 @@ from .linalg import (
     _gauss_jordan,
     _gordan_empty,
     _kernel,
+    _over,
     _primitive,
-    _scaled,
     _set,
     dot,
     in_cone,
@@ -134,16 +134,6 @@ def _nonzero(coeffs: Vector) -> Vector:
     return coeffs
 
 
-def _signed_values(rows: Sequence[Sequence[int]], point: Sequence[Fraction]) -> list[int]:
-    """Integer dot products of `rows` with `point` scaled to integers once.
-
-    Each is a positive multiple of the rational dot product, so its sign
-    and its zeros are exact.
-    """
-    x = _scaled(point)
-    return [sum(map(mul, row, x)) for row in rows]
-
-
 class PolyCone:
     """Open polyhedral cone, stored only as its canonical integer rows.
 
@@ -154,12 +144,15 @@ class PolyCone:
     equality and hashing read the rows, and so do sign tests and gauges.
     `facets` is a view: the unit-lead `LinearFunctional`s, built on access.
 
-    Construction keeps one primitive row per halfspace, refuses an empty
-    interior (one LP), and keeps a row exactly when its singleton face test
-    succeeds: some x has row . x = 0 and every other row . x > 0, one kernel
-    and one LP of `dim` rows per row (a lone row needs none).  A facet row
-    passes in its facet's relative interior; any other row is a nonnegative
-    combination of the facet rows, so it fails, whatever the order.
+    Construction keeps one primitive row per halfspace and keeps a row
+    exactly when its singleton face test succeeds: some x has row . x = 0
+    and every other row . x > 0, one kernel and one LP of `dim` rows per
+    row (a lone row needs none).  A facet row passes in its facet's relative
+    interior; any other row is a nonnegative combination of the facet rows,
+    so it fails, whatever the order.  The same tests decide emptiness: an
+    empty cone has a Gordan certificate y >= 0, sum(y_j row_j) = 0, on two
+    or more rows, so every test fails, while a nonempty one has a facet.
+    The cone is refused when no row passes.
     """
 
     __slots__ = ("ambient_dim", "lineality_basis", "_rows")
@@ -175,10 +168,10 @@ class PolyCone:
         if ambient_dim is not None and ambient_dim != dim:
             raise ConstructionError(f"functionals have dimension {dim}, expected {ambient_dim}")
         rows = list(set(rows))
-        if _gordan_empty(_kernel([], dim)[0], rows):
-            raise ConstructionError("cone has empty interior")
         if len(rows) > 1:
             rows = [r for i, r in enumerate(rows) if not _gordan_empty(_kernel([r], dim)[0], rows[:i] + rows[i + 1 :])]
+            if not rows:
+                raise ConstructionError("cone has empty interior")
         self._assign(tuple(sorted(rows, key=_unit_lead)), dim)
 
     def _assign(self, rows: tuple[tuple[int, ...], ...], dim: int) -> None:
@@ -238,11 +231,27 @@ class PointLocation(_Frozen):
         return self.kind == BOUNDARY
 
 
+def _row_values(owner: PolyCone | HPolytope, point: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The integer rows of a cone or polytope at `point` scaled to integers once, and that scale.
+
+    The point times the lcm s of its denominators is an integer vector, so
+    each value is s times the row's `Fraction` value at the point: signs and
+    zeros are exact, and two points' values give each rational ratio with
+    their scales folded in.  A polytope's rows (a, -b) are one longer than
+    its points and read the point at height one, scaled to s; a cone's rows
+    stop before that last entry.
+    """
+    point = vector(point)
+    owner._check_dim(point)
+    scale = lcm(*[q.denominator for q in point])
+    ints = _over(scale, point)
+    ints.append(scale)
+    return [sum(map(mul, row, ints)) for row in owner._rows], scale
+
+
 def classify_point(cone: PolyCone, point: Sequence[Fraction]) -> PointLocation:
     """Interior, boundary (with the active facet set), or exterior."""
-    point = vector(point)
-    cone._check_dim(point)
-    values = _signed_values(cone._rows, point)
+    values, _ = _row_values(cone, point)
     if any(v < 0 for v in values):
         return PointLocation(EXTERIOR)
     active = frozenset(i for i, v in enumerate(values) if v == 0)
@@ -303,7 +312,7 @@ class HPolytope:
     Construction enumerates the vertices (exactly) and fails on unbounded,
     empty, or lower-dimensional input.  Each halfspace is also kept as the
     primitive integer row of (a_i, -b_i), on which membership is a sign
-    test of an integer dot product with the point at height one.  The
+    test of `_row_values`, the rows at the point at height one.  The
     integer rows go into elimination as they are: boundedness is one rank
     and one LP on their normal parts, and each vertex candidate is one
     integer kernel of a dim-subset of them.
@@ -340,7 +349,7 @@ class HPolytope:
         verts = self._enumerate_vertices()
         if not verts:
             raise ConstructionError("polytope has no vertices")
-        self.vertices = tuple(sorted(verts))
+        self.vertices = tuple(verts)
         if not self.contains_interior(interior_point(self)):
             raise ConstructionError("polytope has empty interior")
 
@@ -359,7 +368,7 @@ class HPolytope:
         return in_cone([-sum(column) for column in zip(*normals)], normals)
 
     def _enumerate_vertices(self) -> list[Vector]:
-        """The points where dim halfspace boundaries meet and every halfspace holds.
+        """The points where dim halfspace boundaries meet and every halfspace holds, sorted.
 
         A dim-subset of the integer rows (a_i, -b_i) meets in one point x
         exactly when its kernel is a single line, spanned by v = h (x, 1)
@@ -379,11 +388,12 @@ class HPolytope:
                 found.add(tuple(Fraction(c, h) for c in v[:n]))
         return sorted(found)
 
-    def contains_interior(self, point: Sequence[Fraction]) -> bool:
-        point = vector(point)
+    def _check_dim(self, point: Sequence[Fraction]) -> None:
         if len(point) != self.dim:
             raise DomainError(f"point has dimension {len(point)}, polytope has {self.dim}")
-        return all(v > 0 for v in _signed_values(self._rows, (*point, ONE)))
+
+    def contains_interior(self, point: Sequence[Fraction]) -> bool:
+        return min(_row_values(self, point)[0]) > 0
 
     def __repr__(self) -> str:
         return f"HPolytope(dim={self.dim}, halfspaces={len(self.halfspaces)}, vertices={len(self.vertices)})"

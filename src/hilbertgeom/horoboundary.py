@@ -24,12 +24,13 @@ from .geometry import (
     Face,
     PolyCone,
     _face_lattice_cached,
+    _row_values,
     _unit_lead,
     classify_point,
     face_lattice_active_sets,
 )
 from .linalg import Vector, _Frozen, _gauss_jordan, _set, rational, rref, vector
-from .metrics import LogValue, _max_ratio, _row_values, face_hilbert, face_m_ratio, hilbert_cone, m_ratio
+from .metrics import LogValue, _max_ratio, face_hilbert, face_m_ratio, hilbert_cone, m_ratio
 from .tangent import canonical_index_set, subcone
 
 

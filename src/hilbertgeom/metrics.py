@@ -7,10 +7,11 @@ a value is rendered for display.
 The cone gauges `m_ratio` and `face_m_ratio` take the largest ratio of the
 cone's integer-row values (`_max_ratio`); a row is a positive multiple of
 its facet functional, so each ratio and each sign is the functional's own.
-The kernel is integer-only: `_row_values` scales a point to integers once,
-by the lcm of its denominators, and `_max_ratio` finds the largest ratio
-by cross-multiplying, then builds one `Fraction` per gauge, with the two
-points' scales folded in.  The two-sided metrics `hilbert_cone`,
+The kernel is integer-only: `geometry._row_values`, which also gives
+`classify_point` and polytope membership their signs, scales a point to
+integers once, by the lcm of its denominators, and `_max_ratio` finds the
+largest ratio by cross-multiplying, then builds one `Fraction` per gauge,
+with the two points' scales folded in.  The two-sided metrics `hilbert_cone`,
 `face_hilbert` and `j_eval` read each point's row values once and take both
 ratios from them.
 
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 from typing import Callable, Sequence
 
 from .geometry import (
@@ -32,9 +32,10 @@ from .geometry import (
     Face,
     HPolytope,
     PolyCone,
+    _row_values,
     format_rational,
 )
-from .linalg import ONE, Vector, _over, dot, rational, vector, vsub
+from .linalg import ONE, Vector, dot, rational, vector, vsub
 
 
 class LogValue:
@@ -128,19 +129,6 @@ class LogValue:
 LogValue.INFINITY = LogValue(None)
 
 Metric = Callable[[Sequence[Fraction], Sequence[Fraction]], LogValue]
-
-
-def _row_values(cone: PolyCone, point: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The cone's integer rows at `point` scaled to integers once, and that scale.
-
-    The point times the lcm s of its denominators is an integer vector, so
-    each row value is s times the row's `Fraction` value at the point.
-    """
-    point = vector(point)
-    cone._check_dim(point)
-    scale = math.lcm(*[q.denominator for q in point])
-    ints = _over(scale, point)
-    return [sum(map(mul, row, ints)) for row in cone._rows], scale
 
 
 def _max_ratio(numerators: tuple[list[int], int], denominators: tuple[list[int], int], refusal: str) -> Fraction:
@@ -333,9 +321,12 @@ def j_eval(
 ) -> Fraction:
     """Normalised gauge M(y/x) / M(base/x); convex in y, equals 1 at y = base.
 
-    x's row values are read once and serve both gauges.
+    x's row values are read once and serve both gauges.  M(base/x) must be
+    positive, as it is for any base in the closed cone off its lineality space.
     """
     bases = _row_values(cone, base)
     xs = _row_values(cone, x)
     denominator = _max_ratio(bases, xs, _INTERIOR)
+    if denominator <= 0:
+        raise DomainError("normalising gauge M(base/x) is not positive")
     return _max_ratio(_row_values(cone, y), xs, _INTERIOR) / denominator

@@ -52,14 +52,6 @@ class VClass(_Frozen):
     def rep(self) -> Vector:
         return tuple(Fraction(a, self.den) for a in self.nums)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.nums == other.nums and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nums, self.den))
-
     def __reduce__(self):
         return _vclass, (self.nums, self.den)
 

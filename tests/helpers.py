@@ -108,8 +108,13 @@ def fraction_face_m_ratio(numerator, denominator, face):
 
 
 def fraction_j_eval(cone, x, y, base):
-    """`j_eval` oracle: M(y/x) / M(base/x) on `fraction_m_ratio`, refusing base, then x, then y."""
+    """`j_eval` oracle: M(y/x) / M(base/x) on `fraction_m_ratio`.
+
+    Refuses base, then x, then a nonpositive M(base/x), then y.
+    """
     denominator = fraction_m_ratio(base, x, cone)
+    if denominator <= 0:
+        raise DomainError("normalising gauge M(base/x) is not positive")
     return fraction_m_ratio(y, x, cone) / denominator
 
 

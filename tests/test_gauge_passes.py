@@ -167,7 +167,7 @@ def counter(monkeypatch, function, modules):
 @pytest.fixture
 def passes(monkeypatch):
     """The number of `_row_values` calls, from `metrics` or `horoboundary`, since set-up."""
-    return counter(monkeypatch, metrics._row_values, (metrics, horoboundary))
+    return counter(monkeypatch, geometry._row_values, (metrics, horoboundary))
 
 
 def square_points():

@@ -511,6 +511,8 @@ SPECIAL_FACET_LISTS = [
     ([(1, 0), (-1, 0)], 2),  # empty interior
     ([(1, 0, 0), (0, 1, 0), (-1, -1, 0)], 3),  # empty interior, no opposite pair
     ([(1, 0), (0, 1), (1, 1), (2, 2)], 2),  # an implied functional, twice
+    ([(1,), (-1,)], 1),  # empty interior: each singleton's kernel is {0}
+    ([(1,), (2,)], 1),  # one row after merging, so no LP
 ]
 
 
@@ -534,16 +536,16 @@ class TestFaceTestConstruction:
         assert 100 < refused < 500
 
     def test_lp_count(self, lp_calls):
-        # One LP of dim + 1 rows for the interior, then one of dim rows per distinct row.
+        # One LP of dim rows per distinct row, refused or not, and none for a lone row:
+        # emptiness is read off the same singleton tests.
         for facets, dim in self.lists():
             distinct = len({LinearFunctional(f).canonical() for f in facets})
             lp_calls.clear()
             try:
                 PolyCone(facets, dim)
             except ConstructionError:
-                assert lp_calls == [dim + 1]
-                continue
-            assert lp_calls == [dim + 1] + ([dim] * distinct if distinct > 1 else [])
+                pass
+            assert lp_calls == ([dim] * distinct if distinct > 1 else [])
 
     def test_cone_subset_matches_primal_oracle(self, lp_calls):
         by_dim = {}
@@ -567,7 +569,7 @@ class TestFaceTestConstruction:
                     assert answer == primal_cone_subset(inner, outer)
                     pairs += 1
                     contained += answer
-        assert pairs == 3 * 24 * 24
+        assert pairs == 3 * 24 * 24 + 2 * 2  # 24 cones in each of dims 2 to 4; in dim 1, [(1,), (2,)] and its subcone
         assert 3 * 24 < contained < pairs
 
 

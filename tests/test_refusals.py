@@ -122,6 +122,7 @@ INTERIOR = "gauge denominator point must be interior"
 RELATIVE = "denominator point is not in the relative interior of the face"
 FUNK_SIGN = "Funk metric undefined: gauge argument is not positive"
 SHORT_DIM = "point has dimension 2, cone lives in 3"
+J_BASE = "normalising gauge M(base/x) is not positive"
 
 REFUSALS = [
     # PolyCone: the same checks in the same order, whatever route construction takes.
@@ -178,6 +179,10 @@ REFUSALS = [
     ("j-eval-both-x-interior-first", lambda: j_eval(square(), EDGE, HALF_FLOAT, CENTRE), DomainError, INTERIOR),
     ("j-eval-both-x-parsed-before-y", lambda: j_eval(square(), HALF_FLOAT, SHORT, CENTRE), ParseError, FLOAT),
     ("j-eval-base-parsed-first", lambda: j_eval(square(), SHORT, CENTRE, HALF_FLOAT), ParseError, FLOAT),
+    # M(base/x) is checked as soon as it is known, before y is read.
+    ("j-eval-base-at-origin", lambda: j_eval(positive_orthant(3), (1, 1, 1), (1, 2, 1), (0, 0, 0)), DomainError, J_BASE),
+    ("j-eval-base-outside", lambda: j_eval(positive_orthant(3), (1, 1, 1), (1, 2, 1), (-1, -1, -1)), DomainError, J_BASE),
+    ("j-eval-base-before-y", lambda: j_eval(positive_orthant(3), (1, 1, 1), SHORT, (-1, -1, -1)), DomainError, J_BASE),
     ("geodesic-one-point", lambda: almost_geodesic_check([CENTRE], zero_distance), DomainError, "an almost-geodesic needs at least two points"),
     # Simplex.
     ("var-dist-sizes", lambda: var_dist(VClass([0, 1]), VClass([0, 1, 2])), DomainError, "variation classes of different dimension"),
