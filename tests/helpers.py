@@ -12,7 +12,7 @@ from pathlib import Path
 
 import hilbertgeom.linalg as linalg
 from hilbertgeom import (
-    ConstructionError, DomainError, HPolytope, LinearFunctional, cone_from_polytope, lift_to_cone, vector,
+    ConstructionError, DomainError, HPolytope, LinearFunctional, PolyCone, cone_from_polytope, lift_to_cone, vector,
 )
 from hilbertgeom.linalg import (
     _gauss_jordan, _gordan_empty, _integer_rows, _kernel, _over, _primitive, in_cone, kernel_basis, rank,
@@ -292,6 +292,33 @@ def polygon(vertices) -> HPolytope:
 
 def pentagon() -> HPolytope:
     return polygon([(0, 0), (2, 0), (3, 2), (1, 4), (-1, 2)])
+
+
+def octahedron():
+    """|x| + |y| + |z| < 1: four facets meet at each vertex, so it is not simple."""
+    signs = [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    return HPolytope(3, [(s, -1) for s in signs])
+
+
+def square_pyramid():
+    """Apex (0, 0, 1) over the square [-1, 1]^2: four facets meet at the apex."""
+    sides = [((-1, 0, -1), -1), ((1, 0, -1), -1), ((0, -1, -1), -1), ((0, 1, -1), -1)]
+    return HPolytope(3, [((0, 0, 1), 0)] + sides)
+
+
+def pentagonal_pyramid():
+    """Apex (1, 2, 1) over a pentagon: five facets, more than the rank four, meet at the apex."""
+    sides = []
+    for f, b in pentagon().halfspaces:
+        a = f.coeffs
+        c = a[0] * 1 + a[1] * 2 - b  # the side through the apex and one base edge
+        sides.append(((a[0], a[1], -c), b))
+    return HPolytope(3, [((0, 0, 1), 0)] + sides)
+
+
+def square_with_line():
+    """The square's cone times a line: four facets of rank three in R^4."""
+    return PolyCone([(1, 0, 0, 0), (-1, 0, 1, 0), (0, 1, 0, 0), (0, -1, 1, 0)], 4)
 
 
 def _circumscribed(dim: int, points) -> HPolytope:

@@ -11,7 +11,6 @@ import hilbertgeom.horoboundary as horoboundary
 import hilbertgeom.linalg as linalg
 from hilbertgeom import (
     ConstructionError,
-    HPolytope,
     PolyCone,
     classify_point,
     cone_from_polytope,
@@ -24,7 +23,10 @@ from hilbertgeom import (
 from hilbertgeom.geometry import FACE_LATTICE_MAX_FACETS, _face_lattice_cached
 from hilbertgeom.linalg import rank
 
-from helpers import F, linear_system_feasible, pentagon, simplex2, tangent_polygon, tangent_polytope3, unit_cube, unit_square
+from helpers import (
+    F, linear_system_feasible, octahedron, pentagonal_pyramid, simplex2, square_pyramid, square_with_line,
+    tangent_polygon, tangent_polytope3, unit_cube, unit_square,
+)
 
 
 def lp_lattice(cone):
@@ -52,33 +54,6 @@ def undecided_by_rank(cone):
     full = rank(rows)
     ranks = (rank([rows[i] for i in subset]) for r in range(2, n) for subset in combinations(range(n), r))
     return [cone.ambient_dim - k + 1 for k in ranks if k < full]
-
-
-def octahedron():
-    """|x| + |y| + |z| < 1: four facets meet at each vertex, so it is not simple."""
-    signs = [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
-    return HPolytope(3, [(s, -1) for s in signs])
-
-
-def square_pyramid():
-    """Apex (0, 0, 1) over the square [-1, 1]^2: four facets meet at the apex."""
-    sides = [((-1, 0, -1), -1), ((1, 0, -1), -1), ((0, -1, -1), -1), ((0, 1, -1), -1)]
-    return HPolytope(3, [((0, 0, 1), 0)] + sides)
-
-
-def pentagonal_pyramid():
-    """Apex (1, 2, 1) over a pentagon: five facets, more than the rank four, meet at the apex."""
-    sides = []
-    for f, b in pentagon().halfspaces:
-        a = f.coeffs
-        c = a[0] * 1 + a[1] * 2 - b  # the side through the apex and one base edge
-        sides.append(((a[0], a[1], -c), b))
-    return HPolytope(3, [((0, 0, 1), 0)] + sides)
-
-
-def square_with_line():
-    """The square's cone times a line: four facets of rank three in R^4."""
-    return PolyCone([(1, 0, 0, 0), (-1, 0, 1, 0), (0, 1, 0, 0), (0, -1, 1, 0)], 4)
 
 
 def eliminated_by_lattice(cone):

@@ -46,11 +46,14 @@ from helpers import (
     facet_index,
     interior_sample,
     interval,
+    octahedron,
     oracle_vertices,
     pentagon,
+    pentagonal_pyramid,
     primal_cone_subset,
     sequential_cone,
     simplex2,
+    square_pyramid,
     tangent_polygon,
     tangent_polytope3,
     unit_cube,
@@ -394,8 +397,6 @@ class TestVertexEnumeration:
         Each must give exactly the vertices of the rational oracle, which
         are also the ones the generator computes by its own elimination.
         """
-        from test_face_lattice import octahedron, pentagonal_pyramid, square_pyramid
-
         gen = bench_gen()
         rng = random.Random(20261018)
         checked = 0
