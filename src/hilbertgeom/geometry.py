@@ -13,10 +13,10 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb, lcm
-from operator import mul
+from operator import and_, mul
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -27,15 +27,14 @@ from .linalg import (
     ParseError,
     Vector,
     _Frozen,
+    _extreme_rays,
     _fraction_kernel,
-    _gauss_jordan,
     _gordan_empty,
     _kernel,
     _over,
     _primitive,
     _set,
     dot,
-    in_cone,
     rational,
     vector,
 )
@@ -128,6 +127,18 @@ def _unit_lead(coords: Vector) -> Vector:
     return tuple(scale * c for c in coords)
 
 
+def _sorted_by_unit_lead(rows: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """Nonzero integer rows sorted by their `_unit_lead` forms, compared on integers.
+
+    Each row times L / |lead|, for L the lcm of the leads' absolute values,
+    is its unit-lead form times the one positive L, so the order is the same.
+    """
+    leads = [abs(next(c for c in row if c)) for row in rows]
+    scale = lcm(*leads)
+    keys = {row: tuple(c * (scale // lead) for c in row) for row, lead in zip(rows, leads)}
+    return tuple(sorted(rows, key=keys.__getitem__))
+
+
 def _nonzero(coeffs: Vector) -> Vector:
     if not any(coeffs):
         raise ConstructionError("the zero functional is not allowed")
@@ -144,15 +155,16 @@ class PolyCone:
     equality and hashing read the rows, and so do sign tests and gauges.
     `facets` is a view: the unit-lead `LinearFunctional`s, built on access.
 
-    Construction keeps one primitive row per halfspace and keeps a row
-    exactly when its singleton face test succeeds: some x has row . x = 0
-    and every other row . x > 0, one kernel and one LP of `dim` rows per
-    row (a lone row needs none).  A facet row passes in its facet's relative
-    interior; any other row is a nonnegative combination of the facet rows,
-    so it fails, whatever the order.  The same tests decide emptiness: an
-    empty cone has a Gordan certificate y >= 0, sum(y_j row_j) = 0, on two
-    or more rows, so every test fails, while a nonempty one has a facet.
-    The cone is refused when no row passes.
+    Construction merges equal primitive rows and reads the rest off the
+    extreme rays of the closed cone {row . x >= 0} (`linalg._extreme_rays`,
+    no LP).  The closed cone is the lineality space plus the cone of its
+    rays, and every row vanishes on the lineality space, so a row vanishes
+    on the whole closed cone exactly when it vanishes on every ray: then
+    the open cone is empty and is refused.  Otherwise each row's face is
+    spanned by the rays it vanishes on, and a row is kept exactly when that
+    face is a facet, that is when its set of rays is not strictly inside
+    another row's.  Two rows with one facet are positive multiples of each
+    other, so after the merge every facet keeps exactly one row.
     """
 
     __slots__ = ("ambient_dim", "lineality_basis", "_rows")
@@ -168,11 +180,13 @@ class PolyCone:
         if ambient_dim is not None and ambient_dim != dim:
             raise ConstructionError(f"functionals have dimension {dim}, expected {ambient_dim}")
         rows = list(set(rows))
-        if len(rows) > 1:
-            rows = [r for i, r in enumerate(rows) if not _gordan_empty(_kernel([r], dim)[0], rows[:i] + rows[i + 1 :])]
-            if not rows:
-                raise ConstructionError("cone has empty interior")
-        self._assign(tuple(sorted(rows, key=_unit_lead)), dim)
+        _, zeros, _ = _extreme_rays(rows, dim)
+        # Per row, the bit mask of the rays it vanishes on.
+        touched = [sum(1 << k for k, z in enumerate(zeros) if z >> i & 1) for i in range(len(rows))]
+        if (1 << len(zeros)) - 1 in touched:
+            raise ConstructionError("cone has empty interior")
+        rows = [r for r, t in zip(rows, touched) if not any(t & u == t != u for u in touched)]
+        self._assign(_sorted_by_unit_lead(rows), dim)
 
     def _assign(self, rows: tuple[tuple[int, ...], ...], dim: int) -> None:
         """Store already canonical integer rows and their lineality space."""
@@ -312,10 +326,17 @@ class HPolytope:
     Construction enumerates the vertices (exactly) and fails on unbounded,
     empty, or lower-dimensional input.  Each halfspace is also kept as the
     primitive integer row of (a_i, -b_i), on which membership is a sign
-    test of `_row_values`, the rows at the point at height one.  The
-    integer rows go into elimination as they are: boundedness is one rank
-    and one LP on their normal parts, and each vertex candidate is one
-    integer kernel of a dim-subset of them.
+    test of `_row_values`, the rows at the point at height one.
+
+    Vertices and boundedness come from one double description, no LP: the
+    extreme rays of K = {(x, h) : (a_i, -b_i) . (x, h) >= 0, h >= 0}.  The
+    face of K at h = 0 is {a_i . x >= 0}, which is {0} exactly when the
+    polytope is bounded (whether or not it is empty); so the polytope is
+    unbounded exactly when K keeps a line or has a ray with h = 0.  When it
+    is bounded, K is the cone over the closed polytope, and the rays (x h, h)
+    give its vertices x; none means the closed polytope is empty.  The
+    interior is empty exactly when some halfspace row vanishes on every
+    vertex, that is at the vertex centroid, where every row is >= 0.
     """
 
     __slots__ = ("dim", "halfspaces", "vertices", "_rows")
@@ -344,49 +365,17 @@ class HPolytope:
         self.dim = dim
         self.halfspaces = tuple(pairs)
         self._rows = tuple(_primitive((*f.coeffs, -b)) for f, b in pairs)
-        if not self._is_bounded():
+        rays, zeros, lineality = _extreme_rays(((0,) * dim + (1,), *self._rows), dim + 1)
+        if lineality or not all(ray[dim] for ray in rays):
             raise ConstructionError("polytope is unbounded")
-        verts = self._enumerate_vertices()
-        if not verts:
+        if not rays:
             raise ConstructionError("polytope has no vertices")
-        self.vertices = tuple(verts)
-        if not self.contains_interior(interior_point(self)):
+        # Sorted on integers: each ray times H / h, for H the lcm of the heights, is its vertex times H.
+        height = lcm(*[ray[dim] for ray in rays])
+        rays.sort(key=lambda ray: [c * (height // ray[dim]) for c in ray])
+        self.vertices = tuple(tuple(Fraction(c, ray[dim]) for c in ray[:dim]) for ray in rays)
+        if reduce(and_, zeros):  # the rows that vanish on every vertex
             raise ConstructionError("polytope has empty interior")
-
-    def _is_bounded(self) -> bool:
-        """Do the normals positively span the whole space?  Then no direction recedes.
-
-        Vectors positively span R^n exactly when they have rank n and a
-        strictly positive linear dependence (Davis 1954), that is when
-        -sum(a_i) is a nonnegative combination of the a_i: one LP.  The
-        normals are read off the integer rows, each a positive multiple of
-        its a_i, which changes neither property.
-        """
-        normals = [row[: self.dim] for row in self._rows]
-        if len(_gauss_jordan(normals)[1]) < self.dim:
-            return False
-        return in_cone([-sum(column) for column in zip(*normals)], normals)
-
-    def _enumerate_vertices(self) -> list[Vector]:
-        """The points where dim halfspace boundaries meet and every halfspace holds, sorted.
-
-        A dim-subset of the integer rows (a_i, -b_i) meets in one point x
-        exactly when its kernel is a single line, spanned by v = h (x, 1)
-        with h != 0.  That point is a vertex when every row . v is zero or
-        has the sign of h.  The test runs on integers; only accepted points
-        become `Fraction`s.
-        """
-        found: set[Vector] = set()
-        n = self.dim
-        for subset in combinations(self._rows, n):
-            basis, _ = _kernel(subset, n + 1)
-            if len(basis) != 1 or not basis[0][n]:
-                continue
-            v = basis[0]
-            h = v[n]
-            if all(sum(map(mul, row, v)) * h >= 0 for row in self._rows):
-                found.add(tuple(Fraction(c, h) for c in v[:n]))
-        return sorted(found)
 
     def _check_dim(self, point: Sequence[Fraction]) -> None:
         if len(point) != self.dim:
@@ -470,8 +459,9 @@ def face_lattice_active_sets(cone: PolyCone) -> list[frozenset[int]]:
     {psi_i = 0 on I, psi_j > 0 off I} has a (necessarily nonzero) solution.
     Rank and irredundancy decide most subsets without an LP:
 
-    - every singleton is listed: the constructor kept exactly the rows
-      whose singleton face test succeeds, the same question asked here;
+    - every singleton is listed: the constructor kept exactly the facet
+      rows, and each is zero on its facet's relative interior, where every
+      other row is positive;
     - no subset whose rows reach the rank of the whole list is listed: its
       kernel is the lineality space, where every functional vanishes.  A
       subset larger than that rank reaches it exactly when one of its

@@ -25,13 +25,12 @@ from .geometry import (
     PolyCone,
     _face_lattice_cached,
     _row_values,
-    _unit_lead,
     classify_point,
     face_lattice_active_sets,
 )
-from .linalg import Vector, _Frozen, _gauss_jordan, _set, rational, rref, vector
+from .linalg import Vector, _Frozen, _gauss_jordan, _kernel, _over, _set, rational, vector
 from .metrics import LogValue, _max_ratio, face_hilbert, face_m_ratio, hilbert_cone, m_ratio
-from .tangent import canonical_index_set, subcone
+from .tangent import _check_indices, canonical_index_set, subcone
 
 
 class BusemannPoint(_Frozen):
@@ -65,19 +64,6 @@ def _anchor(point: BusemannPoint) -> tuple[Fraction, Fraction]:
     return anchor
 
 
-def _reduce_mod_subspace(point: Vector, basis: Sequence[Vector]) -> Vector:
-    """Zero the coordinates of `point` along the pivot directions of the subspace."""
-    if not basis:
-        return point
-    reduced, pivots = rref(basis)
-    out = list(point)
-    for row, c in zip(reduced, pivots):
-        factor = out[c]
-        if factor != 0:
-            out = [v - factor * w for v, w in zip(out, row)]
-    return tuple(out)
-
-
 def busemann_point(
     cone: PolyCone,
     x: Sequence[Fraction],
@@ -85,35 +71,62 @@ def busemann_point(
     p: Sequence[Fraction],
     base: Sequence[Fraction],
 ) -> BusemannPoint:
-    """Validate and canonicalise the data of a Busemann point."""
+    """Validate and canonicalise the data of a Busemann point.
+
+    x, the base-point and p are each scaled to integers once and read by
+    one row-value pass (`_row_values`).  The canonical x is its integer
+    vector over the absolute value of its leading entry.  p is reduced
+    modulo the funk cone's lineality space L on integers: the integer
+    kernel of the funk rows spans L, and its fraction-free reduced echelon
+    form R / d (`_gauss_jordan`) zeroes p at each pivot column c by
+    p - sum p_c R_c / d.  For P = s p, s the scale of p, that is the integer
+    vector d P - sum P_c R_c over s d, negated when d < 0 so the multiple
+    is positive.  The canonical p is that vector over the absolute value
+    of its leading entry.
+    """
     if not cone.is_proper:
         raise DomainError("Busemann points require a proper cone")
     x = vector(x)
     base = vector(base)
-    loc = classify_point(cone, x)
-    if not loc.is_boundary or all(c == 0 for c in x):
+    values, x_scale = _row_values(cone, x)
+    active = frozenset(i for i, v in enumerate(values) if v == 0)
+    if not active or min(values) < 0 or not any(x):
         raise DomainError("boundary point must lie on the cone boundary, away from the apex")
-    if not classify_point(cone, base).is_interior:
+    if min(_row_values(cone, base)[0]) <= 0:
         raise DomainError("base-point must be interior")
     index = frozenset(funk_index)
     if not index:
         raise DomainError("funk cone index set must be nonempty")
-    if not index <= loc.active:
+    if not index <= active:
         raise DomainError("funk cone indices must be active at the boundary point")
     funk_cone = subcone(cone, index)
     p = vector(p)
-    if not classify_point(funk_cone, p).is_interior:
+    values, p_scale = _row_values(funk_cone, p)
+    if min(values) <= 0:
         raise DomainError("reference point must be interior to the funk cone")
-    p_reduced = _reduce_mod_subspace(p, funk_cone.lineality_basis)
+    ints = _over(p_scale, p)
+    if funk_cone.lineality_basis:
+        reduced, pivots, d = _gauss_jordan(_kernel(funk_cone._rows, cone.ambient_dim)[0])
+        moved = [d * v for v in ints]
+        for row, c in zip(reduced, pivots):
+            if ints[c]:
+                moved = [v - ints[c] * w for v, w in zip(moved, row)]
+        ints = moved if d > 0 else [-v for v in moved]
     return BusemannPoint(
         cone=cone,
-        x=_unit_lead(x),
-        x_active=loc.active,
+        x=_unit_lead_ints(_over(x_scale, x)),
+        x_active=active,
         funk_index=index,
         funk_cone=funk_cone,
-        p=_unit_lead(p_reduced),
+        p=_unit_lead_ints(ints),
         base=base,
     )
+
+
+def _unit_lead_ints(ints: list[int]) -> Vector:
+    """`_unit_lead` of a nonzero integer vector, as `Fraction`s; the same for every positive multiple."""
+    lead = abs(next(v for v in ints if v))
+    return tuple(Fraction(v, lead) for v in ints)
 
 
 def busemann_from_line(
@@ -239,9 +252,9 @@ def _validate_part(cone: PolyCone, part: PartId) -> int:
         raise DomainError("part has empty index data")
     if not part.cone_index <= part.face_active:
         raise DomainError("part cone indices must be active on the face")
-    # Both: a cone index 1.0 equals the face index 1 and so passes the nesting.
-    canonical_index_set(cone, part.face_active)
-    canonical_index_set(cone, part.cone_index)
+    # Both sets, not their union: a cone index 1.0 equals the face index 1, passes the nesting and
+    # would vanish from a union.  Once every index is an int, lattice membership decides the rest.
+    _check_indices(cone, (*part.face_active, *part.cone_index))
     span = _face_lattice_cached(cone).get(part.face_active)
     if span is None:
         raise DomainError("face active set does not describe a boundary face")

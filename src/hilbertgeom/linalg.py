@@ -9,10 +9,15 @@ One fraction-free pivot step (`_pivot`) serves elimination (`_gauss_jordan`,
 given: cones and polytopes pass their primitive integer rows straight in,
 and the public `rref`, `rank` and `kernel_basis` scale `Fraction` input once.
 
-Apart from polytope boundedness (`in_cone`), the one LP question is the
-face test: is {z.x = 0 for each zero row, p.x > 0 for each positive row}
-nonempty?  Its one entry, `_gordan_empty`, takes an integer basis of the
-equations' kernel (the identity for none) and primitive integer rows.
+Cone and polytope construction ask no LP.  `_extreme_rays` is an integer
+double description: the extreme rays of {x : row.x >= 0}, which rows
+vanish on each, and the lineality space.  Polytope vertices, boundedness,
+cone emptiness and facets are all read off them.
+
+The one LP question left is the face test of the face lattice and of
+`cone_subset`: is {z.x = 0 for each zero row, p.x > 0 for each positive
+row} nonempty?  Its one entry, `_gordan_empty`, takes an integer basis of
+the equations' kernel (the identity for none) and primitive integer rows.
 
 The module also holds what every other module shares: the error classes and
 `_Frozen`, the base of the immutable value classes.
@@ -285,14 +290,6 @@ def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> t
         basis[leave] = enter
 
 
-def in_cone(target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]) -> bool:
-    """Farkas membership: is `target` a nonnegative combination of `generators`?"""
-    if not generators:
-        return all(x == 0 for x in target)
-    rows = [[g[i] for g in generators] for i in range(len(target))]
-    return feasible_standard(rows, list(target))
-
-
 def _gordan_empty(basis: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]) -> bool:
     """The face test: is {x = K t : (P K) t > 0} empty, for K the integer `basis`?
 
@@ -305,6 +302,73 @@ def _gordan_empty(basis: Sequence[Sequence[int]], columns: Sequence[Sequence[int
     rows = [[sum(map(mul, col, k)) for col in columns] for k in basis]
     rows.append([1] * len(columns))
     return feasible_standard(rows, [0] * len(basis) + [1])
+
+
+def _extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """Integer double description of the closed cone {x : row . x >= 0 for every row}.
+
+    Returns (rays, zeros, lineality): the primitive extreme rays of the
+    cone modulo its lineality space, for each ray the bit mask of the rows
+    that vanish on it (bit i for row i), and a primitive integer basis of
+    the lineality space.  The rows must be nonzero integers.
+
+    The rows are added one at a time to the cone R^dim, whose lineality
+    basis is the identity (Motzkin et al. 1953; Fukuda & Prodon 1996).
+    - A row that does not vanish on the lineality space pivots along one
+      basis line l with row . l > 0: l becomes a ray, on which every earlier
+      row vanishes, and each other basis vector and each ray is moved along
+      l into the row's kernel, which changes no earlier row's sign.
+    - Otherwise each ray keeps its place if the row is >= 0 on it, and each
+      adjacent pair of a positive and a negative ray gives the ray where
+      the row vanishes between them.  Two rays are adjacent exactly when no
+      third ray vanishes on every row that both vanish on (the
+      combinatorial test), because the smallest face holding both is then
+      spanned by the two.  That face has dimension 2 plus the lineality's,
+      so its rows, the ones both rays vanish on, number at least dim minus
+      that: fewer rules the pair out before the test.
+    Every combination has positive integer weights, so signs are exact.
+    """
+    lineality = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    rays: list[list[int]] = []
+    zeros: list[int] = []
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        values = [sum(map(mul, row, v)) for v in lineality]
+        j = next((k for k, v in enumerate(values) if v), None)
+        if j is not None:
+            line, a = lineality.pop(j), values.pop(j)
+            if a < 0:
+                line, a = [-c for c in line], -a
+            lineality = [_divided([a * c - v * w for c, w in zip(u, line)]) for u, v in zip(lineality, values)]
+            rays = [_divided([a * c - sum(map(mul, row, r)) * w for c, w in zip(r, line)]) for r in rays]
+            zeros = [z | bit for z in zeros]
+            rays.append(line)
+            zeros.append(bit - 1)
+            continue
+        values = [sum(map(mul, row, r)) for r in rays]
+        kept = [k for k, v in enumerate(values) if v >= 0]
+        new_rays = [rays[k] for k in kept]
+        new_zeros = [zeros[k] | bit if values[k] == 0 else zeros[k] for k in kept]
+        negative = [k for k, v in enumerate(values) if v < 0]
+        least = dim - len(lineality) - 2
+        for p in (k for k in kept if values[k]):
+            for n in negative:
+                common = zeros[p] & zeros[n]
+                if common.bit_count() < least or any(
+                    common & z == common for k, z in enumerate(zeros) if k != p and k != n
+                ):
+                    continue
+                vp, vn = values[p], values[n]
+                new_rays.append(_divided([vp * b - vn * c for b, c in zip(rays[n], rays[p])]))
+                new_zeros.append(common | bit)
+        rays, zeros = new_rays, new_zeros
+    return rays, zeros, lineality
+
+
+def _divided(ints: list[int]) -> list[int]:
+    """A nonzero integer vector divided by the gcd of its entries: the primitive vector on its ray."""
+    g = gcd(*ints)
+    return ints if g == 1 else [v // g for v in ints]
 
 
 def _primitive(values: Sequence[Fraction]) -> tuple[int, ...]:

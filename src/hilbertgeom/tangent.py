@@ -37,12 +37,17 @@ def canonical_index_set(cone: PolyCone, indices: Iterable[int]) -> frozenset[int
     index = frozenset(indices)
     if not index:
         raise DomainError("facet index set must be nonempty")
-    for i in index:
+    _check_indices(cone, index)
+    return index
+
+
+def _check_indices(cone: PolyCone, indices: Iterable) -> None:
+    """Refuse the first index, in iteration order, that is not an `int` (or is a `bool`) or names no facet."""
+    for i in indices:
         if isinstance(i, bool) or not isinstance(i, int):
             raise DomainError(f"facet index {i!r} is not an integer")
         if not 0 <= i < cone.num_facets:
             raise DomainError(f"facet index {i} out of range for a cone with {cone.num_facets} facets")
-    return index
 
 
 def subcone(cone: PolyCone, indices: Iterable[int]) -> PolyCone:

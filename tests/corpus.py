@@ -35,6 +35,8 @@ from hilbertgeom import (
 from hilbertgeom.geometry import _face_lattice_cached
 
 from helpers import (
+    facet_lists,
+    halfspace_systems,
     interval,
     octahedron,
     pentagon,
@@ -92,67 +94,6 @@ def domain_record(name: str, polytope: HPolytope) -> dict:
         "lattice": _lattice(cone),
         "parts": parts,
     }
-
-
-def facet_lists(rng: random.Random, count: int) -> list[tuple[list, int]]:
-    """Seeded (functionals, dim): dim 1-4, 1-7 functionals with entries p/q, |p| <= 3, q <= 3.
-
-    About half the lists also get a positive multiple of one functional and
-    the sum of two, so merged and implied rows are common; about a third of
-    all lists have an empty interior.
-    """
-    lists = []
-    while len(lists) < count:
-        dim = rng.randint(1, 4)
-        facets = []
-        for _ in range(rng.randint(1, 7)):
-            f = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
-            if any(f):
-                facets.append(f)
-        if not facets:
-            continue
-        if len(facets) > 1 and rng.random() < 0.5:
-            a, b = rng.sample(facets, 2)
-            facets.append(tuple(F(rng.randint(1, 3), rng.randint(1, 3)) * c for c in a))
-            if any(x + y for x, y in zip(a, b)):
-                facets.append(tuple(x + y for x, y in zip(a, b)))
-        rng.shuffle(facets)
-        lists.append((facets, dim))
-    return lists
-
-
-def halfspace_systems(rng: random.Random, count: int) -> list[tuple[int, list]]:
-    """Seeded (dim, halfspaces) in dim 1-3, in three shapes taken in turn.
-
-    - free: 1-6 random halfspaces, mostly unbounded;
-    - cut box: the box [-1, 1]^dim and 1-3 random cuts, so bounded, and
-      sometimes empty or touching the box in a face only;
-    - flat box: the box with a halfspace and its opposite, so lower-dimensional
-      or empty.
-    """
-    systems = []
-    while len(systems) < count:
-        shape = len(systems) % 3
-        dim = rng.randint(1, 3)
-
-        def normal():
-            while True:
-                a = tuple(rng.randint(-3, 3) for _ in range(dim))
-                if any(a):
-                    return a
-
-        box = [(tuple(s * int(j == i) for j in range(dim)), -1) for i in range(dim) for s in (1, -1)]
-        if shape == 0:
-            halfspaces = [(normal(), F(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(rng.randint(1, 6))]
-        elif shape == 1:
-            halfspaces = box + [(normal(), F(rng.randint(-2 * dim, 2 * dim), rng.randint(1, 2)))
-                                for _ in range(rng.randint(1, 3))]
-        else:
-            a, b = normal(), F(rng.randint(-2, 2), rng.randint(1, 2))
-            halfspaces = box + [(a, b), (tuple(-c for c in a), -b)]
-        rng.shuffle(halfspaces)
-        systems.append((dim, halfspaces))
-    return systems
 
 
 def _refusal(error: HilbertGeometryError) -> list[str]:

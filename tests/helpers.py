@@ -14,8 +14,9 @@ import hilbertgeom.linalg as linalg
 from hilbertgeom import (
     ConstructionError, DomainError, HPolytope, LinearFunctional, PolyCone, cone_from_polytope, lift_to_cone, vector,
 )
+from hilbertgeom.geometry import _unit_lead
 from hilbertgeom.linalg import (
-    _gauss_jordan, _gordan_empty, _integer_rows, _kernel, _over, _primitive, in_cone, kernel_basis, rank,
+    _gauss_jordan, _gordan_empty, _integer_rows, _kernel, _over, _primitive, kernel_basis, rank, rref,
 )
 
 F = Fraction
@@ -55,6 +56,14 @@ def linear_system_feasible(equalities, inequalities, nvars) -> bool:
         rows.append(row)
         rhs.append(b)
     return linalg.feasible_standard(rows, rhs)
+
+
+def in_cone(target, generators) -> bool:
+    """Farkas membership: is `target` a nonnegative combination of `generators`?  One LP."""
+    if not generators:
+        return all(x == 0 for x in target)
+    rows = [[g[i] for g in generators] for i in range(len(target))]
+    return linalg.feasible_standard(rows, list(target))
 
 
 def open_cone_feasible(zero_rows, positive_rows, dim) -> bool:
@@ -180,6 +189,22 @@ def six_gauge_detour_cost(g, h):
     return LogValue(reverse_part * funk_part)
 
 
+def fraction_busemann_canonical(x, p, funk_cone):
+    """Canonical (x, p) of a Busemann point on `Fraction`s, the route `busemann_point` took before integers.
+
+    p is reduced modulo the funk cone's lineality space by the rational
+    RREF of its `Fraction` basis, zeroing p at each pivot column; then both
+    are rescaled by `_unit_lead`.
+    """
+    p = vector(p)
+    if funk_cone.lineality_basis:
+        reduced, pivots = rref(funk_cone.lineality_basis)
+        for row, c in zip(reduced, pivots):
+            if p[c]:
+                p = tuple(v - p[c] * w for v, w in zip(p, row))
+    return _unit_lead(vector(x)), _unit_lead(p)
+
+
 def solve_square(rows, rhs):
     """Solve an n x n linear system exactly; None if there is no unique solution."""
     n = len(rows)
@@ -220,6 +245,67 @@ def sequential_cone(facets, dim):
     return tuple(kept), rows, tuple(kernel_basis([f.coeffs for f in kept], dim))
 
 
+def face_test_rows(facets, dim):
+    """Oracle for `PolyCone`: its integer rows by one singleton face test (one LP) per row, or None when empty.
+
+    The route construction took before the double description: a merged
+    row is kept exactly when some x has row . x = 0 and every other row
+    . x > 0; the cone is empty when no row passes.  A lone row is kept.
+    """
+    rows = list({_primitive(vector(f)) for f in facets})
+    if len(rows) > 1:
+        rows = [r for i, r in enumerate(rows) if not _gordan_empty(_kernel([r], dim)[0], rows[:i] + rows[i + 1 :])]
+        if not rows:
+            return None
+    return tuple(sorted(rows, key=_unit_lead))
+
+
+def lp_bounded(rows, dim) -> bool:
+    """Boundedness oracle on a polytope's integer rows (a, -b): the normals positively span R^dim.
+
+    Vectors positively span R^n exactly when they have rank n and -sum(a_i)
+    is a nonnegative combination of them (Davis 1954): one rank and one LP,
+    the route `HPolytope` took before the double description.
+    """
+    normals = [row[:dim] for row in rows]
+    if len(_gauss_jordan(normals)[1]) < dim:
+        return False
+    return in_cone([-sum(column) for column in zip(*normals)], normals)
+
+
+def kernel_vertices(rows, dim) -> list:
+    """Vertex oracle on a polytope's integer rows: one integer kernel per dim-subset, sorted.
+
+    A dim-subset meets in one point x exactly when its kernel is a line
+    spanned by v = h (x, 1), h != 0; x is a vertex when every row . v is
+    zero or has the sign of h.
+    """
+    found = set()
+    for subset in combinations(rows, dim):
+        basis, _ = _kernel(subset, dim + 1)
+        if len(basis) != 1 or not basis[0][dim]:
+            continue
+        v = basis[0]
+        h = v[dim]
+        if all(sum(a * b for a, b in zip(row, v)) * h >= 0 for row in rows):
+            found.add(tuple(Fraction(c, h) for c in v[:dim]))
+    return sorted(found)
+
+
+def lp_polytope(dim, halfspaces):
+    """Oracle for `HPolytope`: its vertices, or its refusal message, by `lp_bounded` and `kernel_vertices`."""
+    rows = [_primitive((*vector(a), -F(b))) for a, b in halfspaces]
+    if not lp_bounded(rows, dim):
+        return "polytope is unbounded"
+    vertices = kernel_vertices(rows, dim)
+    if not vertices:
+        return "polytope has no vertices"
+    centroid = [sum(column) / len(vertices) for column in zip(*vertices)]
+    if not all(sum(a * b for a, b in zip(row, (*centroid, 1))) > 0 for row in rows):
+        return "polytope has empty interior"
+    return vertices
+
+
 def primal_cone_subset(inner, outer) -> bool:
     """Containment oracle: every outer functional is a nonnegative combination of the inner ones (Farkas)."""
     generators = [f.coeffs for f in inner.facets]
@@ -252,6 +338,67 @@ def oracle_vertices(polytope: HPolytope) -> list:
         if solution is not None and all(f(solution) >= b for f, b in polytope.halfspaces):
             found.add(solution)
     return sorted(found)
+
+
+def facet_lists(rng: random.Random, count: int) -> list[tuple[list, int]]:
+    """Seeded (functionals, dim): dim 1-4, 1-7 functionals with entries p/q, |p| <= 3, q <= 3.
+
+    About half the lists also get a positive multiple of one functional and
+    the sum of two, so merged and implied rows are common; about a third of
+    all lists have an empty interior.
+    """
+    lists = []
+    while len(lists) < count:
+        dim = rng.randint(1, 4)
+        facets = []
+        for _ in range(rng.randint(1, 7)):
+            f = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
+            if any(f):
+                facets.append(f)
+        if not facets:
+            continue
+        if len(facets) > 1 and rng.random() < 0.5:
+            a, b = rng.sample(facets, 2)
+            facets.append(tuple(F(rng.randint(1, 3), rng.randint(1, 3)) * c for c in a))
+            if any(x + y for x, y in zip(a, b)):
+                facets.append(tuple(x + y for x, y in zip(a, b)))
+        rng.shuffle(facets)
+        lists.append((facets, dim))
+    return lists
+
+
+def halfspace_systems(rng: random.Random, count: int) -> list[tuple[int, list]]:
+    """Seeded (dim, halfspaces) in dim 1-3, in three shapes taken in turn.
+
+    - free: 1-6 random halfspaces, mostly unbounded;
+    - cut box: the box [-1, 1]^dim and 1-3 random cuts, so bounded, and
+      sometimes empty or touching the box in a face only;
+    - flat box: the box with a halfspace and its opposite, so lower-dimensional
+      or empty.
+    """
+    systems = []
+    while len(systems) < count:
+        shape = len(systems) % 3
+        dim = rng.randint(1, 3)
+
+        def normal():
+            while True:
+                a = tuple(rng.randint(-3, 3) for _ in range(dim))
+                if any(a):
+                    return a
+
+        box = [(tuple(s * int(j == i) for j in range(dim)), -1) for i in range(dim) for s in (1, -1)]
+        if shape == 0:
+            halfspaces = [(normal(), F(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(rng.randint(1, 6))]
+        elif shape == 1:
+            halfspaces = box + [(normal(), F(rng.randint(-2 * dim, 2 * dim), rng.randint(1, 2)))
+                                for _ in range(rng.randint(1, 3))]
+        else:
+            a, b = normal(), F(rng.randint(-2, 2), rng.randint(1, 2))
+            halfspaces = box + [(a, b), (tuple(-c for c in a), -b)]
+        rng.shuffle(halfspaces)
+        systems.append((dim, halfspaces))
+    return systems
 
 
 def unit_square() -> HPolytope:

@@ -6,7 +6,6 @@ from itertools import combinations
 
 import pytest
 
-import hilbertgeom.geometry as geometry
 import hilbertgeom.horoboundary as horoboundary
 import hilbertgeom.linalg as linalg
 from hilbertgeom import (
@@ -80,7 +79,6 @@ def kernel_calls(monkeypatch):
         return original(rows)
 
     monkeypatch.setattr(linalg, "_gauss_jordan", counted)
-    monkeypatch.setattr(geometry, "_gauss_jordan", counted)
     _face_lattice_cached.cache_clear()
     yield calls
     _face_lattice_cached.cache_clear()

@@ -189,14 +189,17 @@ class TestGaugePasses:
         j_eval(cone, centre, lift_to_cone((F(1, 3), F(1, 4))), lift_to_cone((F(1, 4), F(1, 4))))
         assert passes[0] == 7
 
-    def test_busemann_point_fills_no_anchor(self, passes):
+    def test_busemann_point_fills_no_anchor(self, passes, monkeypatch):
         cone, centre, edge, face = square_points()
+        classified = counter(monkeypatch, classify_point, (geometry, horoboundary))
         point = busemann_point(cone, edge, face.active, centre, centre)
-        assert passes[0] == 0 and point._anchor is None
+        # One row-value pass each for x, the base-point and p, and no classification.
+        assert passes[0] == 3 and classified[0] == 0 and point._anchor is None
 
     def test_busemann_eval(self, passes, monkeypatch):
         cone, centre, edge, face = square_points()
         point = busemann_point(cone, edge, face.active, lift_to_cone((F(1, 3), F(1, 3))), centre)
+        passes[0] = 0  # construction's three passes are pinned above; count the evaluation's
         classified = counter(monkeypatch, classify_point, (geometry, horoboundary))
         busemann_eval(point, lift_to_cone((F(1, 4), F(2, 3))))
         assert passes[0] == 8  # four gauges: the two at w and the two base gauges, kept
@@ -211,6 +214,7 @@ class TestGaugePasses:
     def test_detour_cost(self, passes):
         cone, centre, edge, face = square_points()
         g, h = (busemann_point(cone, x, face.active, centre, centre) for x in (edge, lift_to_cone((0, F(1, 4)))))
+        passes[0] = 0  # construction's three passes per point
         detour_cost(g, h)
         assert passes[0] == 12  # the two base gauges of each point, kept, then one face gauge and one funk gauge
         for k in range(1, 4):
@@ -222,5 +226,6 @@ class TestGaugePasses:
         g = busemann_point(cone, edge, face.active, centre, centre)
         h = busemann_point(cone, lift_to_cone((F(1, 2), 0)), classify_point(cone, lift_to_cone((F(1, 2), 0))).active,
                            centre, centre)
+        passes[0] = 0  # construction's three passes per point
         assert detour_cost(g, h).is_infinite and detour_cost(h, g).is_infinite
         assert passes[0] == 0 and g._anchor is None and h._anchor is None

@@ -34,7 +34,7 @@ from hilbertgeom import (
     tangent_family,
 )
 from hilbertgeom.geometry import _face_lattice_cached
-from hilbertgeom.linalg import in_cone, rank, rational, vector
+from hilbertgeom.linalg import rank, rational, vector
 
 from test_face_lattice import lp_calls  # noqa: F401  (fixture)
 
@@ -43,9 +43,15 @@ from helpers import (
     axes_bounded,
     bench_gen,
     boundary_sample,
+    face_test_rows,
     facet_index,
+    facet_lists,
+    halfspace_systems,
+    in_cone,
     interior_sample,
     interval,
+    lp_bounded,
+    lp_polytope,
     octahedron,
     oracle_vertices,
     pentagon,
@@ -197,7 +203,7 @@ class TestConeFromPolytope:
 
 
 class TestBoundedness:
-    """One rank and at most one LP, against the 2 * dim axis LPs of the oracle."""
+    """No LP: the rays decide, as the 2 * dim axis LPs and the rank-and-one-LP route do."""
 
     @pytest.fixture
     def lp_calls(self, monkeypatch):
@@ -222,9 +228,8 @@ class TestBoundedness:
                 assert axes_bounded(domain.dim, domain.halfspaces)
                 lp_calls.clear()
                 polytope = HPolytope(domain.dim, domain.halfspaces)
-                # Construction asks no other LP, so this one is the boundedness check's.
-                assert lp_calls == [domain.dim]
-                assert polytope._is_bounded()
+                assert lp_calls == []
+                assert lp_bounded(polytope._rows, polytope.dim)
                 checked += 1
         assert checked == 39
 
@@ -239,22 +244,25 @@ class TestBoundedness:
             (2, [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)], True),  # square: the normals sum to zero
             (3, [((1, 0, 0), 0), ((-1, 0, 0), -1), ((0, 1, 0), 0), ((0, -1, 0), -1), ((0, 0, 1), 0)], False),
             (3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -1)], True),
+            (2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 0), ((0, -1), -1)], True),  # empty, but bounded: no vertices
+            (2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 0)], False),  # empty and unbounded: unbounded wins
         ],
-        ids=["strip", "wedge", "half-plane", "duplicated-normal", "triangle-duplicated", "square", "chimney", "tetrahedron"],
+        ids=["strip", "wedge", "half-plane", "duplicated-normal", "triangle-duplicated", "square", "chimney",
+             "tetrahedron", "empty-box", "empty-strip"],
     )
     def test_unbounded_and_rank_deficient(self, lp_calls, dim, halfspaces, bounded):
         assert axes_bounded(dim, halfspaces) is bounded
-        full_rank = rank([a for a, _ in halfspaces]) == dim
+        rows = [linalg._primitive((*vector(a), -F(b))) for a, b in halfspaces]
+        assert lp_bounded(rows, dim) is bounded
+        expected = lp_polytope(dim, halfspaces)
         lp_calls.clear()
-        if bounded:
-            polytope = HPolytope(dim, halfspaces)
-        else:
-            with pytest.raises(ConstructionError, match=r"^polytope is unbounded$"):
+        if isinstance(expected, str):
+            with pytest.raises(ConstructionError, match=rf"^{expected}$"):
                 HPolytope(dim, halfspaces)
-        # A rank short of dim decides without an LP; otherwise one LP on dim rows.
-        assert lp_calls == ([dim] if full_rank else [])
-        if bounded:
-            assert polytope._is_bounded()
+            assert (expected == "polytope is unbounded") is not bounded
+        else:
+            assert list(HPolytope(dim, halfspaces).vertices) == expected
+        assert lp_calls == []
 
 
 class TestClassifyPoint:
@@ -518,7 +526,7 @@ SPECIAL_FACET_LISTS = [
 
 
 class TestFaceTestConstruction:
-    """The singleton face test keeps what the sequential Farkas loop kept, in the same order."""
+    """The rays keep what the sequential Farkas loop kept, in the same order."""
 
     def lists(self):
         return SPECIAL_FACET_LISTS + seeded_facet_lists(random.Random(20261018), 1000)
@@ -537,16 +545,14 @@ class TestFaceTestConstruction:
         assert 100 < refused < 500
 
     def test_lp_count(self, lp_calls):
-        # One LP of dim rows per distinct row, refused or not, and none for a lone row:
-        # emptiness is read off the same singleton tests.
+        # No LP, refused or not: emptiness and facets are read off the rays.
         for facets, dim in self.lists():
-            distinct = len({LinearFunctional(f).canonical() for f in facets})
             lp_calls.clear()
             try:
                 PolyCone(facets, dim)
             except ConstructionError:
                 pass
-            assert lp_calls == ([dim] * distinct if distinct > 1 else [])
+            assert lp_calls == []
 
     def test_cone_subset_matches_primal_oracle(self, lp_calls):
         by_dim = {}
@@ -572,6 +578,46 @@ class TestFaceTestConstruction:
                     contained += answer
         assert pairs == 3 * 24 * 24 + 2 * 2  # 24 cones in each of dims 2 to 4; in dim 1, [(1,), (2,)] and its subcone
         assert 3 * 24 < contained < pairs
+
+
+class TestRaysAgainstTheOldRoutes:
+    """Construction on the rays against the LP and kernel routes it replaced, kept as oracles."""
+
+    def test_facet_lists_match_the_singleton_face_tests(self):
+        lists = SPECIAL_FACET_LISTS + facet_lists(random.Random(20261019), 3000)
+        refused = 0
+        for facets, dim in lists:
+            expected = face_test_rows(facets, dim)
+            if expected is None:
+                refused += 1
+                with pytest.raises(ConstructionError, match=r"^cone has empty interior$"):
+                    PolyCone(facets, dim)
+            else:
+                assert PolyCone(facets, dim)._rows == expected, (facets, dim)
+        assert 500 < refused < 1500
+
+    def test_halfspace_systems_match_the_kernel_vertices(self):
+        outcomes = {}
+        for dim, halfspaces in halfspace_systems(random.Random(20261019), 1500):
+            expected = lp_polytope(dim, halfspaces)
+            if isinstance(expected, str):
+                with pytest.raises(ConstructionError, match=rf"^{expected}$"):
+                    HPolytope(dim, halfspaces)
+            else:
+                assert list(HPolytope(dim, halfspaces).vertices) == expected, (dim, halfspaces)
+                expected = "built"
+            outcomes[expected] = outcomes.get(expected, 0) + 1
+        assert len(outcomes) == 4 and min(outcomes.values()) >= 150, outcomes
+
+    def test_construction_makes_no_lp_and_the_lattice_still_does(self, lp_calls):
+        for polytope in (octahedron(), tangent_polytope3(random.Random(8), 8), tangent_polygon(random.Random(9), 9)):
+            lp_calls.clear()
+            rebuilt = HPolytope(polytope.dim, polytope.halfspaces)
+            cone = cone_from_polytope(rebuilt)
+            PolyCone(cone.facets, cone.ambient_dim)
+            assert lp_calls == []
+            face_lattice_active_sets(cone)
+            assert len(lp_calls) > 0
 
 
 class TestInteriorPoint:

@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -22,9 +23,11 @@ from hilbertgeom import (
     detour_decomposition,
     detour_metric,
     enumerate_parts,
+    face_lattice_active_sets,
     gromov_product,
     hilbert_cone,
     horolimit_residual,
+    interior_point,
     lift_to_cone,
     part_dimension,
     part_of,
@@ -34,13 +37,17 @@ from hilbertgeom import (
 
 from helpers import (
     F,
+    boundary_face_points,
     boundary_sample,
     facet_index,
+    fraction_busemann_canonical,
     interior_sample,
     interval,
+    octahedron,
     pentagon,
     simplex2,
     square_busemann_sample,
+    tangent_polytope3,
     unit_cube,
     unit_square,
 )
@@ -118,6 +125,28 @@ class TestBusemannCanonicalForm:
         improper = PolyCone([(1, 0, 0), (0, 1, 0)], 3)
         with pytest.raises(DomainError):
             busemann_point(improper, (0, 1, 1), {0}, (1, 1, 0), (1, 1, 0))
+
+    def test_integer_canonical_form_matches_the_fraction_route(self):
+        rng = random.Random(20261019)
+        checked = reduced = 0
+        for polytope in (unit_square(), pentagon(), unit_cube(), octahedron(), tangent_polytope3(random.Random(8), 8)):
+            cone = cone_from_polytope(polytope)
+            for active in face_lattice_active_sets(cone):
+                x = boundary_face_points(polytope, cone, active, [(1, 2, 3, 4)])[0]
+                for r in range(1, len(active) + 1):
+                    for index in list(combinations(sorted(active), r))[:3]:
+                        funk = subcone(cone, index)
+                        p = lift_to_cone(interior_sample(polytope, rng, hi=300))
+                        for line in funk.lineality_basis:
+                            shift = F(rng.randint(-50, 50), rng.randint(1, 2**40))
+                            p = tuple(a + shift * b for a, b in zip(p, line))
+                        lam = F(rng.randint(1, 2**40), rng.randint(1, 99))
+                        g = busemann_point(cone, tuple(lam * c for c in x), index, p, lift_to_cone(interior_point(polytope)))
+                        assert (g.x, g.p) == fraction_busemann_canonical(tuple(lam * c for c in x), p, funk)
+                        assert all(type(c) is Fraction for c in (*g.x, *g.p))
+                        checked += 1
+                        reduced += bool(funk.lineality_basis)
+        assert checked > 300 and reduced > 200
 
     def test_distinct_canonical_points_disagree_somewhere(self):
         # The parametrisation is treated as injective; scan a rational grid

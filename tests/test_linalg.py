@@ -9,13 +9,12 @@ import hilbertgeom.linalg as linalg
 from hilbertgeom.linalg import (
     _phase_one,
     feasible_standard,
-    in_cone,
     kernel_basis,
     rank,
     rref,
 )
 
-from helpers import F, linear_system_feasible, open_cone_feasible, solve_square
+from helpers import F, in_cone, linear_system_feasible, open_cone_feasible, solve_square
 
 
 def fraction_phase_one(rows, rhs):
