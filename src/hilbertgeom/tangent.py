@@ -43,11 +43,14 @@ def canonical_index_set(cone: PolyCone, indices: Iterable[int]) -> frozenset[int
 
 def _check_indices(cone: PolyCone, indices: Iterable) -> None:
     """Refuse the first index, in iteration order, that is not an `int` (or is a `bool`) or names no facet."""
+    n = cone.num_facets
     for i in indices:
+        if type(i) is int and 0 <= i < n:
+            continue
         if isinstance(i, bool) or not isinstance(i, int):
             raise DomainError(f"facet index {i!r} is not an integer")
-        if not 0 <= i < cone.num_facets:
-            raise DomainError(f"facet index {i} out of range for a cone with {cone.num_facets} facets")
+        if not 0 <= i < n:
+            raise DomainError(f"facet index {i} out of range for a cone with {n} facets")
 
 
 def subcone(cone: PolyCone, indices: Iterable[int]) -> PolyCone:
