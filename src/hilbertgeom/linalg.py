@@ -324,8 +324,8 @@ def _extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[list[in
       third ray vanishes on every row that both vanish on (the
       combinatorial test), because the smallest face holding both is then
       spanned by the two.  That face has dimension 2 plus the lineality's,
-      so its rows, the ones both rays vanish on, number at least dim minus
-      that: fewer rules the pair out before the test.
+      so the rows both rays vanish on have rank, and so number, at least
+      dim minus that; a pair with fewer is ruled out before the test.
     Every combination has positive integer weights, so signs are exact.
     """
     lineality = [[int(i == j) for j in range(dim)] for i in range(dim)]
