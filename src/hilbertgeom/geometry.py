@@ -28,13 +28,13 @@ from .linalg import (
     Vector,
     _Frozen,
     _extreme_rays,
-    _fraction_kernel,
     _gordan_empty,
     _kernel,
     _over,
     _primitive,
     _set,
     dot,
+    kernel_basis,
     rational,
     vector,
 )
@@ -146,30 +146,34 @@ def _nonzero(coeffs: Vector) -> Vector:
 
 
 class PolyCone:
-    """Open polyhedral cone, stored only as its canonical integer rows.
+    """Open polyhedral cone, stored only as integers: canonical rows and a lineality basis.
 
     Each facet is one primitive integer row, the positive multiple of its
-    functional with coprime entries.  Implied rows are removed, and the rest
-    are sorted by unit-lead form (leading nonzero entry of absolute value
-    one).  Two cones are equal as sets exactly when their rows coincide, so
-    equality and hashing read the rows, and so do sign tests and gauges.
-    `facets` is a view: the unit-lead `LinearFunctional`s, built on access.
+    functional with coprime entries; implied rows are removed and the rest
+    sorted by unit-lead form (leading nonzero entry of absolute value one).
+    Cones are equal as sets exactly when their rows coincide, so equality,
+    hashing, sign tests and gauges read the rows.  `facets` (unit-lead
+    `LinearFunctional`s) and `lineality_basis` (`kernel_basis`) are views
+    built from the rows on each access; `is_proper`, the Hilbert dimension
+    and the face lattice read the length of the stored integer basis.
 
     Construction merges equal primitive rows and reads the rest off the
     extreme rays of the closed cone {row . x >= 0} (`linalg._extreme_rays`,
-    no LP).  The closed cone is the lineality space plus the cone of its
-    rays, and every row vanishes on the lineality space, so a row vanishes
-    on the whole closed cone exactly when it vanishes on every ray: then
-    the open cone is empty and is refused.  Otherwise each row's face is
-    spanned by the rays it vanishes on, and a row is kept exactly when that
-    face is a facet, that is when its set of rays is not strictly inside
-    another row's.  Two rows with one facet are positive multiples of each
-    other, so after the merge every facet keeps exactly one row.
+    no LP), and keeps its lineality basis.  The closed cone is the lineality
+    space plus the cone of its rays, and every row vanishes on the lineality
+    space, so a row vanishes on the whole closed cone exactly when it
+    vanishes on every ray: then the open cone is empty and is refused.
+    Otherwise each row's face is spanned by the rays it vanishes on, and a
+    row is kept exactly when that face is a facet, that is when its set of
+    rays is not strictly inside another row's.  Two rows with one facet are
+    positive multiples of each other, so every facet keeps exactly one row.
     """
 
-    __slots__ = ("ambient_dim", "lineality_basis", "_rows")
+    __slots__ = ("ambient_dim", "_rows", "_lineality")
 
     def __init__(self, facets: Iterable, ambient_dim: int | None = None):
+        if not isinstance(facets, Iterable):
+            raise ConstructionError(f"facets must be an iterable of facet functionals, not {facets!r}")
         rows = [_primitive(f.coeffs if isinstance(f, LinearFunctional) else _nonzero(vector(f))) for f in facets]
         if not rows:
             raise ConstructionError("a cone needs at least one facet functional")
@@ -180,24 +184,28 @@ class PolyCone:
         if ambient_dim is not None and ambient_dim != dim:
             raise ConstructionError(f"functionals have dimension {dim}, expected {ambient_dim}")
         rows = list(set(rows))
-        _, zeros, _ = _extreme_rays(rows, dim)
+        _, zeros, lineality = _extreme_rays(rows, dim)
         # Per row, the bit mask of the rays it vanishes on.
         touched = [sum(1 << k for k, z in enumerate(zeros) if z >> i & 1) for i in range(len(rows))]
         if (1 << len(zeros)) - 1 in touched:
             raise ConstructionError("cone has empty interior")
         rows = [r for r, t in zip(rows, touched) if not any(t & u == t != u for u in touched)]
-        self._assign(_sorted_by_unit_lead(rows), dim)
+        self._assign(_sorted_by_unit_lead(rows), dim, lineality)
 
-    def _assign(self, rows: tuple[tuple[int, ...], ...], dim: int) -> None:
-        """Store already canonical integer rows and their lineality space."""
+    def _assign(self, rows: tuple[tuple[int, ...], ...], dim: int, lineality: Iterable[Sequence[int]]) -> None:
+        """Store already canonical integer rows and an integer basis of the space they vanish on."""
         self.ambient_dim = dim
         self._rows = rows
-        self.lineality_basis = tuple(_fraction_kernel(rows, dim))
+        self._lineality = tuple(map(tuple, lineality))
 
     @property
     def facets(self) -> tuple[LinearFunctional, ...]:
         """The facet functionals in unit-lead form, built from the rows on each access."""
         return tuple(LinearFunctional(_unit_lead(row)) for row in self._rows)
+
+    @property
+    def lineality_basis(self) -> tuple[Vector, ...]:
+        return tuple(kernel_basis(self._rows, self.ambient_dim))
 
     @property
     def num_facets(self) -> int:
@@ -209,7 +217,7 @@ class PolyCone:
 
     @property
     def is_proper(self) -> bool:
-        return not self.lineality_basis
+        return not self._lineality
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyCone):
@@ -307,17 +315,22 @@ def face_contains(face: Face, y: Sequence[Fraction]) -> bool:
 
 
 def cone_subset(inner: PolyCone, outer: PolyCone) -> bool:
-    """Exact containment test inner <= outer.
+    """Exact containment test inner <= outer, on the double description of `inner`, no LP.
 
-    Per outer row psi, the face test with no equations: is {inner rows > 0,
-    -psi > 0} empty?  One LP on the primitive integer rows as they are held.
-    As `inner` has an interior, Gordan's certificate weighs -psi positively,
-    so this is Farkas: psi is a nonnegative combination of the inner rows.
+    Both open cones are the interiors of their closures, so inner <= outer
+    exactly when the closure of `inner` lies in every closed halfspace
+    {psi >= 0} of an outer row psi.  That closure is the lineality space
+    plus the cone of the extreme rays (`linalg._extreme_rays`), so psi must
+    vanish on the stored lineality basis and be >= 0 on every ray.
     """
     if inner.ambient_dim != outer.ambient_dim:
         raise DomainError("cones live in different ambient spaces")
-    free = _kernel([], inner.ambient_dim)[0]  # the identity: no equations
-    return all(_gordan_empty(free, [*inner._rows, tuple(-v for v in psi)]) for psi in outer._rows)
+    rays = _extreme_rays(inner._rows, inner.ambient_dim)[0]
+    return all(
+        not any(sum(map(mul, psi, line)) for line in inner._lineality)
+        and all(sum(map(mul, psi, ray)) >= 0 for ray in rays)
+        for psi in outer._rows
+    )
 
 
 class HPolytope:
@@ -430,7 +443,7 @@ def _face_lattice_cached(cone: PolyCone) -> dict[frozenset[int], int]:
         )
     rows = cone._rows
     dim = cone.ambient_dim
-    lineality = len(cone.lineality_basis)
+    lineality = len(cone._lineality)
     full_rank = dim - lineality  # the rank of all facet rows
     out = {frozenset({i}): dim - 1 for i in range(n)} if n > 1 else {}
     spanning: set[tuple[int, ...]] = set()  # subsets of the previous size with full rank

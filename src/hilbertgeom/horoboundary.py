@@ -28,7 +28,7 @@ from .geometry import (
     classify_point,
     face_lattice_active_sets,
 )
-from .linalg import Vector, _Frozen, _gauss_jordan, _kernel, _over, _set, rational, vector
+from .linalg import Vector, _Frozen, _gauss_jordan, _over, _set, rational, vector
 from .metrics import LogValue, _max_ratio, face_hilbert, face_m_ratio, hilbert_cone, m_ratio
 from .tangent import _check_indices, canonical_index_set, subcone
 
@@ -74,15 +74,13 @@ def busemann_point(
     """Validate and canonicalise the data of a Busemann point.
 
     x, the base-point and p are each scaled to integers once and read by
-    one row-value pass (`_row_values`).  The canonical x is its integer
-    vector over the absolute value of its leading entry.  p is reduced
-    modulo the funk cone's lineality space L on integers: the integer
-    kernel of the funk rows spans L, and its fraction-free reduced echelon
-    form R / d (`_gauss_jordan`) zeroes p at each pivot column c by
-    p - sum p_c R_c / d.  For P = s p, s the scale of p, that is the integer
-    vector d P - sum P_c R_c over s d, negated when d < 0 so the multiple
-    is positive.  The canonical p is that vector over the absolute value
-    of its leading entry.
+    one row-value pass (`_row_values`).  p is reduced modulo the funk
+    cone's lineality space L: the fraction-free reduced echelon form R / d
+    (`_gauss_jordan`) of the funk cone's integer basis is L's own, and
+    zeroes p at each pivot column c by p - sum p_c R_c / d: for P = s p, s
+    the scale of p, the integer d P - sum P_c R_c, negated when d < 0.  The
+    canonical x and p are these integer vectors over the absolute value of
+    their leading entry.
     """
     if not cone.is_proper:
         raise DomainError("Busemann points require a proper cone")
@@ -94,9 +92,13 @@ def busemann_point(
         raise DomainError("boundary point must lie on the cone boundary, away from the apex")
     if min(_row_values(cone, base)[0]) <= 0:
         raise DomainError("base-point must be interior")
-    index = frozenset(funk_index)
-    if not index:
+    if not isinstance(funk_index, Iterable):
+        raise DomainError(f"funk cone indices must be an iterable of facet indices, not {funk_index!r}")
+    indices = tuple(funk_index)
+    if not indices:
         raise DomainError("funk cone index set must be nonempty")
+    _check_indices(cone, indices)
+    index = frozenset(indices)
     if not index <= active:
         raise DomainError("funk cone indices must be active at the boundary point")
     funk_cone = subcone(cone, index)
@@ -105,8 +107,8 @@ def busemann_point(
     if min(values) <= 0:
         raise DomainError("reference point must be interior to the funk cone")
     ints = _over(p_scale, p)
-    if funk_cone.lineality_basis:
-        reduced, pivots, d = _gauss_jordan(_kernel(funk_cone._rows, cone.ambient_dim)[0])
+    if funk_cone._lineality:
+        reduced, pivots, d = _gauss_jordan(funk_cone._lineality)
         moved = [d * v for v in ints]
         for row, c in zip(reduced, pivots):
             if ints[c]:
@@ -250,6 +252,9 @@ def _validate_part(cone: PolyCone, part: PartId) -> int:
     """Check that `part` names a part of `cone`; returns the dimension of its face's span."""
     if not part.face_active or not part.cone_index:
         raise DomainError("part has empty index data")
+    for indices in (part.face_active, part.cone_index):
+        if not isinstance(indices, frozenset):
+            raise DomainError(f"part index sets must be frozensets, not {type(indices).__name__}")
     if not part.cone_index <= part.face_active:
         raise DomainError("part cone indices must be active on the face")
     # Both sets, not their union: a cone index 1.0 equals the face index 1, passes the nesting and

@@ -9,15 +9,16 @@ One fraction-free pivot step (`_pivot`) serves elimination (`_gauss_jordan`,
 given: cones and polytopes pass their primitive integer rows straight in,
 and the public `rref`, `rank` and `kernel_basis` scale `Fraction` input once.
 
-Cone and polytope construction ask no LP.  `_extreme_rays` is an integer
-double description: the extreme rays of {x : row.x >= 0}, which rows
-vanish on each, and the lineality space.  Polytope vertices, boundedness,
-cone emptiness and facets are all read off them.
+Cone and polytope construction and cone containment ask no LP.
+`_extreme_rays` is an integer double description: the extreme rays of
+{x : row.x >= 0}, which rows vanish on each, and the lineality space.
+Polytope vertices, boundedness, cone emptiness, facets, a cone's lineality
+basis and `cone_subset` are all read off them.
 
-The one LP question left is the face test of the face lattice and of
-`cone_subset`: is {z.x = 0 for each zero row, p.x > 0 for each positive
-row} nonempty?  Its one entry, `_gordan_empty`, takes an integer basis of
-the equations' kernel (the identity for none) and primitive integer rows.
+The one LP question left is the face test of the face lattice: is
+{z.x = 0 for each zero row, p.x > 0 for each positive row} nonempty?  Its
+one entry, `_gordan_empty`, takes an integer basis of the equations'
+kernel and primitive integer rows.
 
 The module also holds what every other module shares: the error classes and
 `_Frozen`, the base of the immutable value classes.
@@ -143,12 +144,7 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], dim: int) -> list[Vector]:
     """Basis of the joint kernel {x : row . x = 0 for every row}."""
-    return _fraction_kernel(_integer_rows(rows), dim)
-
-
-def _fraction_kernel(rows: Sequence[Sequence[int]], dim: int) -> list[Vector]:
-    """`kernel_basis` of integer rows, taken as given."""
-    basis, d = _kernel(rows, dim)
+    basis, d = _kernel(_integer_rows(rows), dim)
     return [tuple(Fraction(v, d) if v else ZERO for v in k) for k in basis]
 
 
@@ -291,7 +287,7 @@ def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> t
 
 
 def _gordan_empty(basis: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]) -> bool:
-    """The face test: is {x = K t : (P K) t > 0} empty, for K the integer `basis`?
+    """The face test of the face lattice: is {x = K t : (P K) t > 0} empty, for K the integer `basis`?
 
     `columns` are the integer rows of P.  By Gordan's alternative it is
     empty exactly when some y >= 0 with sum(y) = 1 has y^T (P K) = 0: one

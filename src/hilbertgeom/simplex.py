@@ -120,11 +120,7 @@ class SimplexIsometry(_Frozen):
         if not isinstance(permutation, Sequence):
             raise DomainError(f"permutation must be a sequence of integers, not {permutation!r}")
         permutation = tuple(permutation)
-        for p in permutation:
-            if p.__class__ is not int:
-                raise DomainError(f"permutation entry {p!r} is not an integer")
-        if sorted(permutation) != list(range(len(permutation))):
-            raise DomainError("not a permutation of the coordinates")
+        _check_permutation(permutation)
         _refuse("translation", VClass, translation)
         if len(permutation) != len(translation.nums):
             raise DomainError("permutation and translation sizes differ")
@@ -135,6 +131,15 @@ class SimplexIsometry(_Frozen):
     @property
     def n(self) -> int:
         return len(self.permutation) - 1
+
+
+def _check_permutation(permutation: Sequence[int]) -> None:
+    """Refuse an entry that is not an `int` (a `bool` included), then a sequence that is not a permutation."""
+    for p in permutation:
+        if p.__class__ is not int:
+            raise DomainError(f"permutation entry {p!r} is not an integer")
+    if sorted(permutation) != list(range(len(permutation))):
+        raise DomainError("not a permutation of the coordinates")
 
 
 def _fill(g: SimplexIsometry, translation: VClass, permutation: tuple[int, ...], flip: bool,
@@ -372,8 +377,7 @@ def simplex_collineation(perm: Sequence[int], diag: Sequence[Fraction]) -> Linea
     projective metric exactly.
     """
     size = len(perm)
-    if sorted(perm) != list(range(size)):
-        raise DomainError("not a permutation of the coordinates")
+    _check_permutation(perm)
     diag = vector(diag)
     if len(diag) != size:
         raise DomainError("diagonal and permutation sizes differ")

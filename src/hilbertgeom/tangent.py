@@ -20,7 +20,7 @@ from .geometry import (
     PolyCone,
     classify_point,
 )
-from .linalg import _Frozen, _set, vector
+from .linalg import _Frozen, _kernel, _set, vector
 
 TANGENT_FAMILY_MAX_FACETS = 20
 
@@ -58,11 +58,12 @@ def subcone(cone: PolyCone, indices: Iterable[int]) -> PolyCone:
 
     A subset of a canonical facet list is canonical as it stands: still
     primitive, sorted and irredundant, and its cone contains the parent, so
-    its interior is nonempty.  The parent's rows are sliced as they are.
+    its interior is nonempty.  The parent's rows are sliced as they are, and
+    one integer kernel of the slice gives its lineality basis.
     """
-    rows = cone._rows
+    rows = tuple(cone._rows[i] for i in sorted(canonical_index_set(cone, indices)))
     sub = PolyCone.__new__(PolyCone)
-    sub._assign(tuple(rows[i] for i in sorted(canonical_index_set(cone, indices))), cone.ambient_dim)
+    sub._assign(rows, cone.ambient_dim, _kernel(rows, cone.ambient_dim)[0])
     return sub
 
 
@@ -118,4 +119,4 @@ def tangent_family(cone: PolyCone, indices: Iterable[int] | None = None) -> list
 
 def hilbert_dimension(cone: PolyCone) -> int:
     """Dimension of the Hilbert geometry on the cone: n minus the lineality."""
-    return (cone.ambient_dim - 1) - len(cone.lineality_basis)
+    return (cone.ambient_dim - 1) - len(cone._lineality)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import hilbertgeom
+import hilbertgeom.horoboundary as horoboundary
 import hilbertgeom.linalg as linalg
 from hilbertgeom import (
     ConstructionError,
@@ -18,6 +19,7 @@ from hilbertgeom import (
     ParseError,
     PolyCone,
     VClass,
+    busemann_point,
     classify_point,
     cone_from_polytope,
     cone_subset,
@@ -357,6 +359,59 @@ class TestLineality:
         assert len(halfspace3().lineality_basis) == 2
         assert len(quadrant3().lineality_basis) == 1
 
+    def test_stored_basis_is_integer_and_spans_the_kernel(self):
+        # The cones of the constructor's lists and their tangent families: built whole and sliced.
+        checked = with_lines = 0
+        for facets, dim in TestFaceTestConstruction().lists():
+            try:
+                cone = PolyCone(facets, dim)
+            except ConstructionError:
+                continue
+            for member in [cone, *(entry.cone for entry in tangent_family(cone))]:
+                stored, rows = member._lineality, member._rows
+                assert all(type(v) is int for vector_ in (*stored, *rows) for v in vector_)
+                assert member.lineality_basis == tuple(linalg.kernel_basis(rows, dim))
+                assert all(sum(r * v for r, v in zip(row, line)) == 0 for row in rows for line in stored)
+                assert rank(stored) == len(stored) == len(member.lineality_basis)
+                checked += 1
+                with_lines += bool(stored)
+        assert checked > 9000 and with_lines > 7000
+
+    POLYTOPES = (unit_square(), unit_cube(), octahedron(), tangent_polytope3(random.Random(8), 8))
+
+    @pytest.fixture
+    def eliminated(self, monkeypatch):
+        """The rows of each `linalg._gauss_jordan` call, through `linalg` or a module that imported it."""
+        calls = []
+        original = linalg._gauss_jordan
+
+        def recorded(rows):
+            calls.append([tuple(row) for row in rows])
+            return original(rows)
+
+        for module in (linalg, horoboundary):
+            monkeypatch.setattr(module, "_gauss_jordan", recorded)
+        return calls
+
+    def test_cone_from_polytope_eliminates_nothing(self, eliminated):
+        for polytope in self.POLYTOPES:
+            cone_from_polytope(polytope)
+        assert eliminated == []
+
+    def test_busemann_point_eliminates_the_funk_rows_once(self, eliminated):
+        for polytope in self.POLYTOPES:
+            cone = cone_from_polytope(polytope)
+            base = lift_to_cone(interior_point(polytope))
+            for vertex in polytope.vertices:
+                x = lift_to_cone(vertex)
+                active = sorted(classify_point(cone, x).active)
+                for index in (active, active[:1]):
+                    eliminated.clear()
+                    point = busemann_point(cone, x, index, base, base)
+                    assert eliminated.count(list(point.funk_cone._rows)) == 1
+                    # Beside the funk rows, only the stored lineality basis, when there is one.
+                    assert len(eliminated) == 1 + bool(point.funk_cone._lineality)
+
 
 class TestConeSubset:
     def test_examples(self):
@@ -481,7 +536,8 @@ class TestRowIdentity:
             (F(0), F(1), F(7)),
             (F(1), F(-3, 2), F(1, 2)),
         ]
-        assert PolyCone.__slots__ == ("ambient_dim", "lineality_basis", "_rows")
+        # Only integers are stored: the rows and a lineality basis; `lineality_basis` is a view too.
+        assert PolyCone.__slots__ == ("ambient_dim", "_rows", "_lineality")
 
 
 def seeded_facet_lists(rng, count):
@@ -571,8 +627,7 @@ class TestFaceTestConstruction:
                 for outer in cones[:24]:
                     lp_calls.clear()
                     answer = cone_subset(inner, outer)
-                    if answer:  # one LP of dim + 1 rows per outer facet
-                        assert lp_calls == [inner.ambient_dim + 1] * outer.num_facets
+                    assert lp_calls == []  # read off inner's rays and lineality basis
                     assert answer == primal_cone_subset(inner, outer)
                     pairs += 1
                     contained += answer

@@ -31,6 +31,8 @@ from hilbertgeom import (
     lift_to_cone,
     part_dimension,
     part_of,
+    positive_orthant,
+    reciprocal_map,
     subcone,
     tangent_cone,
 )
@@ -46,6 +48,7 @@ from helpers import (
     octahedron,
     pentagon,
     simplex2,
+    solve_square,
     square_busemann_sample,
     tangent_polytope3,
     unit_cube,
@@ -323,6 +326,91 @@ class TestDetourMetric:
         for g in samples:
             for h in samples:
                 assert detour_metric(g, h) == detour_metric(push(g), push(h))
+
+
+class TestReciprocalIsometry:
+    """The simplex's isometry that is no collineation, w -> 1/w, acting on the horoboundary.
+
+    On the positive orthant with base (1, ..., 1) it sends the Busemann point
+    with face A, cone index I, boundary point x and reference point p to the
+    one with face complement(I) and cone index complement(A) (complements in
+    the facet set), boundary point 1/p_i on I and 0 elsewhere, and reference
+    point 1/x_i off A.  Its funk cone has lineality along A, so the reference
+    point's entries there are free, and every image point exercises the
+    reduction modulo the lineality space.  Each check is exact.
+
+    Points are named by their facet values y_k = psi_k(x), which carry any
+    simplex cone onto the orthant; on the orthant itself that is a
+    coordinate permutation, so the map is `reciprocal_map` as it stands.
+    """
+
+    SWAP = {"vertex": "facet", "facet": "vertex", "other": "other"}
+
+    @pytest.mark.parametrize(
+        "make", [lambda: positive_orthant(3), lambda: positive_orthant(4), lambda: cone_from_polytope(simplex2())],
+        ids=["orthant3", "orthant4", "triangle"],
+    )
+    def test_parts_points_and_detour_map_exactly(self, make):
+        cone = make()
+        n = cone.num_facets
+        every = frozenset(range(n))
+        rng = random.Random(20261019 + n)
+        rows = [f.coeffs for f in cone.facets]
+
+        def point(values):
+            """The point of the cone's space whose facet k has value values[k], and 0 where none is given."""
+            return solve_square(rows, [values.get(k, F(0)) for k in range(n)])
+
+        def mirror(part):
+            return PartId(every - part.cone_index, every - part.face_active)
+
+        def positive():
+            return F(rng.randint(1, 9), rng.randint(1, 9))
+
+        def signed():
+            return F(rng.randint(-9, 9), rng.randint(1, 9))
+
+        parts = enumerate_parts(cone)
+        assert {mirror(part) for part in parts} == set(parts)
+        kinds = Counter()
+        for part in parts:
+            kind = classify_part(cone, part)
+            kinds[kind] += 1
+            assert classify_part(cone, mirror(part)) == self.SWAP[kind]
+            assert part_dimension(cone, mirror(part)) == part_dimension(cone, part)
+            if kind == "vertex":
+                assert len(part.face_active) == n - 1  # an extreme ray of the simplex cone
+        assert kinds["vertex"] == kinds["facet"] == n
+
+        base = point(dict.fromkeys(every, F(1)))
+        points, images = [], []
+        for part in parts:
+            face, index = part.face_active, part.cone_index
+            for _ in range(2):
+                x = {k: positive() for k in every - face}
+                p = {k: positive() if k in index else signed() for k in every}
+                g = busemann_point(cone, point(x), index, point(p), base)
+                image_x = point({k: 1 / p[k] for k in index})
+                image_p = {k: 1 / x[k] for k in every - face}
+                image = busemann_point(cone, image_x, every - face, point({**image_p, **dict.fromkeys(face, F(1))}), base)
+                free = point({**image_p, **{k: signed() for k in face}})
+                assert busemann_point(cone, image_x, every - face, free, base) == image
+                assert part_of(image) == mirror(part)
+                for _ in range(3):
+                    w = [positive() for _ in range(n)]
+                    moved, unmoved = (point(dict(enumerate(values))) for values in (reciprocal_map(w), w))
+                    assert busemann_eval(g, moved) == busemann_eval(image, unmoved)
+                points.append(g)
+                images.append(image)
+        same_part = [(i, j) for i in range(len(points)) for j in (i - i % 2, i - i % 2 + 1)]
+        pairs = same_part + [tuple(rng.sample(range(len(points)), 2)) for _ in range(100)]
+        finite = 0
+        for i, j in pairs:
+            assert detour_cost(images[i], images[j]) == detour_cost(points[i], points[j])
+            distance = detour_metric(points[i], points[j])
+            assert detour_metric(images[i], images[j]) == distance
+            finite += distance != LogValue.INFINITY
+        assert finite >= len(same_part)
 
 
 class TestParts:

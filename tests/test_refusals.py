@@ -134,6 +134,7 @@ REFUSALS = [
     ("cone-mixed-dimensions", lambda: PolyCone([(1, 0), (1, 0, 0)]), ConstructionError, "facet functionals have mixed dimensions"),
     ("cone-wrong-ambient-dim", lambda: PolyCone([(1, 0)], 3), ConstructionError, "functionals have dimension 2, expected 3"),
     ("cone-empty-interior", lambda: PolyCone([(1, 0), (-1, 0)]), ConstructionError, "cone has empty interior"),
+    ("cone-not-iterable", lambda: PolyCone(5), ConstructionError, "facets must be an iterable of facet functionals, not 5"),
     ("cone-subset-ambient", lambda: cone_subset(square(), positive_orthant(2)), DomainError, "cones live in different ambient spaces"),
     # HPolytope.
     ("polytope-normal-dimension", lambda: HPolytope(2, [((1, 0, 0), 0)]), ConstructionError, "normal of dimension 3, expected 2"),
@@ -223,6 +224,8 @@ REFUSALS = [
     ("orthant-zero", lambda: positive_orthant(0), DomainError, AT_LEAST_ONE),
     ("collineation-permutation", lambda: simplex_collineation([0, 0], [1, 1]), DomainError, "not a permutation of the coordinates"),
     ("collineation-diagonal", lambda: simplex_collineation([0, 1], [1]), DomainError, "diagonal and permutation sizes differ"),
+    # sorted([True, 0]) == [0, 1], so only the entry check refuses it, as `SimplexIsometry` does.
+    ("collineation-bool-entry", lambda: simplex_collineation([True, 0], [1, 1]), DomainError, "permutation entry True is not an integer"),
     ("witness-zero", lambda: collineation_witness_failure(0), DomainError, AT_LEAST_ONE),
     ("metric-preserving-sample", lambda: is_metric_preserving(lambda p: p, positive_orthant(2), [(1, 0)]), DomainError, "sample point is not interior"),
     # Horoboundary.
@@ -239,6 +242,9 @@ REFUSALS = [
     ("classify-part-nested", lambda: classify_part(square(), PartId(frozenset({0}), frozenset({1}))), DomainError, NESTED),
     ("classify-part-range", lambda: classify_part(square(), PartId(frozenset({7}), frozenset({7}))), DomainError, "facet index 7 out of range for a cone with 4 facets"),
     ("classify-part-string", lambda: classify_part(square(), PartId(frozenset({"a"}), frozenset({"a"}))), DomainError, "facet index 'a' is not an integer"),
+    # Plain sets and lists are not hashable, so the lattice could not look them up.
+    ("classify-part-sets", lambda: classify_part(square(), PartId({0}, {0})), DomainError, "part index sets must be frozensets, not set"),
+    ("part-dimension-lists", lambda: part_dimension(square(), PartId([0], [0])), DomainError, "part index sets must be frozensets, not list"),
     ("part-dimension-empty", lambda: part_dimension(square(), PartId(frozenset({0}), frozenset())), DomainError, PART),
     ("part-dimension-nested", lambda: part_dimension(square(), PartId(frozenset({0}), frozenset({1}))), DomainError, NESTED),
     ("part-dimension-range", lambda: part_dimension(square(), PartId(frozenset({-1}), frozenset({-1}))), DomainError, "facet index -1 out of range for a cone with 4 facets"),
@@ -254,6 +260,12 @@ REFUSALS = [
     ("index-set-range", lambda: canonical_index_set(square(), [0, 4]), DomainError, "facet index 4 out of range for a cone with 4 facets"),
     ("subcone-float", lambda: subcone(square(), [1.5]), DomainError, "facet index 1.5 is not an integer"),
     ("busemann-float-index", lambda: busemann_point(square(), EDGE, [3.0], CENTRE, CENTRE), DomainError, "facet index 3.0 is not an integer"),
+    # The index types and range are checked before activity, so an inactive 0.0 is refused as a float too.
+    ("busemann-float-inactive-index", lambda: busemann_point(square(), EDGE, [0.0], CENTRE, CENTRE), DomainError, "facet index 0.0 is not an integer"),
+    ("busemann-range-index", lambda: busemann_point(square(), EDGE, [7], CENTRE, CENTRE), DomainError, "facet index 7 out of range for a cone with 4 facets"),
+    ("busemann-inactive-index", lambda: busemann_point(square(), EDGE, [0], CENTRE, CENTRE), DomainError, "funk cone indices must be active at the boundary point"),
+    ("busemann-index-not-iterable", lambda: busemann_point(square(), EDGE, None, CENTRE, CENTRE), DomainError, "funk cone indices must be an iterable of facet indices, not None"),
+    ("busemann-empty-index", lambda: busemann_point(square(), EDGE, [], CENTRE, CENTRE), DomainError, "funk cone index set must be nonempty"),
     # Facet callables: a float is refused, and a wrong dimension names both.
     ("functional-float", lambda: LinearFunctional((1, 2))((0.5, 1)), ParseError, FLOAT),
     ("orthant-m-ratio-float", lambda: m_ratio((0.5, 1), (1, 1), positive_orthant(2)), ParseError, FLOAT),
