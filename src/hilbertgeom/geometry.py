@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from operator import and_, mul
 from typing import Iterable, Sequence
 
@@ -28,11 +28,14 @@ from .linalg import (
     Vector,
     _Frozen,
     _extreme_rays,
+    _fractions,
     _gordan_empty,
     _kernel,
-    _over,
     _primitive,
+    _scaled,
     _set,
+    _sorted_over,
+    _unit_lead,
     dot,
     kernel_basis,
     rational,
@@ -71,7 +74,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    q = Fraction(q)
+    """"p" or "p/q" in lowest terms; the value is read by `rational`, so a float is refused."""
+    q = rational(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -107,36 +111,8 @@ class LinearFunctional(_Frozen):
 
         Only positive scalings are applied, so the halfspace is unchanged.
         """
-        coeffs = _unit_lead(self.coeffs)
-        return self if coeffs is self.coeffs else LinearFunctional(coeffs)
-
-
-def _unit_lead(coords: Vector) -> Vector:
-    """Positive rescaling that makes the leading nonzero entry +1 or -1.
-
-    The one normaliser for facet functionals, integer facet rows and rays:
-    all matter only up to positive scaling.  Returns `coords` itself when
-    already normal, and `Fraction`s otherwise.
-    """
-    lead = next((c for c in coords if c != 0), None)
-    if lead is None:
-        raise DomainError("cannot normalise the zero vector")
-    if abs(lead) == 1:
-        return coords
-    scale = ONE / abs(lead)
-    return tuple(scale * c for c in coords)
-
-
-def _sorted_by_unit_lead(rows: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """Nonzero integer rows sorted by their `_unit_lead` forms, compared on integers.
-
-    Each row times L / |lead|, for L the lcm of the leads' absolute values,
-    is its unit-lead form times the one positive L, so the order is the same.
-    """
-    leads = [abs(next(c for c in row if c)) for row in rows]
-    scale = lcm(*leads)
-    keys = {row: tuple(c * (scale // lead) for c in row) for row, lead in zip(rows, leads)}
-    return tuple(sorted(rows, key=keys.__getitem__))
+        ints = _scaled(self.coeffs)[0]
+        return LinearFunctional(_fractions(ints, _unit_lead(ints)))
 
 
 def _nonzero(coeffs: Vector) -> Vector:
@@ -190,7 +166,7 @@ class PolyCone:
         if (1 << len(zeros)) - 1 in touched:
             raise ConstructionError("cone has empty interior")
         rows = [r for r, t in zip(rows, touched) if not any(t & u == t != u for u in touched)]
-        self._assign(_sorted_by_unit_lead(rows), dim, lineality)
+        self._assign(tuple(_sorted_over(rows, [_unit_lead(row) for row in rows])), dim, lineality)
 
     def _assign(self, rows: tuple[tuple[int, ...], ...], dim: int, lineality: Iterable[Sequence[int]]) -> None:
         """Store already canonical integer rows and an integer basis of the space they vanish on."""
@@ -201,7 +177,7 @@ class PolyCone:
     @property
     def facets(self) -> tuple[LinearFunctional, ...]:
         """The facet functionals in unit-lead form, built from the rows on each access."""
-        return tuple(LinearFunctional(_unit_lead(row)) for row in self._rows)
+        return tuple(LinearFunctional(_fractions(row, _unit_lead(row))) for row in self._rows)
 
     @property
     def lineality_basis(self) -> tuple[Vector, ...]:
@@ -254,10 +230,9 @@ class PointLocation(_Frozen):
 
 
 def _row_values(owner: PolyCone | HPolytope, point: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The integer rows of a cone or polytope at `point` scaled to integers once, and that scale.
+    """The integer rows of a cone or polytope at `point` encoded once (`_scaled`), and its scale s.
 
-    The point times the lcm s of its denominators is an integer vector, so
-    each value is s times the row's `Fraction` value at the point: signs and
+    Each value is s times the row's `Fraction` value at the point: signs and
     zeros are exact, and two points' values give each rational ratio with
     their scales folded in.  A polytope's rows (a, -b) are one longer than
     its points and read the point at height one, scaled to s; a cone's rows
@@ -265,8 +240,7 @@ def _row_values(owner: PolyCone | HPolytope, point: Sequence[Fraction]) -> tuple
     """
     point = vector(point)
     owner._check_dim(point)
-    scale = lcm(*[q.denominator for q in point])
-    ints = _over(scale, point)
+    ints, scale = _scaled(point)
     ints.append(scale)
     return [sum(map(mul, row, ints)) for row in owner._rows], scale
 
@@ -383,10 +357,8 @@ class HPolytope:
             raise ConstructionError("polytope is unbounded")
         if not rays:
             raise ConstructionError("polytope has no vertices")
-        # Sorted on integers: each ray times H / h, for H the lcm of the heights, is its vertex times H.
-        height = lcm(*[ray[dim] for ray in rays])
-        rays.sort(key=lambda ray: [c * (height // ray[dim]) for c in ray])
-        self.vertices = tuple(tuple(Fraction(c, ray[dim]) for c in ray[:dim]) for ray in rays)
+        rays = _sorted_over(rays, [ray[dim] for ray in rays])
+        self.vertices = tuple(_fractions(ray[:dim], ray[dim]) for ray in rays)
         if reduce(and_, zeros):  # the rows that vanish on every vertex
             raise ConstructionError("polytope has empty interior")
 

@@ -28,7 +28,7 @@ from .geometry import (
     classify_point,
     face_lattice_active_sets,
 )
-from .linalg import Vector, _Frozen, _gauss_jordan, _over, _set, rational, vector
+from .linalg import Vector, _Frozen, _fractions, _gauss_jordan, _scaled, _set, _unit_lead, rational, vector
 from .metrics import LogValue, _max_ratio, face_hilbert, face_m_ratio, hilbert_cone, m_ratio
 from .tangent import _check_indices, canonical_index_set, subcone
 
@@ -73,20 +73,19 @@ def busemann_point(
 ) -> BusemannPoint:
     """Validate and canonicalise the data of a Busemann point.
 
-    x, the base-point and p are each scaled to integers once and read by
-    one row-value pass (`_row_values`).  p is reduced modulo the funk
-    cone's lineality space L: the fraction-free reduced echelon form R / d
-    (`_gauss_jordan`) of the funk cone's integer basis is L's own, and
-    zeroes p at each pivot column c by p - sum p_c R_c / d: for P = s p, s
-    the scale of p, the integer d P - sum P_c R_c, negated when d < 0.  The
-    canonical x and p are these integer vectors over the absolute value of
-    their leading entry.
+    x, the base-point and p are each checked by one row-value pass
+    (`_row_values`).  p is reduced modulo the funk cone's lineality space
+    L: the fraction-free reduced echelon form R / d (`_gauss_jordan`) of
+    the funk cone's integer basis is L's own, and zeroes p at each pivot
+    column c by p - sum p_c R_c / d: for P the integer vector of p
+    (`_scaled`), the integer d P - sum P_c R_c, negated when d < 0.  The
+    canonical x and p are the unit-lead forms of these integer vectors.
     """
     if not cone.is_proper:
         raise DomainError("Busemann points require a proper cone")
     x = vector(x)
     base = vector(base)
-    values, x_scale = _row_values(cone, x)
+    values, _ = _row_values(cone, x)
     active = frozenset(i for i, v in enumerate(values) if v == 0)
     if not active or min(values) < 0 or not any(x):
         raise DomainError("boundary point must lie on the cone boundary, away from the apex")
@@ -103,10 +102,9 @@ def busemann_point(
         raise DomainError("funk cone indices must be active at the boundary point")
     funk_cone = subcone(cone, index)
     p = vector(p)
-    values, p_scale = _row_values(funk_cone, p)
-    if min(values) <= 0:
+    if min(_row_values(funk_cone, p)[0]) <= 0:
         raise DomainError("reference point must be interior to the funk cone")
-    ints = _over(p_scale, p)
+    ints = _scaled(p)[0]
     if funk_cone._lineality:
         reduced, pivots, d = _gauss_jordan(funk_cone._lineality)
         moved = [d * v for v in ints]
@@ -114,21 +112,16 @@ def busemann_point(
             if ints[c]:
                 moved = [v - ints[c] * w for v, w in zip(moved, row)]
         ints = moved if d > 0 else [-v for v in moved]
+    x_ints = _scaled(x)[0]
     return BusemannPoint(
         cone=cone,
-        x=_unit_lead_ints(_over(x_scale, x)),
+        x=_fractions(x_ints, _unit_lead(x_ints)),
         x_active=active,
         funk_index=index,
         funk_cone=funk_cone,
-        p=_unit_lead_ints(ints),
+        p=_fractions(ints, _unit_lead(ints)),
         base=base,
     )
-
-
-def _unit_lead_ints(ints: list[int]) -> Vector:
-    """`_unit_lead` of a nonzero integer vector, as `Fraction`s; the same for every positive multiple."""
-    lead = abs(next(v for v in ints if v))
-    return tuple(Fraction(v, lead) for v in ints)
 
 
 def busemann_from_line(
@@ -250,6 +243,8 @@ OTHER_PART = "other"
 
 def _validate_part(cone: PolyCone, part: PartId) -> int:
     """Check that `part` names a part of `cone`; returns the dimension of its face's span."""
+    if part.__class__ is not PartId:
+        raise DomainError(f"part must be a PartId, not {type(part).__name__}")
     if not part.face_active or not part.cone_index:
         raise DomainError("part has empty index data")
     for indices in (part.face_active, part.cone_index):

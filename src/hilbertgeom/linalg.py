@@ -20,8 +20,15 @@ The one LP question left is the face test of the face lattice: is
 one entry, `_gordan_empty`, takes an integer basis of the equations'
 kernel and primitive integer rows.
 
-The module also holds what every other module shares: the error classes and
-`_Frozen`, the base of the immutable value classes.
+The module also holds what every other module shares: the error classes,
+`_Frozen`, the base of the immutable value classes, and the one codec
+between rational and integer vectors, which no other module repeats.
+`_scaled` encodes a vector as integers over the lcm of its denominators,
+`_fractions` decodes ints / d, `_primitive` (through `_divided`) gives the
+primitive vector on a ray, `_unit_lead` the divisor that makes the leading
+entry +1 or -1, and `_sorted_over` orders rationals v / d on integers.
+Each encode is a positive multiple, so signs, ratios and rays are kept, and
+a canonical form read off the integers is the rationals' own.
 """
 
 from __future__ import annotations
@@ -135,7 +142,7 @@ def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns the nonzero rows and pivot columns."""
     reduced, pivots, d = _gauss_jordan(_integer_rows(rows))
-    return [[Fraction(v, d) if v else ZERO for v in row] for row in reduced], pivots
+    return [list(_fractions(row, d)) for row in reduced], pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -145,12 +152,12 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 def kernel_basis(rows: Sequence[Sequence[Fraction]], dim: int) -> list[Vector]:
     """Basis of the joint kernel {x : row . x = 0 for every row}."""
     basis, d = _kernel(_integer_rows(rows), dim)
-    return [tuple(Fraction(v, d) if v else ZERO for v in k) for k in basis]
+    return [_fractions(k, d) for k in basis]
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """Each row times the lcm of its own denominators: same row space, same echelon form."""
-    return [_scaled(row) for row in rows]
+    return [_scaled(row)[0] for row in rows]
 
 
 def _kernel(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[list[int]], int]:
@@ -361,28 +368,40 @@ def _extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[list[in
     return rays, zeros, lineality
 
 
-def _divided(ints: list[int]) -> list[int]:
-    """A nonzero integer vector divided by the gcd of its entries: the primitive vector on its ray."""
-    g = gcd(*ints)
-    return ints if g == 1 else [v // g for v in ints]
-
-
-def _primitive(values: Sequence[Fraction]) -> tuple[int, ...]:
-    """The primitive integer vector on the ray of a rational vector.
-
-    It is the vector times a positive rational, so a dot product with it
-    has the sign of the dot product with the original.  Zero stays zero.
-    """
-    ints = _scaled(values)
-    g = gcd(*ints) or 1
-    return tuple(v // g for v in ints)
-
-
-def _scaled(values: Sequence[Fraction]) -> list[int]:
-    """The rationals times the lcm of their denominators: a positive integer multiple."""
-    return _over(lcm(*[q.denominator for q in values]), values)
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, scale): the rationals times the lcm `scale` of their denominators, a positive integer multiple."""
+    scale = lcm(*[q.denominator for q in values])
+    return _over(scale, values), scale
 
 
 def _over(scale: int, values: Sequence) -> list[int]:
     """The integers scale * q for rationals q whose denominators divide `scale`."""
     return [q.numerator * (scale // q.denominator) for q in values]
+
+
+def _fractions(ints: Sequence[int], d: int) -> Vector:
+    """The rationals ints / d, for a nonzero integer d: the decode of `_scaled`."""
+    return tuple(Fraction(v, d) if v else ZERO for v in ints)
+
+
+def _divided(ints: list[int]) -> list[int]:
+    """An integer vector divided by the gcd of its entries: the primitive vector on its ray.  Zero stays zero."""
+    g = gcd(*ints)
+    return ints if g <= 1 else [v // g for v in ints]
+
+
+def _primitive(values: Sequence[Fraction]) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of a rational vector."""
+    return tuple(_divided(_scaled(values)[0]))
+
+
+def _unit_lead(ints: Sequence[int]) -> int:
+    """The absolute value of the leading nonzero entry: the positive divisor that makes the vector unit-lead."""
+    return abs(next(v for v in ints if v))
+
+
+def _sorted_over(vectors: Sequence[Sequence[int]], divisors: Sequence[int]) -> list:
+    """The integer vectors in the order of v / d, d > 0: each v times L / d, L the lcm of the d, is L (v / d)."""
+    scale = lcm(*divisors)
+    keys = [[c * (scale // d) for c in v] for v, d in zip(vectors, divisors)]
+    return [vectors[i] for i in sorted(range(len(vectors)), key=keys.__getitem__)]

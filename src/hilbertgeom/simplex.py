@@ -20,7 +20,7 @@ from itertools import combinations, permutations, product
 from typing import Callable, Sequence
 
 from .geometry import DomainError, PolyCone, classify_point
-from .linalg import ONE, ZERO, Vector, _Frozen, _set, dot, rational, vector
+from .linalg import ONE, ZERO, Vector, _Frozen, _fractions, _scaled, _set, dot, rational, vector
 
 POINT_GROUP_MAX_N = 6
 BALL_VERTICES_MAX_N = 12
@@ -43,14 +43,13 @@ class VClass(_Frozen):
         rep = vector(rep)
         if len(rep) < 2:
             raise DomainError("a variation class needs at least two coordinates")
-        rep = [c - rep[0] for c in rep]
-        den = math.lcm(*(c.denominator for c in rep))
-        _set_nums(self, tuple(c.numerator * (den // c.denominator) for c in rep))
+        nums, den = _scaled([c - rep[0] for c in rep])
+        _set_nums(self, tuple(nums))
         _set_den(self, den)
 
     @property
     def rep(self) -> Vector:
-        return tuple(Fraction(a, self.den) for a in self.nums)
+        return _fractions(self.nums, self.den)
 
     def __reduce__(self):
         return _vclass, (self.nums, self.den)
@@ -117,10 +116,8 @@ class SimplexIsometry(_Frozen):
     __slots__ = ("translation", "permutation", "flip", "_gather", "_shift")
 
     def __init__(self, translation: VClass, permutation: Sequence[int], flip: bool):
-        if not isinstance(permutation, Sequence):
-            raise DomainError(f"permutation must be a sequence of integers, not {permutation!r}")
-        permutation = tuple(permutation)
         _check_permutation(permutation)
+        permutation = tuple(permutation)
         _refuse("translation", VClass, translation)
         if len(permutation) != len(translation.nums):
             raise DomainError("permutation and translation sizes differ")
@@ -134,7 +131,9 @@ class SimplexIsometry(_Frozen):
 
 
 def _check_permutation(permutation: Sequence[int]) -> None:
-    """Refuse an entry that is not an `int` (a `bool` included), then a sequence that is not a permutation."""
+    """Refuse what is not a sequence, an entry that is not an `int` (a `bool` included), then a non-permutation."""
+    if not isinstance(permutation, Sequence):
+        raise DomainError(f"permutation must be a sequence of integers, not {permutation!r}")
     for p in permutation:
         if p.__class__ is not int:
             raise DomainError(f"permutation entry {p!r} is not an integer")
@@ -166,6 +165,7 @@ def _inverse(permutation: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def identity_isometry(n: int) -> SimplexIsometry:
+    _check_size(n)
     return SimplexIsometry(vclass([0] * (n + 1)), tuple(range(n + 1)), False)
 
 
@@ -376,8 +376,8 @@ def simplex_collineation(perm: Sequence[int], diag: Sequence[Fraction]) -> Linea
     Sends coordinate i to position perm[i] scaled by diag[i]; preserves the
     projective metric exactly.
     """
-    size = len(perm)
     _check_permutation(perm)
+    size = len(perm)
     diag = vector(diag)
     if len(diag) != size:
         raise DomainError("diagonal and permutation sizes differ")

@@ -34,11 +34,21 @@ def canonical_index_set(cone: PolyCone, indices: Iterable[int]) -> frozenset[int
     nonempty subset is already the canonical name of the cone it cuts out.
     Each index must be an `int` (a `bool` is refused) and name a facet.
     """
-    index = frozenset(indices)
+    index = _as_set(indices)
     if not index:
         raise DomainError("facet index set must be nonempty")
     _check_indices(cone, index)
     return index
+
+
+def _as_set(indices: Iterable[int]) -> frozenset:
+    """The indices as a frozenset; what is not iterable is refused by its type."""
+    try:
+        return frozenset(indices)
+    except TypeError:
+        if isinstance(indices, Iterable):
+            raise
+        raise DomainError(f"facet indices must be an iterable of integers, not {type(indices).__name__}") from None
 
 
 def _check_indices(cone: PolyCone, indices: Iterable) -> None:
@@ -102,7 +112,7 @@ def tangent_family(cone: PolyCone, indices: Iterable[int] | None = None) -> list
     `canonical_index_set`), so there is one entry per subset, ordered by
     size and then lexicographically.
     """
-    pool = set(range(cone.num_facets) if indices is None else indices)
+    pool = _as_set(range(cone.num_facets) if indices is None else indices)
     if not pool:
         raise DomainError("tangent family over an empty index pool")
     if len(pool) > TANGENT_FAMILY_MAX_FACETS:

@@ -14,12 +14,24 @@ import hilbertgeom.linalg as linalg
 from hilbertgeom import (
     ConstructionError, DomainError, HPolytope, LinearFunctional, PolyCone, cone_from_polytope, lift_to_cone, vector,
 )
-from hilbertgeom.geometry import _unit_lead
-from hilbertgeom.linalg import (
-    _gauss_jordan, _gordan_empty, _integer_rows, _kernel, _over, _primitive, kernel_basis, rank, rref,
-)
+from hilbertgeom.linalg import _gauss_jordan, _gordan_empty, _integer_rows, _kernel, kernel_basis, rank, rref
 
 F = Fraction
+
+
+def _unit_lead(coords) -> tuple:
+    """Oracle for the unit-lead form: the vector over the absolute value of its leading nonzero entry, in `Fraction`s."""
+    lead = abs(next(F(c) for c in coords if c))
+    return tuple(F(c) / lead for c in coords)
+
+
+def _primitive(values) -> tuple:
+    """Oracle for the primitive integer row: the values times the lcm of their denominators, over the gcd."""
+    values = [F(v) for v in values]
+    scale = math.lcm(*[v.denominator for v in values])
+    ints = [int(v * scale) for v in values]
+    g = math.gcd(*ints) or 1
+    return tuple(v // g for v in ints)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -49,7 +61,7 @@ def linear_system_feasible(equalities, inequalities, nvars) -> bool:
     scale = math.lcm(*[c.denominator for coeffs, b in system for c in (*coeffs, b)])
     rows, rhs = [], []
     for k, (coeffs, b) in enumerate(system):
-        *plus, b = _over(scale, [*coeffs, b])
+        *plus, b = [int(c * scale) for c in (*coeffs, b)]
         row = plus + [-c for c in plus] + [0] * nge
         if k >= first_slack:
             row[2 * nvars + k - first_slack] = -scale

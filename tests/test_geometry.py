@@ -42,6 +42,7 @@ from test_face_lattice import lp_calls  # noqa: F401  (fixture)
 
 from helpers import (
     F,
+    _primitive,
     axes_bounded,
     bench_gen,
     boundary_sample,
@@ -254,7 +255,7 @@ class TestBoundedness:
     )
     def test_unbounded_and_rank_deficient(self, lp_calls, dim, halfspaces, bounded):
         assert axes_bounded(dim, halfspaces) is bounded
-        rows = [linalg._primitive((*vector(a), -F(b))) for a, b in halfspaces]
+        rows = [_primitive((*vector(a), -F(b))) for a, b in halfspaces]
         assert lp_bounded(rows, dim) is bounded
         expected = lp_polytope(dim, halfspaces)
         lp_calls.clear()

@@ -42,6 +42,7 @@ from hilbertgeom import (
     exp_chart_float,
     face_hilbert,
     face_m_ratio,
+    format_rational,
     gromov_product,
     hilbert_cone,
     horolimit_residual,
@@ -185,6 +186,9 @@ REFUSALS = [
     ("j-eval-base-outside", lambda: j_eval(positive_orthant(3), (1, 1, 1), (1, 2, 1), (-1, -1, -1)), DomainError, J_BASE),
     ("j-eval-base-before-y", lambda: j_eval(positive_orthant(3), (1, 1, 1), SHORT, (-1, -1, -1)), DomainError, J_BASE),
     ("geodesic-one-point", lambda: almost_geodesic_check([CENTRE], zero_distance), DomainError, "an almost-geodesic needs at least two points"),
+    # Formatting reads its value as `rational` does.
+    ("format-rational-float", lambda: format_rational(1.5), ParseError, "the float 1.5 is not an exact rational"),
+    ("format-rational-string", lambda: format_rational("x"), ParseError, "not an exact rational: 'x'"),
     # Simplex.
     ("var-dist-sizes", lambda: var_dist(VClass([0, 1]), VClass([0, 1, 2])), DomainError, "variation classes of different dimension"),
     ("apply-sizes", lambda: apply_isometry(identity_isometry(2), VClass([0, 1])), DomainError, "isometry and class dimensions differ"),
@@ -216,6 +220,8 @@ REFUSALS = [
     ("orthant-float", lambda: positive_orthant(2.0), DomainError, SIZE.format(2.0)),
     ("orthant-bool", lambda: positive_orthant(True), DomainError, SIZE.format(True)),
     ("witness-string", lambda: collineation_witness_failure("2"), DomainError, SIZE.format("2")),
+    ("identity-string", lambda: identity_isometry("x"), DomainError, SIZE.format("x")),
+    ("identity-zero", lambda: identity_isometry(0), DomainError, AT_LEAST_ONE),
     ("exp-base-one", lambda: exp_chart(VClass([0, 1]), 1), DomainError, BASE),
     ("exp-base-zero", lambda: exp_chart(VClass([0, 1]), 0), DomainError, BASE),
     ("log-chart-base-one", lambda: log_chart((1, 2), 1), DomainError, BASE),
@@ -224,6 +230,8 @@ REFUSALS = [
     ("orthant-zero", lambda: positive_orthant(0), DomainError, AT_LEAST_ONE),
     ("collineation-permutation", lambda: simplex_collineation([0, 0], [1, 1]), DomainError, "not a permutation of the coordinates"),
     ("collineation-diagonal", lambda: simplex_collineation([0, 1], [1]), DomainError, "diagonal and permutation sizes differ"),
+    # One permutation check serves both callers, the sequence test included.
+    ("collineation-int-permutation", lambda: simplex_collineation(5, [1]), DomainError, "permutation must be a sequence of integers, not 5"),
     # sorted([True, 0]) == [0, 1], so only the entry check refuses it, as `SimplexIsometry` does.
     ("collineation-bool-entry", lambda: simplex_collineation([True, 0], [1, 1]), DomainError, "permutation entry True is not an integer"),
     ("witness-zero", lambda: collineation_witness_failure(0), DomainError, AT_LEAST_ONE),
@@ -245,6 +253,8 @@ REFUSALS = [
     # Plain sets and lists are not hashable, so the lattice could not look them up.
     ("classify-part-sets", lambda: classify_part(square(), PartId({0}, {0})), DomainError, "part index sets must be frozensets, not set"),
     ("part-dimension-lists", lambda: part_dimension(square(), PartId([0], [0])), DomainError, "part index sets must be frozensets, not list"),
+    ("classify-part-tuple", lambda: classify_part(square(), (frozenset({0}), frozenset({0}))), DomainError, "part must be a PartId, not tuple"),
+    ("part-dimension-tuple", lambda: part_dimension(square(), (frozenset({0}), frozenset({0}))), DomainError, "part must be a PartId, not tuple"),
     ("part-dimension-empty", lambda: part_dimension(square(), PartId(frozenset({0}), frozenset())), DomainError, PART),
     ("part-dimension-nested", lambda: part_dimension(square(), PartId(frozenset({0}), frozenset({1}))), DomainError, NESTED),
     ("part-dimension-range", lambda: part_dimension(square(), PartId(frozenset({-1}), frozenset({-1}))), DomainError, "facet index -1 out of range for a cone with 4 facets"),
@@ -254,6 +264,9 @@ REFUSALS = [
     ("tangent-family-empty", lambda: tangent_family(square(), []), DomainError, "tangent family over an empty index pool"),
     ("tangent-family-string", lambda: tangent_family(square(), ["a"]), DomainError, "facet index 'a' is not an integer"),
     ("tangent-family-mixed", lambda: tangent_family(square(), [0, "a"]), DomainError, "facet index 'a' is not an integer"),
+    ("tangent-family-int", lambda: tangent_family(square(), 5), DomainError, "facet indices must be an iterable of integers, not int"),
+    ("index-set-none", lambda: canonical_index_set(square(), None), DomainError, "facet indices must be an iterable of integers, not NoneType"),
+    ("subcone-none", lambda: subcone(square(), None), DomainError, "facet indices must be an iterable of integers, not NoneType"),
     # Facet index sets: ints only, each naming a facet.
     ("index-set-float", lambda: canonical_index_set(square(), [1.5]), DomainError, "facet index 1.5 is not an integer"),
     ("index-set-bool", lambda: canonical_index_set(square(), [True]), DomainError, "facet index True is not an integer"),
