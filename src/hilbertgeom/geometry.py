@@ -32,6 +32,7 @@ from .linalg import (
     _gordan_empty,
     _kernel,
     _primitive,
+    _refuse,
     _scaled,
     _set,
     _sorted_over,
@@ -238,6 +239,8 @@ def _row_values(owner: PolyCone | HPolytope, point: Sequence[Fraction]) -> tuple
     its points and read the point at height one, scaled to s; a cone's rows
     stop before that last entry.
     """
+    if owner.__class__ is not PolyCone and owner.__class__ is not HPolytope:
+        _refuse("cone", PolyCone, owner)
     point = vector(point)
     owner._check_dim(point)
     ints, scale = _scaled(point)
@@ -282,6 +285,7 @@ def face_of(cone: PolyCone, x: Sequence[Fraction]) -> Face:
 
 def face_contains(face: Face, y: Sequence[Fraction]) -> bool:
     """Membership y in face: y in closure(C) with every active functional zero."""
+    _refuse("face", Face, face)
     loc = classify_point(face.parent, vector(y))
     if loc.kind == EXTERIOR:
         return False
@@ -297,6 +301,7 @@ def cone_subset(inner: PolyCone, outer: PolyCone) -> bool:
     plus the cone of the extreme rays (`linalg._extreme_rays`), so psi must
     vanish on the stored lineality basis and be >= 0 on every ray.
     """
+    _refuse("cone", PolyCone, inner, outer)
     if inner.ambient_dim != outer.ambient_dim:
         raise DomainError("cones live in different ambient spaces")
     rays = _extreme_rays(inner._rows, inner.ambient_dim)[0]
@@ -375,6 +380,7 @@ class HPolytope:
 
 def interior_point(polytope: HPolytope) -> Vector:
     """Vertex centroid; interior whenever the polytope is full-dimensional."""
+    _refuse("polytope", HPolytope, polytope)
     n = len(polytope.vertices)
     acc = [ZERO] * polytope.dim
     for v in polytope.vertices:
@@ -390,6 +396,7 @@ def cone_from_polytope(polytope: HPolytope) -> PolyCone:
     (x, h) -> <a, x> - b*h on R^(dim+1); the height coordinate is last.
     The polytope's integer rows are positive multiples of these functionals.
     """
+    _refuse("polytope", HPolytope, polytope)
     cone = PolyCone(polytope._rows, polytope.dim + 1)
     if not cone.is_proper:
         raise ConstructionError("homogenisation produced an improper cone")
@@ -460,4 +467,5 @@ def face_lattice_active_sets(cone: PolyCone) -> list[frozenset[int]]:
     dimension, dim K.  Sets come ordered by size, then lexicographically,
     and are memoised per cone (cones are immutable values keyed by rows).
     """
+    _refuse("cone", PolyCone, cone)
     return list(_face_lattice_cached(cone))

@@ -28,7 +28,7 @@ from .geometry import (
     classify_point,
     face_lattice_active_sets,
 )
-from .linalg import Vector, _Frozen, _fractions, _gauss_jordan, _scaled, _set, _unit_lead, rational, vector
+from .linalg import Vector, _Frozen, _fractions, _gauss_jordan, _refuse, _scaled, _set, _unit_lead, rational, vector
 from .metrics import LogValue, _max_ratio, face_hilbert, face_m_ratio, hilbert_cone, m_ratio
 from .tangent import _check_indices, canonical_index_set, subcone
 
@@ -81,6 +81,7 @@ def busemann_point(
     (`_scaled`), the integer d P - sum P_c R_c, negated when d < 0.  The
     canonical x and p are the unit-lead forms of these integer vectors.
     """
+    _refuse("cone", PolyCone, cone)
     if not cone.is_proper:
         raise DomainError("Busemann points require a proper cone")
     x = vector(x)
@@ -91,13 +92,7 @@ def busemann_point(
         raise DomainError("boundary point must lie on the cone boundary, away from the apex")
     if min(_row_values(cone, base)[0]) <= 0:
         raise DomainError("base-point must be interior")
-    if not isinstance(funk_index, Iterable):
-        raise DomainError(f"funk cone indices must be an iterable of facet indices, not {funk_index!r}")
-    indices = tuple(funk_index)
-    if not indices:
-        raise DomainError("funk cone index set must be nonempty")
-    _check_indices(cone, indices)
-    index = frozenset(indices)
+    index = canonical_index_set(cone, funk_index)
     if not index <= active:
         raise DomainError("funk cone indices must be active at the boundary point")
     funk_cone = subcone(cone, index)
@@ -151,6 +146,7 @@ def busemann_eval(point: BusemannPoint, w: Sequence[Fraction]) -> LogValue:
     w is interior exactly when its row values, the denominators of the
     first gauge M(x/w; cone), are all positive: the gauge kernel's own test.
     """
+    _refuse("Busemann point", BusemannPoint, point)
     w = vector(w)
     near = _max_ratio(_row_values(point.cone, point.x), _row_values(point.cone, w), _OFF_INTERIOR)
     moving = near * m_ratio(w, point.p, point.funk_cone)
@@ -159,6 +155,7 @@ def busemann_eval(point: BusemannPoint, w: Sequence[Fraction]) -> LogValue:
 
 
 def _check_comparable(g: BusemannPoint, h: BusemannPoint) -> None:
+    _refuse("Busemann point", BusemannPoint, g, h)
     if g.cone != h.cone:
         raise DomainError("Busemann points live on different cones")
     if g.base != h.base:
@@ -220,11 +217,13 @@ class PartId(_Frozen):
 
 
 def part_of(point: BusemannPoint) -> PartId:
+    _refuse("Busemann point", BusemannPoint, point)
     return PartId(point.x_active, point.funk_index)
 
 
 def enumerate_parts(cone: PolyCone) -> list[PartId]:
     """All parts: pairs (boundary face, member of the tangent family there)."""
+    _refuse("cone", PolyCone, cone)
     if not cone.is_proper:
         raise DomainError("part enumeration requires a proper cone")
     out = [

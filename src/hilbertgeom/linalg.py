@@ -21,6 +21,7 @@ one entry, `_gordan_empty`, takes an integer basis of the equations'
 kernel and primitive integer rows.
 
 The module also holds what every other module shares: the error classes,
+`_refuse`, which refuses an argument of the wrong class by its type,
 `_Frozen`, the base of the immutable value classes, and the one codec
 between rational and integer vectors, which no other module repeats.
 `_scaled` encodes a vector as integers over the lcm of its denominators,
@@ -54,6 +55,13 @@ class ParseError(HilbertGeometryError):
 
 class DomainError(HilbertGeometryError):
     """A point lies outside the region an operation requires."""
+
+
+def _refuse(role: str, cls: type, *values) -> None:
+    """Raise the refusal for the first of `values` that is not a `cls`."""
+    for value in values:
+        if value.__class__ is not cls:
+            raise DomainError(f"{role} must be a {cls.__name__}, not {type(value).__name__}")
 
 
 _set = object.__setattr__
@@ -133,10 +141,6 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     for x, y in zip(a, b):
         total += x * y
     return total
-
-
-def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -16,14 +16,16 @@ with the two points' scales folded in.  The two-sided metrics `hilbert_cone`,
 ratios from them.
 
 `hilbert_cross_ratio` stays on `Fraction`s and on the polytope's
-halfspaces.  It is the independent check of `hilbert_cone`; on the same
-integer rows its chord would reduce to the gauge's own formula.
+halfspaces, and reads no integer rows.  It is the independent check of
+`hilbert_cone`; on the same integer rows its chord would reduce to the
+gauge's own formula.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
 from .geometry import (
@@ -35,7 +37,7 @@ from .geometry import (
     _row_values,
     format_rational,
 )
-from .linalg import ONE, Vector, dot, rational, vector, vsub
+from .linalg import ONE, _refuse, rational, vector
 
 
 class LogValue:
@@ -195,32 +197,34 @@ def hilbert_cone(x: Sequence[Fraction], y: Sequence[Fraction], cone: PolyCone) -
     return forward + _log_gauge(_max_ratio(ys, xs, _INTERIOR), "reverse-Funk")
 
 
-def _require_interior(polytope: HPolytope, point: Vector) -> None:
-    if not polytope.contains_interior(point):
-        raise DomainError(f"point {tuple(map(format_rational, point))} is not interior")
-
-
 def hilbert_cross_ratio(polytope: HPolytope, x: Sequence[Fraction], y: Sequence[Fraction]) -> LogValue:
     """Hilbert distance as the log cross-ratio of the chord through x and y.
 
     The chord is parametrised as x + t(y - x); working with parameter
     differences instead of Euclidean lengths keeps the cross-ratio rational
     (lengths along a fixed line are proportional to parameter differences).
+    Each halfspace <f, .> > b is read once at each point, as the slack
+    s = f(.) - b: x and y are interior when every slack is positive, and
+    the chord meets the halfspace's boundary at t = -s_x / (s_y - s_x).
     """
+    _refuse("polytope", HPolytope, polytope)
     x = vector(x)
     y = vector(y)
-    _require_interior(polytope, x)
-    _require_interior(polytope, y)
+    slacks = []
+    for point in (x, y):
+        polytope._check_dim(point)
+        slacks.append([sum(map(mul, f.coeffs, point), -b) for f, b in polytope.halfspaces])
+        if min(slacks[-1]) <= 0:
+            raise DomainError(f"point {tuple(map(format_rational, point))} is not interior")
     if x == y:
         return LogValue.zero()
-    direction = vsub(y, x)
     lower = None
     upper = None
-    for f, b in polytope.halfspaces:
-        slope = dot(f.coeffs, direction)
+    for sx, sy in zip(*slacks):
+        slope = sy - sx
         if slope == 0:
             continue
-        t = (b - dot(f.coeffs, x)) / slope
+        t = -sx / slope
         if slope > 0:
             lower = t if lower is None or t > lower else lower
         else:
@@ -233,6 +237,7 @@ def hilbert_cross_ratio(polytope: HPolytope, x: Sequence[Fraction], y: Sequence[
 
 
 def _inactive(face: Face) -> list[int]:
+    _refuse("face", Face, face)
     inactive = [i for i in range(face.parent.num_facets) if i not in face.active]
     if not inactive:
         raise DomainError("face has no inactive constraints")

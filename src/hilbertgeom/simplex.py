@@ -15,12 +15,13 @@ reciprocal map.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Callable, Sequence
 
 from .geometry import DomainError, PolyCone, classify_point
-from .linalg import ONE, ZERO, Vector, _Frozen, _fractions, _scaled, _set, dot, rational, vector
+from .linalg import ONE, ZERO, Vector, _Frozen, _fractions, _refuse, _scaled, _set, dot, rational, vector
 
 POINT_GROUP_MAX_N = 6
 BALL_VERTICES_MAX_N = 12
@@ -73,13 +74,6 @@ def _vclass(nums: tuple[int, ...], den: int) -> VClass:
 
 def vclass(values: Sequence[Fraction]) -> VClass:
     return VClass(values)
-
-
-def _refuse(role: str, cls: type, *values) -> None:
-    """Raise the refusal for the first of `values` that is not a `cls`."""
-    for value in values:
-        if value.__class__ is not cls:
-            raise DomainError(f"{role} must be a {cls.__name__}, not {type(value).__name__}")
 
 
 def var_norm(v: VClass) -> Fraction:
@@ -336,9 +330,16 @@ def log_chart(x: Sequence[Fraction], base: Fraction) -> VClass:
 
 
 def exp_chart_float(v: VClass) -> tuple[float, ...]:
+    """Coordinate-wise e^x in floats; a coordinate that overflows a float, or whose e^x does, is refused."""
     if v.__class__ is not VClass:
         _refuse("point", VClass, v)
-    return tuple(math.exp(a / v.den) for a in v.nums)
+    out = []
+    for i, a in enumerate(v.nums):
+        try:
+            out.append(math.exp(a / v.den))
+        except OverflowError:
+            raise DomainError(f"coordinate {i} overflows the float range, up to {sys.float_info.max!r}") from None
+    return tuple(out)
 
 
 def reciprocal_map(x: Sequence[Fraction]) -> Vector:

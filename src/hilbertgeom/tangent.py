@@ -20,7 +20,7 @@ from .geometry import (
     PolyCone,
     classify_point,
 )
-from .linalg import _Frozen, _kernel, _set, vector
+from .linalg import _Frozen, _kernel, _refuse, _set, vector
 
 TANGENT_FAMILY_MAX_FACETS = 20
 
@@ -32,27 +32,25 @@ def canonical_index_set(cone: PolyCone, indices: Iterable[int]) -> frozenset[int
     combination of the others.  By Farkas, C_I <= C_J then holds exactly
     when J <= I, so distinct subsets cut out distinct cones and every
     nonempty subset is already the canonical name of the cone it cuts out.
-    Each index must be an `int` (a `bool` is refused) and name a facet.
+    Each index must be an `int` (a `bool` is refused) naming a facet; the
+    entries are read once and checked in order before any is hashed, and
+    what is not iterable is refused by its type.
     """
-    index = _as_set(indices)
-    if not index:
-        raise DomainError("facet index set must be nonempty")
-    _check_indices(cone, index)
-    return index
-
-
-def _as_set(indices: Iterable[int]) -> frozenset:
-    """The indices as a frozenset; what is not iterable is refused by its type."""
     try:
-        return frozenset(indices)
+        indices = tuple(indices)
     except TypeError:
         if isinstance(indices, Iterable):
             raise
         raise DomainError(f"facet indices must be an iterable of integers, not {type(indices).__name__}") from None
+    _check_indices(cone, indices)
+    if not indices:
+        raise DomainError("facet index set must be nonempty")
+    return frozenset(indices)
 
 
 def _check_indices(cone: PolyCone, indices: Iterable) -> None:
-    """Refuse the first index, in iteration order, that is not an `int` (or is a `bool`) or names no facet."""
+    """Refuse a non-cone, then the first index, in order, that is not an `int`, is a `bool` or names no facet."""
+    _refuse("cone", PolyCone, cone)
     n = cone.num_facets
     for i in indices:
         if type(i) is int and 0 <= i < n:
@@ -112,14 +110,12 @@ def tangent_family(cone: PolyCone, indices: Iterable[int] | None = None) -> list
     `canonical_index_set`), so there is one entry per subset, ordered by
     size and then lexicographically.
     """
-    pool = _as_set(range(cone.num_facets) if indices is None else indices)
-    if not pool:
-        raise DomainError("tangent family over an empty index pool")
+    _refuse("cone", PolyCone, cone)
+    pool = sorted(canonical_index_set(cone, range(cone.num_facets) if indices is None else indices))
     if len(pool) > TANGENT_FAMILY_MAX_FACETS:
         raise ConstructionError(
             f"tangent family guard: the index pool has {len(pool)} facets, more than {TANGENT_FAMILY_MAX_FACETS}"
         )
-    pool = sorted(canonical_index_set(cone, pool))
     return [
         TangentFamilyEntry(frozenset(subset), subcone(cone, subset))
         for r in range(1, len(pool) + 1)
@@ -129,4 +125,5 @@ def tangent_family(cone: PolyCone, indices: Iterable[int] | None = None) -> list
 
 def hilbert_dimension(cone: PolyCone) -> int:
     """Dimension of the Hilbert geometry on the cone: n minus the lineality."""
+    _refuse("cone", PolyCone, cone)
     return (cone.ambient_dim - 1) - len(cone._lineality)

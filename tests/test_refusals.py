@@ -40,13 +40,19 @@ from hilbertgeom import (
     enumerate_parts,
     exp_chart,
     exp_chart_float,
+    face_contains,
     face_hilbert,
+    face_lattice_active_sets,
     face_m_ratio,
+    face_of,
     format_rational,
     gromov_product,
     hilbert_cone,
+    hilbert_cross_ratio,
+    hilbert_dimension,
     horolimit_residual,
     identity_isometry,
+    interior_point,
     inverse,
     is_metric_preserving,
     j_eval,
@@ -54,11 +60,13 @@ from hilbertgeom import (
     log_chart,
     m_ratio,
     part_dimension,
+    part_of,
     permutation_group_elements,
     point_group_elements,
     positive_orthant,
     simplex_collineation,
     subcone,
+    tangent_cone,
     tangent_family,
     var_ball_vertices,
     var_dist,
@@ -70,6 +78,7 @@ from helpers import simplex2, unit_square
 CENTRE = lift_to_cone((F(1, 2), F(1, 2)))
 EDGE = lift_to_cone((0, F(1, 2)))
 EDGE_LOW = lift_to_cone((0, F(1, 4)))
+MID = (F(1, 2), F(1, 2))  # the square's centre, before lifting
 OUTSIDE = (F(-1, 2), F(-1, 2), -1)  # every facet value negative
 HALF_FLOAT = (0.5, 1, 1)
 SHORT = (1, 1)
@@ -124,6 +133,7 @@ RELATIVE = "denominator point is not in the relative interior of the face"
 FUNK_SIGN = "Funk metric undefined: gauge argument is not positive"
 SHORT_DIM = "point has dimension 2, cone lives in 3"
 J_BASE = "normalising gauge M(base/x) is not positive"
+OVERFLOW = "coordinate {} overflows the float range, up to 1.7976931348623157e+308"
 
 REFUSALS = [
     # PolyCone: the same checks in the same order, whatever route construction takes.
@@ -185,6 +195,14 @@ REFUSALS = [
     ("j-eval-base-at-origin", lambda: j_eval(positive_orthant(3), (1, 1, 1), (1, 2, 1), (0, 0, 0)), DomainError, J_BASE),
     ("j-eval-base-outside", lambda: j_eval(positive_orthant(3), (1, 1, 1), (1, 2, 1), (-1, -1, -1)), DomainError, J_BASE),
     ("j-eval-base-before-y", lambda: j_eval(positive_orthant(3), (1, 1, 1), SHORT, (-1, -1, -1)), DomainError, J_BASE),
+    # The chord reads x then y: both parsed, then x's dimension and interior, then y's.
+    ("cross-ratio-x-dimension", lambda: hilbert_cross_ratio(unit_square(), CENTRE, MID), DomainError, "point has dimension 3, polytope has 2"),
+    ("cross-ratio-y-dimension", lambda: hilbert_cross_ratio(unit_square(), MID, (1, 1, 1, 1)), DomainError, "point has dimension 4, polytope has 2"),
+    ("cross-ratio-x-exterior", lambda: hilbert_cross_ratio(unit_square(), (2, 2), MID), DomainError, "point ('2', '2') is not interior"),
+    ("cross-ratio-y-exterior", lambda: hilbert_cross_ratio(unit_square(), MID, (0, F(1, 2))), DomainError, "point ('0', '1/2') is not interior"),
+    ("cross-ratio-x-dimension-first", lambda: hilbert_cross_ratio(unit_square(), CENTRE, (1, 1, 1, 1)), DomainError, "point has dimension 3, polytope has 2"),
+    ("cross-ratio-x-exterior-before-y-dimension", lambda: hilbert_cross_ratio(unit_square(), (2, 2), (1, 1, 1, 1)), DomainError, "point ('2', '2') is not interior"),
+    ("cross-ratio-y-parsed-before-x-dimension", lambda: hilbert_cross_ratio(unit_square(), CENTRE, (0.5, 1)), ParseError, FLOAT),
     ("geodesic-one-point", lambda: almost_geodesic_check([CENTRE], zero_distance), DomainError, "an almost-geodesic needs at least two points"),
     # Formatting reads its value as `rational` does.
     ("format-rational-float", lambda: format_rational(1.5), ParseError, "the float 1.5 is not an exact rational"),
@@ -210,6 +228,10 @@ REFUSALS = [
     ("inverse-isometry", lambda: inverse((0, 1)), DomainError, ISOMETRY.format("tuple")),
     ("exp-chart-point", lambda: exp_chart((0, 1), 2), DomainError, POINT.format("tuple")),
     ("exp-chart-float-point", lambda: exp_chart_float((0, 1)), DomainError, POINT.format("tuple")),
+    # A float chart coordinate overflows in the division (|x| too large) or in e^x; either is named.
+    ("exp-chart-float-huge", lambda: exp_chart_float(VClass([0, 10**400])), DomainError, OVERFLOW.format(1)),
+    ("exp-chart-float-huge-negative", lambda: exp_chart_float(VClass([0, -10**400])), DomainError, OVERFLOW.format(1)),
+    ("exp-chart-float-exp", lambda: exp_chart_float(VClass([0, 1, 1000])), DomainError, OVERFLOW.format(2)),
     ("ball-zero", lambda: var_ball_vertices(0), DomainError, AT_LEAST_ONE),
     ("ball-guard", lambda: var_ball_vertices(13), DomainError, "vertex enumeration guard: n <= 12"),
     ("point-group-zero", lambda: point_group_elements(0), DomainError, AT_LEAST_ONE),
@@ -261,7 +283,9 @@ REFUSALS = [
     # 1.0 == 1, so the cone index passes the nesting test; it is refused as a float.
     ("part-dimension-float-cone-index", lambda: part_dimension(square(), PartId(frozenset({0, 1}), frozenset({1.0}))), DomainError, "facet index 1.0 is not an integer"),
     ("horolimit-leaves", lambda: horolimit_residual(square(), (0, F(1, 2), 1), (2, F(1, 2), 1), CENTRE, CENTRE, 1), DomainError, "line point left the cone interior"),
-    ("tangent-family-empty", lambda: tangent_family(square(), []), DomainError, "tangent family over an empty index pool"),
+    ("tangent-family-empty", lambda: tangent_family(square(), []), DomainError, "facet index set must be nonempty"),
+    # The pool is checked before the size guard, which bounds a 2^k output only a valid pool can produce.
+    ("tangent-family-range-before-guard", lambda: tangent_family(square(), range(25)), DomainError, "facet index 4 out of range for a cone with 4 facets"),
     ("tangent-family-string", lambda: tangent_family(square(), ["a"]), DomainError, "facet index 'a' is not an integer"),
     ("tangent-family-mixed", lambda: tangent_family(square(), [0, "a"]), DomainError, "facet index 'a' is not an integer"),
     ("tangent-family-int", lambda: tangent_family(square(), 5), DomainError, "facet indices must be an iterable of integers, not int"),
@@ -277,13 +301,69 @@ REFUSALS = [
     ("busemann-float-inactive-index", lambda: busemann_point(square(), EDGE, [0.0], CENTRE, CENTRE), DomainError, "facet index 0.0 is not an integer"),
     ("busemann-range-index", lambda: busemann_point(square(), EDGE, [7], CENTRE, CENTRE), DomainError, "facet index 7 out of range for a cone with 4 facets"),
     ("busemann-inactive-index", lambda: busemann_point(square(), EDGE, [0], CENTRE, CENTRE), DomainError, "funk cone indices must be active at the boundary point"),
-    ("busemann-index-not-iterable", lambda: busemann_point(square(), EDGE, None, CENTRE, CENTRE), DomainError, "funk cone indices must be an iterable of facet indices, not None"),
-    ("busemann-empty-index", lambda: busemann_point(square(), EDGE, [], CENTRE, CENTRE), DomainError, "funk cone index set must be nonempty"),
+    ("busemann-index-not-iterable", lambda: busemann_point(square(), EDGE, None, CENTRE, CENTRE), DomainError, "facet indices must be an iterable of integers, not NoneType"),
+    ("busemann-empty-index", lambda: busemann_point(square(), EDGE, [], CENTRE, CENTRE), DomainError, "facet index set must be nonempty"),
     # Facet callables: a float is refused, and a wrong dimension names both.
     ("functional-float", lambda: LinearFunctional((1, 2))((0.5, 1)), ParseError, FLOAT),
     ("orthant-m-ratio-float", lambda: m_ratio((0.5, 1), (1, 1), positive_orthant(2)), ParseError, FLOAT),
     ("functional-dimension", lambda: LinearFunctional((1, 2))((1, 2, 3)), DomainError, "point has dimension 3, expected 2"),
     ("collineation-dimension", lambda: simplex_collineation([0, 1], [1, 1])((1, 2, 3)), DomainError, "point has dimension 3, expected 2"),
+]
+
+CONE = "cone must be a PolyCone, not NoneType"
+FACE = "face must be a Face, not NoneType"
+POLYTOPE = "polytope must be a HPolytope, not NoneType"
+BUSEMANN = "Busemann point must be a BusemannPoint, not NoneType"
+SOME_PART = PartId(frozenset({0}), frozenset({0}))
+
+# None where a cone, face, polytope or Busemann point belongs: refused by its type, never an AttributeError.
+NONE_ARGUMENTS = [
+    ("classify-point", lambda: classify_point(None, CENTRE), CONE),
+    ("m-ratio", lambda: m_ratio(CENTRE, CENTRE, None), CONE),
+    ("hilbert-cone", lambda: hilbert_cone(CENTRE, CENTRE, None), CONE),
+    ("j-eval", lambda: j_eval(None, CENTRE, CENTRE, CENTRE), CONE),
+    ("cone-subset-inner", lambda: cone_subset(None, square()), CONE),
+    ("cone-subset-outer", lambda: cone_subset(square(), None), CONE),
+    ("face-lattice", lambda: face_lattice_active_sets(None), CONE),
+    ("face-of", lambda: face_of(None, EDGE), CONE),
+    ("hilbert-dimension", lambda: hilbert_dimension(None), CONE),
+    ("tangent-cone", lambda: tangent_cone(None, EDGE), CONE),
+    ("tangent-family", lambda: tangent_family(None), CONE),
+    ("index-set-cone", lambda: canonical_index_set(None, [0]), CONE),
+    ("subcone-cone", lambda: subcone(None, [0]), CONE),
+    ("enumerate-parts", lambda: enumerate_parts(None), CONE),
+    ("classify-part", lambda: classify_part(None, SOME_PART), CONE),
+    ("part-dimension", lambda: part_dimension(None, SOME_PART), CONE),
+    ("busemann-point", lambda: busemann_point(None, EDGE, [0], CENTRE, CENTRE), CONE),
+    ("face-m-ratio", lambda: face_m_ratio(EDGE, EDGE_LOW, None), FACE),
+    ("face-hilbert", lambda: face_hilbert(EDGE, EDGE_LOW, None), FACE),
+    ("face-contains", lambda: face_contains(None, EDGE), FACE),
+    ("interior-point", lambda: interior_point(None), POLYTOPE),
+    ("cone-from-polytope", lambda: cone_from_polytope(None), POLYTOPE),
+    ("cross-ratio", lambda: hilbert_cross_ratio(None, MID, MID), POLYTOPE),
+    ("busemann-eval", lambda: busemann_eval(None, CENTRE), BUSEMANN),
+    ("part-of", lambda: part_of(None), BUSEMANN),
+    ("detour-cost", lambda: detour_cost(on_square(), None), BUSEMANN),
+    ("detour-decomposition", lambda: detour_decomposition(None, on_square()), BUSEMANN),
+    ("detour-metric", lambda: detour_metric(on_square(), None), BUSEMANN),
+]
+
+# One contract for a facet index set, whichever entry point reads it.
+INDEX_ENTRY_POINTS = {
+    "canonical_index_set": lambda indices: canonical_index_set(square(), indices),
+    "subcone": lambda indices: subcone(square(), indices),
+    "tangent_family": lambda indices: tangent_family(square(), indices),
+    "busemann_point": lambda indices: busemann_point(square(), EDGE, indices, CENTRE, CENTRE),
+}
+INDEX_CONTRACT = [
+    ("nested-list", [[0]], "facet index [0] is not an integer"),
+    ("int", 5, "facet indices must be an iterable of integers, not int"),
+    ("empty", [], "facet index set must be nonempty"),
+    ("float", [1.5], "facet index 1.5 is not an integer"),
+    ("bool", [True], "facet index True is not an integer"),
+    ("range", [4], "facet index 4 out of range for a cone with 4 facets"),
+    ("string-after-int", [0, "a"], "facet index 'a' is not an integer"),
+    ("none", None, "facet indices must be an iterable of integers, not NoneType"),
 ]
 
 
@@ -294,3 +374,23 @@ def test_refusal(call, error, message):
         call()
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("call, message", [row[1:] for row in NONE_ARGUMENTS], ids=[row[0] for row in NONE_ARGUMENTS])
+def test_none_as_the_argument(call, message):
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert type(caught.value) is DomainError
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("indices, message", [row[1:] for row in INDEX_CONTRACT], ids=[row[0] for row in INDEX_CONTRACT])
+def test_one_index_contract(indices, message):
+    outcomes = {}
+    for name, call in INDEX_ENTRY_POINTS.items():
+        if indices is None and name == "tangent_family":
+            continue  # there None means every facet
+        with pytest.raises(HilbertGeometryError) as caught:
+            call(indices)
+        outcomes[name] = (type(caught.value), str(caught.value))
+    assert set(outcomes.values()) == {(DomainError, message)}, outcomes

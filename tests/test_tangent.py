@@ -22,7 +22,7 @@ from hilbertgeom import (
     tangent_family,
 )
 
-from helpers import F, facet_index, farkas_irredundant, interval, simplex2, unit_cube, unit_square
+from helpers import F, facet_index, farkas_irredundant, interval, simplex2, tangent_polygon, unit_cube, unit_square
 
 
 def orthant3():
@@ -169,9 +169,11 @@ class TestTangentFamily:
                 assert iterated in family_cones
 
     def test_size_guard(self):
-        cone = cone_from_polytope(unit_square())
-        with pytest.raises(ConstructionError, match="index pool has 25 facets, more than 20"):
-            tangent_family(cone, indices=range(25))
+        # The guard bounds the 2^k members of a valid pool: here every facet of a 21-gon.
+        cone = cone_from_polytope(tangent_polygon(random.Random(21), 21))
+        assert cone.num_facets == 21
+        with pytest.raises(ConstructionError, match="index pool has 21 facets, more than 20"):
+            tangent_family(cone)
 
     def test_subfamily_of_boundary_point(self):
         cone = cone_from_polytope(unit_square())
