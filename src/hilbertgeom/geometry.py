@@ -264,13 +264,30 @@ class Face(_Frozen):
 
     The face of x is {y in closure(C) : psi_i(y) = 0 for all i active at x}.
     The face lattice maps each boundary face's active set to its span dimension.
+    The active set must be a `frozenset` of facet indices of the parent cone;
+    it is empty for the face of an interior point, which is the cone itself.
     """
 
     __slots__ = ("parent", "active")
 
     def __init__(self, parent: PolyCone, active: frozenset[int]):
+        _refuse("face active set", frozenset, active)
+        _check_indices(parent, active)
         _set(self, "parent", parent)
         _set(self, "active", active)
+
+
+def _check_indices(cone: PolyCone, indices: Iterable) -> None:
+    """Refuse a non-cone, then the first index, in order, that is not an `int`, is a `bool` or names no facet."""
+    _refuse("cone", PolyCone, cone)
+    n = cone.num_facets
+    for i in indices:
+        if type(i) is int and 0 <= i < n:
+            continue
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise DomainError(f"facet index {i!r} is not an integer")
+        if not 0 <= i < n:
+            raise DomainError(f"facet index {i} out of range for a cone with {n} facets")
 
 
 def face_of(cone: PolyCone, x: Sequence[Fraction]) -> Face:

@@ -23,6 +23,7 @@ from .geometry import (
     DomainError,
     Face,
     PolyCone,
+    _check_indices,
     _face_lattice_cached,
     _row_values,
     classify_point,
@@ -30,7 +31,7 @@ from .geometry import (
 )
 from .linalg import Vector, _Frozen, _fractions, _gauss_jordan, _refuse, _scaled, _set, _unit_lead, rational, vector
 from .metrics import LogValue, _max_ratio, face_hilbert, face_m_ratio, hilbert_cone, m_ratio
-from .tangent import _check_indices, canonical_index_set, subcone
+from .tangent import _cut, canonical_index_set
 
 
 class BusemannPoint(_Frozen):
@@ -95,7 +96,7 @@ def busemann_point(
     index = canonical_index_set(cone, funk_index)
     if not index <= active:
         raise DomainError("funk cone indices must be active at the boundary point")
-    funk_cone = subcone(cone, index)
+    funk_cone = _cut(cone, index)
     p = vector(p)
     if min(_row_values(funk_cone, p)[0]) <= 0:
         raise DomainError("reference point must be interior to the funk cone")
@@ -222,17 +223,22 @@ def part_of(point: BusemannPoint) -> PartId:
 
 
 def enumerate_parts(cone: PolyCone) -> list[PartId]:
-    """All parts: pairs (boundary face, member of the tangent family there)."""
+    """All parts: pairs (boundary face, member of the tangent family there).
+
+    Ordered by the face's sorted active set, then by the size of the cone
+    index set, then lexicographically: distinct faces have distinct active
+    sets, and `combinations` of a sorted face yields each size in
+    lexicographic order, so the parts come out in order as they are built.
+    """
     _refuse("cone", PolyCone, cone)
     if not cone.is_proper:
         raise DomainError("part enumeration requires a proper cone")
-    out = [
+    return [
         PartId(active, canonical_index_set(cone, subset))
-        for active in face_lattice_active_sets(cone)
+        for active in sorted(face_lattice_active_sets(cone), key=sorted)
         for r in range(1, len(active) + 1)
         for subset in combinations(sorted(active), r)
     ]
-    return sorted(out, key=lambda p: (sorted(p.face_active), len(p.cone_index), sorted(p.cone_index)))
 
 
 VERTEX_PART = "vertex"

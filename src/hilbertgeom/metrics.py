@@ -287,6 +287,8 @@ def gromov_product(
     A = arg d(x,r) * arg d(y,r) / arg d(x,y); the half-log convention keeps
     the value exact (a square root of A would generally be irrational).
     """
+    if not callable(metric):
+        raise DomainError(f"metric must be callable, not {type(metric).__name__}")
     dxr = metric(x, r)
     dyr = metric(y, r)
     dxy = metric(x, y)
@@ -305,6 +307,10 @@ def almost_geodesic_check(
     Checks, for every prefix, that the accumulated path length exceeds the
     direct distance by at most log(slack); slack = 1 means eps = 0.
     """
+    if not isinstance(points, Sequence):
+        raise DomainError(f"points must be a sequence of points, not {type(points).__name__}")
+    if not callable(metric):
+        raise DomainError(f"metric must be callable, not {type(metric).__name__}")
     slack = rational(slack)
     if slack < 1:
         raise DomainError("slack is e^eps and must be at least 1")

@@ -448,6 +448,11 @@ def is_metric_preserving(
     """Exact check that the map preserves the projective metric on all sample pairs."""
     from .metrics import hilbert_cone
 
+    if not callable(transform):
+        raise DomainError(f"transform must be callable, not {type(transform).__name__}")
+    _refuse("cone", PolyCone, cone)
+    if not isinstance(samples, Sequence):
+        raise DomainError(f"samples must be a sequence of points, not {type(samples).__name__}")
     points = [vector(s) for s in samples]
     images = []
     for p in points:

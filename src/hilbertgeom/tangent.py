@@ -18,6 +18,7 @@ from .geometry import (
     ConstructionError,
     DomainError,
     PolyCone,
+    _check_indices,
     classify_point,
 )
 from .linalg import _Frozen, _kernel, _refuse, _set, vector
@@ -48,31 +49,23 @@ def canonical_index_set(cone: PolyCone, indices: Iterable[int]) -> frozenset[int
     return frozenset(indices)
 
 
-def _check_indices(cone: PolyCone, indices: Iterable) -> None:
-    """Refuse a non-cone, then the first index, in order, that is not an `int`, is a `bool` or names no facet."""
-    _refuse("cone", PolyCone, cone)
-    n = cone.num_facets
-    for i in indices:
-        if type(i) is int and 0 <= i < n:
-            continue
-        if isinstance(i, bool) or not isinstance(i, int):
-            raise DomainError(f"facet index {i!r} is not an integer")
-        if not 0 <= i < n:
-            raise DomainError(f"facet index {i} out of range for a cone with {n} facets")
-
-
-def subcone(cone: PolyCone, indices: Iterable[int]) -> PolyCone:
-    """The cone cut out by the facet subset `indices` of `cone`.
+def _cut(cone: PolyCone, index: Iterable[int]) -> PolyCone:
+    """The cone cut out by a facet index set of `cone` that has already been checked.
 
     A subset of a canonical facet list is canonical as it stands: still
     primitive, sorted and irredundant, and its cone contains the parent, so
     its interior is nonempty.  The parent's rows are sliced as they are, and
     one integer kernel of the slice gives its lineality basis.
     """
-    rows = tuple(cone._rows[i] for i in sorted(canonical_index_set(cone, indices)))
+    rows = tuple(cone._rows[i] for i in sorted(index))
     sub = PolyCone.__new__(PolyCone)
     sub._assign(rows, cone.ambient_dim, _kernel(rows, cone.ambient_dim)[0])
     return sub
+
+
+def subcone(cone: PolyCone, indices: Iterable[int]) -> PolyCone:
+    """The cone cut out by the facet subset `indices` of `cone`, checked by `canonical_index_set`."""
+    return _cut(cone, canonical_index_set(cone, indices))
 
 
 def tangent_cone(cone: PolyCone, z: Sequence[Fraction]) -> PolyCone:
@@ -89,7 +82,7 @@ def tangent_cone(cone: PolyCone, z: Sequence[Fraction]) -> PolyCone:
         if loc.is_interior:
             raise DomainError("tangent cone at an interior point is the whole space")
         raise DomainError("point lies outside the closed cone")
-    return subcone(cone, loc.active)
+    return _cut(cone, loc.active)
 
 
 class TangentFamilyEntry(_Frozen):
@@ -117,7 +110,7 @@ def tangent_family(cone: PolyCone, indices: Iterable[int] | None = None) -> list
             f"tangent family guard: the index pool has {len(pool)} facets, more than {TANGENT_FAMILY_MAX_FACETS}"
         )
     return [
-        TangentFamilyEntry(frozenset(subset), subcone(cone, subset))
+        TangentFamilyEntry(frozenset(subset), _cut(cone, subset))
         for r in range(1, len(pool) + 1)
         for subset in combinations(pool, r)
     ]

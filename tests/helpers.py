@@ -249,7 +249,7 @@ def sequential_cone(facets, dim):
     The former route: unit-lead functionals without duplicates, sorted; one
     strict-feasibility LP; then `farkas_irredundant` on the sorted list.
     """
-    scaled = sorted({LinearFunctional(f).canonical() for f in facets}, key=lambda f: f.coeffs)
+    scaled = sorted({LinearFunctional(_unit_lead(LinearFunctional(f).coeffs)) for f in facets}, key=lambda f: f.coeffs)
     if not open_cone_feasible([], [f.coeffs for f in scaled], dim):
         return None
     kept = [scaled[i] for i in farkas_irredundant([f.coeffs for f in scaled])]
@@ -562,11 +562,9 @@ def cone_and_lift(polytope: HPolytope):
 
 def facet_index(cone, coeffs) -> int:
     """Position of a functional (given by raw coefficients) in the canonical list."""
-    from hilbertgeom import LinearFunctional
-
-    target = LinearFunctional(vector(coeffs)).canonical()
+    target = _unit_lead(vector(coeffs))
     for i, f in enumerate(cone.facets):
-        if f == target:
+        if f.coeffs == target:
             return i
     raise AssertionError(f"functional {coeffs} not a facet of {cone}")
 

@@ -169,6 +169,14 @@ REFUSALS = [
     ("face-all-active", lambda: face_m_ratio(CENTRE, CENTRE, Face(square(), frozenset(range(4)))), DomainError, "face has no inactive constraints"),
     ("gromov-infinite", lambda: gromov_product(CENTRE, CENTRE, CENTRE, infinite), DomainError, "Gromov product needs finite distances"),
     ("geodesic-slack", lambda: almost_geodesic_check([CENTRE, CENTRE], zero_distance, F(1, 2)), DomainError, "slack is e^eps and must be at least 1"),
+    # Callables and point sequences are refused by their class on entry, before any is called or read.
+    ("gromov-metric-none", lambda: gromov_product(CENTRE, CENTRE, CENTRE, None), DomainError, "metric must be callable, not NoneType"),
+    ("geodesic-points-none", lambda: almost_geodesic_check(None, zero_distance), DomainError, "points must be a sequence of points, not NoneType"),
+    ("geodesic-metric-none", lambda: almost_geodesic_check([CENTRE, CENTRE], None), DomainError, "metric must be callable, not NoneType"),
+    # A Face checks its parent and its active set when it is built, so a bad one never reaches a gauge.
+    ("face-parent-none", lambda: face_m_ratio(EDGE, EDGE_LOW, Face(None, frozenset({0}))), DomainError, "cone must be a PolyCone, not NoneType"),
+    ("face-active-none", lambda: face_contains(Face(square(), None), EDGE), DomainError, "face active set must be a frozenset, not NoneType"),
+    ("face-active-float", lambda: face_hilbert(EDGE, EDGE_LOW, Face(square(), frozenset({1.5}))), DomainError, "facet index 1.5 is not an integer"),
     # Two-sided gauges read each point once, x then y, and refuse as the
     # one-sided gauges they combine: hilbert_cone as funk then reverse_funk
     # (y interior, the Funk sign, x interior), face_hilbert as
@@ -258,6 +266,8 @@ REFUSALS = [
     ("collineation-bool-entry", lambda: simplex_collineation([True, 0], [1, 1]), DomainError, "permutation entry True is not an integer"),
     ("witness-zero", lambda: collineation_witness_failure(0), DomainError, AT_LEAST_ONE),
     ("metric-preserving-sample", lambda: is_metric_preserving(lambda p: p, positive_orthant(2), [(1, 0)]), DomainError, "sample point is not interior"),
+    ("metric-preserving-transform-none", lambda: is_metric_preserving(None, positive_orthant(2), [(1, 1)]), DomainError, "transform must be callable, not NoneType"),
+    ("metric-preserving-samples-none", lambda: is_metric_preserving(lambda p: p, positive_orthant(2), None), DomainError, "samples must be a sequence of points, not NoneType"),
     # Horoboundary.
     ("busemann-base", lambda: busemann_point(square(), EDGE, classify_point(square(), EDGE).active, CENTRE, EDGE), DomainError, "base-point must be interior"),
     ("busemann-eval-point", lambda: busemann_eval(on_square(), EDGE), DomainError, "horofunctions are evaluated at interior points"),
@@ -335,6 +345,7 @@ NONE_ARGUMENTS = [
     ("classify-part", lambda: classify_part(None, SOME_PART), CONE),
     ("part-dimension", lambda: part_dimension(None, SOME_PART), CONE),
     ("busemann-point", lambda: busemann_point(None, EDGE, [0], CENTRE, CENTRE), CONE),
+    ("is-metric-preserving", lambda: is_metric_preserving(lambda p: p, None, []), CONE),
     ("face-m-ratio", lambda: face_m_ratio(EDGE, EDGE_LOW, None), FACE),
     ("face-hilbert", lambda: face_hilbert(EDGE, EDGE_LOW, None), FACE),
     ("face-contains", lambda: face_contains(None, EDGE), FACE),
