@@ -22,21 +22,27 @@ from .geometry import (ConstructionError, DomainError, HPolytope, ParseError, cl
 
 if TYPE_CHECKING:
     from .horoboundary import BusemannPoint
-    from .metrics import LogValue
+
+
+def _decode(text: str, what: str):
+    """The JSON value of `text`; `what` names the input in the refusal."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{what} nests JSON too deeply") from None
 
 
 def _load_polytope(path: str) -> HPolytope:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read polytope file: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"polytope file is not UTF-8: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"polytope file is not valid JSON: {exc}") from None
-    except RecursionError:
-        raise ParseError("polytope file nests JSON too deeply") from None
+    data = _decode(text, "polytope file")
     try:
         dim = data["dim"]
         raw_facets = data["facets"]
@@ -59,29 +65,21 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _log_value_fields(value: LogValue) -> dict:
-    return {"log_arg": format_rational(value.arg), "value": value.to_float()}
-
-
 def _cmd_dist(args: argparse.Namespace) -> None:
     from .metrics import hilbert_cone, hilbert_cross_ratio
 
     polytope = _load_polytope(args.polytope)
     x = parse_point(args.x, polytope.dim)
     y = parse_point(args.y, polytope.dim)
-    results: dict[str, LogValue] = {}
-    methods = [args.method] if args.method else ["cross-ratio", "cone"]
-    for method in methods:
+    values = []
+    for method in [args.method] if args.method else ["cross-ratio", "cone"]:
         if method == "cross-ratio":
-            results[method] = hilbert_cross_ratio(polytope, x, y)
+            values.append(hilbert_cross_ratio(polytope, x, y))
         else:
-            cone = cone_from_polytope(polytope)
-            results[method] = hilbert_cone(lift_to_cone(x), lift_to_cone(y), cone)
-    values = list(results.values())
-    if len(values) == 2 and values[0] != values[1]:
-        sys.stderr.write("cross-ratio and cone formulations disagree\n")
-        raise SystemExit(1)
-    _emit(_log_value_fields(values[0]))
+            values.append(hilbert_cone(lift_to_cone(x), lift_to_cone(y), cone_from_polytope(polytope)))
+    if values[0] != values[-1]:
+        raise DomainError(f"cross-ratio and cone formulations disagree: {values[0]!r} vs {values[-1]!r}")
+    _emit({"log_arg": format_rational(values[0].arg), "value": values[0].to_float()})
 
 
 def _cmd_parts(args: argparse.Namespace) -> None:
@@ -109,12 +107,7 @@ def _cmd_parts(args: argparse.Namespace) -> None:
 def _parse_busemann_spec(raw: str, cone, base) -> BusemannPoint:
     from .horoboundary import busemann_point
 
-    try:
-        spec = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"Busemann spec is not valid JSON: {exc}") from None
-    except RecursionError:
-        raise ParseError("Busemann spec nests JSON too deeply") from None
+    spec = _decode(raw, "Busemann spec")
     try:
         x = parse_point(spec["x"], cone.ambient_dim)
         index = spec["cone_index"]
@@ -189,17 +182,10 @@ def _cmd_tangent(args: argparse.Namespace) -> None:
     polytope = _load_polytope(args.polytope)
     cone = cone_from_polytope(polytope)
     z = lift_to_cone(parse_point(args.z, polytope.dim))
-    location = classify_point(cone, z)
-    if location.is_interior:
-        raise DomainError("point is interior; the tangent cone is only formed at the boundary")
     tangent = tangent_cone(cone, z)
-    _emit(
-        {
-            "active": sorted(location.active),
-            "hilbert_dim": hilbert_dimension(tangent),
-            "lineality_dim": len(tangent.lineality_basis),
-        }
-    )
+    hilbert_dim = hilbert_dimension(tangent)
+    active = sorted(classify_point(cone, z).active)
+    _emit({"active": active, "hilbert_dim": hilbert_dim, "lineality_dim": cone.ambient_dim - 1 - hilbert_dim})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -216,36 +202,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    dist = sub.add_parser("dist", help="Hilbert distance between two interior points")
-    dist.add_argument("--polytope", required=True)
-    dist.add_argument("--x", required=True)
-    dist.add_argument("--y", required=True)
+    def command(name: str, func, help: str, *required: str) -> argparse.ArgumentParser:
+        """Add the subcommand `name`, run by `func`, with each of `required` a required option."""
+        cmd = sub.add_parser(name, help=help)
+        for option in required:
+            cmd.add_argument(f"--{option}", required=True)
+        cmd.set_defaults(func=func)
+        return cmd
+
+    dist = command("dist", _cmd_dist, "Hilbert distance between two interior points", "polytope", "x", "y")
     dist.add_argument("--method", choices=["cross-ratio", "cone"])
-    dist.set_defaults(func=_cmd_dist)
-
-    parts = sub.add_parser("parts", help="enumerate the parts of the horoboundary")
-    parts.add_argument("--polytope", required=True)
-    parts.set_defaults(func=_cmd_parts)
-
-    detour = sub.add_parser("detour", help="detour metric between two Busemann points")
-    detour.add_argument("--polytope", required=True)
-    detour.add_argument("--bp1", required=True)
-    detour.add_argument("--bp2", required=True)
-    detour.set_defaults(func=_cmd_detour)
-
-    isom = sub.add_parser("simplex-isom", help="simplex isometry group data")
+    command("parts", _cmd_parts, "enumerate the parts of the horoboundary", "polytope")
+    command("detour", _cmd_detour, "detour metric between two Busemann points", "polytope", "bp1", "bp2")
+    isom = command("simplex-isom", _cmd_simplex_isom, "simplex isometry group data")
     isom.add_argument("--n", type=int, required=True)
     mode = isom.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--list-group", action="store_true")
-    mode.add_argument("--orders", action="store_true")
-    mode.add_argument("--witness", action="store_true")
-    isom.set_defaults(func=_cmd_simplex_isom)
-
-    tangent = sub.add_parser("tangent", help="tangent cone at a boundary point")
-    tangent.add_argument("--polytope", required=True)
-    tangent.add_argument("--z", required=True)
-    tangent.set_defaults(func=_cmd_tangent)
-
+    for flag in ("--list-group", "--orders", "--witness"):
+        mode.add_argument(flag, action="store_true")
+    command("tangent", _cmd_tangent, "tangent cone at a boundary point", "polytope", "z")
     return parser
 
 
@@ -260,8 +234,6 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, ConstructionError) as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return 1
-    except SystemExit as exc:
-        return int(exc.code or 0)
     return 0
 
 

@@ -27,6 +27,7 @@ from .linalg import (
     ParseError,
     Vector,
     _Frozen,
+    _Sealed,
     _extreme_rays,
     _fractions,
     _gordan_empty,
@@ -107,14 +108,6 @@ class LinearFunctional(_Frozen):
     def dim(self) -> int:
         return len(self.coeffs)
 
-    def canonical(self) -> "LinearFunctional":
-        """Scale so the leading nonzero coefficient has absolute value one.
-
-        Only positive scalings are applied, so the halfspace is unchanged.
-        """
-        ints = _scaled(self.coeffs)[0]
-        return LinearFunctional(_fractions(ints, _unit_lead(ints)))
-
 
 def _nonzero(coeffs: Vector) -> Vector:
     if not any(coeffs):
@@ -122,7 +115,7 @@ def _nonzero(coeffs: Vector) -> Vector:
     return coeffs
 
 
-class PolyCone:
+class PolyCone(_Sealed):
     """Open polyhedral cone, stored only as integers: canonical rows and a lineality basis.
 
     Each facet is one primitive integer row, the positive multiple of its
@@ -171,9 +164,9 @@ class PolyCone:
 
     def _assign(self, rows: tuple[tuple[int, ...], ...], dim: int, lineality: Iterable[Sequence[int]]) -> None:
         """Store already canonical integer rows and an integer basis of the space they vanish on."""
-        self.ambient_dim = dim
-        self._rows = rows
-        self._lineality = tuple(map(tuple, lineality))
+        _set(self, "ambient_dim", dim)
+        _set(self, "_rows", rows)
+        _set(self, "_lineality", tuple(map(tuple, lineality)))
 
     @property
     def facets(self) -> tuple[LinearFunctional, ...]:
@@ -329,7 +322,7 @@ def cone_subset(inner: PolyCone, outer: PolyCone) -> bool:
     )
 
 
-class HPolytope:
+class HPolytope(_Sealed):
     """Bounded open polytope {x : <a_i, x> > b_i} with nonempty interior.
 
     Construction enumerates the vertices (exactly) and fails on unbounded,
@@ -371,16 +364,16 @@ class HPolytope:
                 f"desk-scale guard: got dim {dim} with {len(pairs)} halfspaces; the limits are "
                 f"dim <= {VERTEX_ENUM_MAX_DIM} and at most {VERTEX_ENUM_MAX_FACETS} halfspaces"
             )
-        self.dim = dim
-        self.halfspaces = tuple(pairs)
-        self._rows = tuple(_primitive((*f.coeffs, -b)) for f, b in pairs)
+        _set(self, "dim", dim)
+        _set(self, "halfspaces", tuple(pairs))
+        _set(self, "_rows", tuple(_primitive((*f.coeffs, -b)) for f, b in pairs))
         rays, zeros, lineality = _extreme_rays(((0,) * dim + (1,), *self._rows), dim + 1)
         if lineality or not all(ray[dim] for ray in rays):
             raise ConstructionError("polytope is unbounded")
         if not rays:
             raise ConstructionError("polytope has no vertices")
         rays = _sorted_over(rays, [ray[dim] for ray in rays])
-        self.vertices = tuple(_fractions(ray[:dim], ray[dim]) for ray in rays)
+        _set(self, "vertices", tuple(_fractions(ray[:dim], ray[dim]) for ray in rays))
         if reduce(and_, zeros):  # the rows that vanish on every vertex
             raise ConstructionError("polytope has empty interior")
 

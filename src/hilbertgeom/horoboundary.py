@@ -49,11 +49,16 @@ class BusemannPoint(_Frozen):
     """
 
     __slots__ = ("cone", "x", "x_active", "funk_index", "funk_cone", "p", "base", "_anchor")
+    _classes = (PolyCone, tuple, frozenset, frozenset, PolyCone, tuple, tuple)  # checked per field when built
 
     def __init__(self, cone: PolyCone, x: Vector, x_active: frozenset[int], funk_index: frozenset[int],
                  funk_cone: PolyCone, p: Vector, base: Vector):
-        for name, value in zip(self.__slots__, (cone, x, x_active, funk_index, funk_cone, p, base, None)):
+        values = (cone, x, x_active, funk_index, funk_cone, p, base)
+        for name, cls, value in zip(self.__slots__, self._classes, values):
+            if value.__class__ is not cls:
+                _refuse(f"Busemann point {name}", cls, value)
             _set(self, name, value)
+        _set(self, "_anchor", None)
 
 
 def _anchor(point: BusemannPoint) -> tuple[Fraction, Fraction]:

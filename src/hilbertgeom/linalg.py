@@ -22,6 +22,7 @@ kernel and primitive integer rows.
 
 The module also holds what every other module shares: the error classes,
 `_refuse`, which refuses an argument of the wrong class by its type,
+`_Sealed`, the base of every class whose objects refuse assignment,
 `_Frozen`, the base of the immutable value classes, and the one codec
 between rational and integer vectors, which no other module repeats.
 `_scaled` encodes a vector as integers over the lcm of its denominators,
@@ -67,13 +68,31 @@ def _refuse(role: str, cls: type, *values) -> None:
 _set = object.__setattr__
 
 
-class _Frozen:
+class _Sealed:
+    """Base of the classes whose objects never change: assignment and deletion raise `AttributeError`.
+
+    A subclass lists its fields in `__slots__` and sets them with `_set`;
+    copy and pickle restore the slot state through `_set` too.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            _set(self, name, value)
+
+
+class _Frozen(_Sealed):
     """Base of the immutable value classes: a frozen dataclass's behaviour on slots.
 
-    A subclass lists its fields in `__slots__` and sets them in `__init__`
-    with `_set`, because assignment raises `AttributeError`.  The fields not
-    named with a leading underscore are compared and hashed as one tuple,
-    between objects of the same class only.
+    The fields not named with a leading underscore are compared and hashed
+    as one tuple, between objects of the same class only, and one object is
+    rebuilt from them by its constructor.
     """
 
     __slots__ = ()
@@ -89,11 +108,6 @@ class _Frozen:
 
     def __hash__(self):
         return hash(self._key(self))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"

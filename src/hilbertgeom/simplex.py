@@ -364,6 +364,8 @@ class LinearMap(_Frozen):
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple[Vector, ...]):
+        _refuse("linear map rows", tuple, rows)
+        _refuse("linear map row", tuple, *rows)
         _set(self, "rows", rows)
 
     def __call__(self, point: Sequence[Fraction]) -> Vector:

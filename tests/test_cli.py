@@ -1,13 +1,18 @@
 """Golden-file and exit-code tests for the command-line interface."""
 
 import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+
+import hilbertgeom.metrics
+from hilbertgeom import LogValue, cli
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -251,7 +256,18 @@ class TestExitCodes:
 
     def test_interior_tangent_point_is_one(self):
         result = run_cli("tangent", "--polytope", SQUARE, "--z", "1/2,1/2")
-        assert result.returncode == 1
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr == b"domain error: tangent cone at an interior point is the whole space\n"
+
+    def test_disagreeing_distance_routes_are_one_domain_error_line(self, monkeypatch):
+        monkeypatch.setattr(hilbertgeom.metrics, "hilbert_cone", lambda x, y, cone: LogValue(2))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["dist", "--polytope", SQUARE, "--x", "1/2,1/2", "--y", "3/4,1/2"])
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue() == (
+            "domain error: cross-ratio and cone formulations disagree: LogValue(3) vs LogValue(2)\n"
+        )
 
     def test_coincident_points_give_zero(self):
         result = run_cli("dist", "--polytope", SQUARE, "--x", "1/2,1/2", "--y", "1/2,1/2")

@@ -43,6 +43,7 @@ from test_face_lattice import lp_calls  # noqa: F401  (fixture)
 from helpers import (
     F,
     _primitive,
+    _unit_lead,
     axes_bounded,
     bench_gen,
     boundary_sample,
@@ -183,7 +184,7 @@ class TestConeFromPolytope:
 
         def pull_back(functional_coeffs):
             # coefficients of x -> <e_i, M x> are the i-th matrix row
-            return LinearFunctional(functional_coeffs).canonical()
+            return LinearFunctional(_unit_lead(functional_coeffs))
 
         mapped = {pull_back(row) for row in matrix}
         assert mapped == set(cone.facets)

@@ -11,12 +11,14 @@ from functools import cache
 import pytest
 
 from hilbertgeom import (
+    BusemannPoint,
     ConstructionError,
     DomainError,
     Face,
     HilbertGeometryError,
     HPolytope,
     LinearFunctional,
+    LinearMap,
     LogValue,
     ParseError,
     PartId,
@@ -105,6 +107,12 @@ def on_square():
     return busemann_point(square(), EDGE, classify_point(square(), EDGE).active, lift_to_cone((F(1, 3), F(1, 3))), CENTRE)
 
 
+def busemann_with(**field):
+    """`on_square()` rebuilt from its fields, one of them swapped."""
+    point = on_square()
+    return BusemannPoint(**{**{name: getattr(point, name) for name in BusemannPoint._fields}, **field})
+
+
 def on_triangle():
     base = lift_to_cone((F(1, 4), F(1, 4)))
     return busemann_point(triangle(), EDGE, classify_point(triangle(), EDGE).active, base, base)
@@ -177,6 +185,16 @@ REFUSALS = [
     ("face-parent-none", lambda: face_m_ratio(EDGE, EDGE_LOW, Face(None, frozenset({0}))), DomainError, "cone must be a PolyCone, not NoneType"),
     ("face-active-none", lambda: face_contains(Face(square(), None), EDGE), DomainError, "face active set must be a frozenset, not NoneType"),
     ("face-active-float", lambda: face_hilbert(EDGE, EDGE_LOW, Face(square(), frozenset({1.5}))), DomainError, "facet index 1.5 is not an integer"),
+    # A BusemannPoint and a LinearMap check the class of each field when built, so a bad one is never used.
+    ("busemann-field-cone", lambda: busemann_with(cone=None), DomainError, "Busemann point cone must be a PolyCone, not NoneType"),
+    ("busemann-field-x", lambda: busemann_with(x=[0, 1, 1]), DomainError, "Busemann point x must be a tuple, not list"),
+    ("busemann-field-x-active", lambda: busemann_with(x_active=None), DomainError, "Busemann point x_active must be a frozenset, not NoneType"),
+    ("busemann-field-funk-index", lambda: busemann_with(funk_index={0}), DomainError, "Busemann point funk_index must be a frozenset, not set"),
+    ("busemann-field-funk-cone", lambda: busemann_with(funk_cone=left_edge()), DomainError, "Busemann point funk_cone must be a PolyCone, not Face"),
+    ("busemann-field-p", lambda: busemann_with(p=None), DomainError, "Busemann point p must be a tuple, not NoneType"),
+    ("busemann-field-base", lambda: busemann_with(base="1/2,1/2,1"), DomainError, "Busemann point base must be a tuple, not str"),
+    ("linear-map-rows", lambda: LinearMap(None), DomainError, "linear map rows must be a tuple, not NoneType"),
+    ("linear-map-row", lambda: LinearMap(((1, 0), [0, 1])), DomainError, "linear map row must be a tuple, not list"),
     # Two-sided gauges read each point once, x then y, and refuse as the
     # one-sided gauges they combine: hilbert_cone as funk then reverse_funk
     # (y interior, the Funk sign, x interior), face_hilbert as

@@ -113,6 +113,22 @@ def test_keyword_construction_copy_and_pickle(case):
     assert repr(a).startswith(f"{cls.__name__}({fields[0]}=")
 
 
+@pytest.mark.parametrize("factory", [_cone, unit_square], ids=["PolyCone", "HPolytope"])
+def test_cones_and_polytopes_refuse_assignment_and_survive_copy_and_pickle(factory):
+    """Cones key the face-lattice cache and polytopes feed the gauges, so neither may change once built."""
+    a = factory()
+    for name in type(a).__slots__:
+        before = getattr(a, name)
+        with pytest.raises(AttributeError, match=name):
+            setattr(a, name, before)
+        with pytest.raises(AttributeError, match=name):
+            delattr(a, name)
+        assert getattr(a, name) is before
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is type(a)
+        assert all(getattr(twin, name) == getattr(a, name) for name in type(a).__slots__)
+
+
 def test_simplex_isometry_equality_ignores_gather():
     a = SimplexIsometry(vclass([0, 1, 2]), (2, 0, 1), False)
     b = SimplexIsometry(vclass([0, 1, 2]), (2, 0, 1), False)
