@@ -15,17 +15,17 @@ with the two points' scales folded in.  The two-sided metrics `hilbert_cone`,
 `face_hilbert` and `j_eval` read each point's row values once and take both
 ratios from them.
 
-`hilbert_cross_ratio` stays on `Fraction`s and on the polytope's
-halfspaces, and reads no integer rows.  It is the independent check of
-`hilbert_cone`; on the same integer rows its chord would reduce to the
-gauge's own formula.
+`hilbert_cross_ratio` reads the polytope's own integer rows, one
+`_row_values` pass per point (every input halfspace, duplicated and implied
+ones kept), and compares the chord's boundary parameters as integer pairs.
+It shares no cone, canonicalisation or `_max_ratio` with `hilbert_cone`, so
+it stays that gauge's independent check.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 from typing import Callable, Sequence
 
 from .geometry import (
@@ -203,37 +203,36 @@ def hilbert_cross_ratio(polytope: HPolytope, x: Sequence[Fraction], y: Sequence[
     The chord is parametrised as x + t(y - x); working with parameter
     differences instead of Euclidean lengths keeps the cross-ratio rational
     (lengths along a fixed line are proportional to parameter differences).
-    Each halfspace <f, .> > b is read once at each point, as the slack
-    s = f(.) - b: x and y are interior when every slack is positive, and
-    the chord meets the halfspace's boundary at t = -s_x / (s_y - s_x).
+    Each point is read once by `_row_values`: a row's value is X = c p s_x at
+    x of scale p, for the halfspace's slack s = f(.) - b and the row's multiple
+    c > 0, and Y = c q s_y at y.  x and y are interior when every value is
+    positive, and the chord meets the row's boundary at
+    t = -s_x / (s_y - s_x) = -Xq / (Yp - Xq).
     """
     _refuse("polytope", HPolytope, polytope)
     x = vector(x)
     y = vector(y)
-    slacks = []
+    values = []
     for point in (x, y):
-        polytope._check_dim(point)
-        slacks.append([sum(map(mul, f.coeffs, point), -b) for f, b in polytope.halfspaces])
-        if min(slacks[-1]) <= 0:
+        values.append(_row_values(polytope, point))
+        if min(values[-1][0]) <= 0:
             raise DomainError(f"point {tuple(map(format_rational, point))} is not interior")
     if x == y:
         return LogValue.zero()
-    lower = None
-    upper = None
-    for sx, sy in zip(*slacks):
-        slope = sy - sx
-        if slope == 0:
-            continue
-        t = -sx / slope
-        if slope > 0:
-            lower = t if lower is None or t > lower else lower
-        else:
-            upper = t if upper is None or t < upper else upper
-    if lower is None or upper is None:
+    (xs, p), (ys, q) = values
+    # The boundary parameters l = ln/ld < 0 and u = un/ud > 1; (-1, 0) and (1, 0) stand for -inf and +inf.
+    ln, ld, un, ud = -1, 0, 1, 0
+    for X, Y in zip(xs, ys):
+        n = X * q
+        d = Y * p - n
+        if d > 0 and -n * ld > ln * d:
+            ln, ld = -n, d
+        elif d < 0 and n * ud < un * -d:
+            un, ud = n, -d
+    if not ld or not ud:
         raise ConstructionError("chord does not meet the boundary twice")
-    # Boundary points: x' at t=lower < 0 and y' at t=upper > 1.
-    arg = ((1 - lower) * upper) / ((-lower) * (upper - 1))
-    return LogValue(arg)
+    # ((1 - l) u) / ((-l)(u - 1)) with x' at t=l and y' at t=u; ld and ud cancel.
+    return LogValue(Fraction((ld - ln) * un, -ln * (un - ud)))
 
 
 def _inactive(face: Face) -> list[int]:

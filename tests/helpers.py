@@ -8,6 +8,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from pathlib import Path
 
 import hilbertgeom.linalg as linalg
@@ -161,6 +162,43 @@ def two_pass_face_hilbert(x, y, face):
     from hilbertgeom import LogValue
 
     return LogValue(fraction_face_m_ratio(x, y, face) * fraction_face_m_ratio(y, x, face))
+
+
+def fraction_cross_ratio(polytope, x, y):
+    """Chord oracle: the cross-ratio on each halfspace's `Fraction` slack, the route `hilbert_cross_ratio` took before integer rows.
+
+    Each halfspace <f, .> > b is read once at each point, as the slack
+    s = f(.) - b: x and y are interior when every slack is positive, and the
+    chord x + t(y - x) meets the halfspace's boundary at t = -s_x / (s_y - s_x).
+    """
+    from hilbertgeom import LogValue, format_rational
+
+    linalg._refuse("polytope", HPolytope, polytope)
+    x = vector(x)
+    y = vector(y)
+    slacks = []
+    for point in (x, y):
+        polytope._check_dim(point)
+        slacks.append([sum(map(mul, f.coeffs, point), -b) for f, b in polytope.halfspaces])
+        if min(slacks[-1]) <= 0:
+            raise DomainError(f"point {tuple(map(format_rational, point))} is not interior")
+    if x == y:
+        return LogValue.zero()
+    lower = None
+    upper = None
+    for sx, sy in zip(*slacks):
+        slope = sy - sx
+        if slope == 0:
+            continue
+        t = -sx / slope
+        if slope > 0:
+            lower = t if lower is None or t > lower else lower
+        else:
+            upper = t if upper is None or t < upper else upper
+    if lower is None or upper is None:
+        raise ConstructionError("chord does not meet the boundary twice")
+    # Boundary points: x' at t=lower < 0 and y' at t=upper > 1.
+    return LogValue(((1 - lower) * upper) / ((-lower) * (upper - 1)))
 
 
 def four_gauge_busemann_eval(point, w):

@@ -269,6 +269,19 @@ class TestExitCodes:
             "domain error: cross-ratio and cone formulations disagree: LogValue(3) vs LogValue(2)\n"
         )
 
+    def test_redundant_halfspaces_give_the_square_distance(self, tmp_path):
+        """The chord reads every input row, the cone drops the redundant ones, and the two routes still agree."""
+        square = json.loads(Path(SQUARE).read_text())
+        square["facets"] += [
+            {"normal": ["2", "0"], "offset": "0"},  # facet 0 at twice its scale
+            {"normal": ["1", "0"], "offset": "-1"},  # x > -1, implied by x > 0
+        ]
+        path = tmp_path / "redundant_square.json"
+        path.write_text(json.dumps(square))
+        result = run_cli("dist", "--polytope", str(path), "--x", "1/2,1/2", "--y", "3/4,1/2")
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == golden_bytes("dist_square.json")
+
     def test_coincident_points_give_zero(self):
         result = run_cli("dist", "--polytope", SQUARE, "--x", "1/2,1/2", "--y", "1/2,1/2")
         assert result.returncode == 0

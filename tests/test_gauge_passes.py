@@ -1,10 +1,11 @@
 """Each gauge on the query path is computed once.
 
-The one-pass routes (`hilbert_cone`, `face_hilbert`, and `busemann_eval`
-and `detour_cost` on a Busemann point that keeps its base gauges) against
-the routes they replaced, kept as oracles in `helpers`: the same exact
-value, or the same refusal.  Then the number of row-value passes each call
-makes, counted on `_row_values`, which every gauge goes through.
+The one-pass routes (`hilbert_cone`, `face_hilbert`, the chord
+`hilbert_cross_ratio`, and `busemann_eval` and `detour_cost` on a Busemann
+point that keeps its base gauges) against the routes they replaced, kept as
+oracles in `helpers`: the same exact value, or the same refusal.  Then the
+number of row-value passes each call makes, counted on `_row_values`, which
+every gauge and the chord go through.
 """
 
 import random
@@ -13,12 +14,14 @@ from functools import cache
 
 import pytest
 
+import corpus
 import hilbertgeom.geometry as geometry
 import hilbertgeom.horoboundary as horoboundary
 import hilbertgeom.metrics as metrics
 from hilbertgeom import (
     DomainError,
     Face,
+    HPolytope,
     busemann_eval,
     busemann_point,
     classify_point,
@@ -27,16 +30,21 @@ from hilbertgeom import (
     face_hilbert,
     face_lattice_active_sets,
     hilbert_cone,
+    hilbert_cross_ratio,
     j_eval,
     lift_to_cone,
 )
 
 from helpers import (
     boundary_face_points,
+    boundary_sample,
     four_gauge_busemann_eval,
+    fraction_cross_ratio,
     interior_sample,
+    interval,
     pentagon,
     six_gauge_detour_cost,
+    tangent_polygon,
     tangent_polytope3,
     two_pass_face_hilbert,
     two_pass_hilbert_cone,
@@ -151,6 +159,96 @@ class TestOnePassAgainstTheOldRoutes:
         assert min(answers.values()) >= 20
 
 
+@cache
+def chord_domains():
+    """The corpus's 40 domains and eight seeded tangent 5- to 8-gons."""
+    polygons = [(f"polygon{m}-{k}", tangent_polygon(random.Random(f"chord-{m}-{k}"), m))
+                for m in range(5, 9) for k in range(2)]
+    return corpus.domains() + polygons
+
+
+def chord_points(rng, polytope):
+    """Seeded points of the polytope's space: three interior, one on the boundary and one outside.
+
+    The third interior point lies between the first two, at a parameter whose
+    denominator is near 2^40, so the row values meet small and large scales.
+    """
+    x = interior_sample(polytope, rng)
+    y = interior_sample(polytope, rng)
+    lam = F(rng.randint(1, 2**40 - 100), 2**40 + rng.randint(-99, 99))
+    between = tuple(a + lam * (b - a) for a, b in zip(x, y))
+    outside = tuple(F(rng.randint(-24, 24), rng.randint(1, 12)) for _ in range(polytope.dim))
+    # An interval's only boundary points are its two vertices.
+    boundary = boundary_sample(polytope, rng) if polytope.dim > 1 else rng.choice(polytope.vertices)
+    return [x, y, between, boundary, outside]
+
+
+def same_chord(polytope, points, answers):
+    """The chord against the `Fraction` chord on every ordered pair of `points`, x == y included."""
+    for x in points:
+        for y in points:
+            answers[same_gauge(lambda: hilbert_cross_ratio(polytope, x, y),
+                               lambda: fraction_cross_ratio(polytope, x, y))] += 1
+
+
+def redundant(polytope):
+    """The polytope with one halfspace repeated, repeated at 3/2 its scale, or relaxed by one (implied)."""
+    pairs = list(polytope.halfspaces)
+    f, b = pairs[0]
+    return [
+        HPolytope(polytope.dim, pairs + [(f, b)]),
+        HPolytope(polytope.dim, [(tuple(F(3, 2) * c for c in f.coeffs), F(3, 2) * b)] + pairs),
+        HPolytope(polytope.dim, pairs[:1] + [(f, b - 1)] + pairs[1:]),
+    ]
+
+
+class TestChordAgainstFractionSlacks:
+    """`hilbert_cross_ratio` on integer rows against the `Fraction` chord it replaced."""
+
+    @pytest.mark.parametrize("name", DOMAINS)
+    def test_query_domains(self, name):
+        polytope = domain(name)[0]
+        rng = random.Random(f"chord-{name}")
+        answers = {True: 0, False: 0}
+        for _ in range(6):
+            same_chord(polytope, chord_points(rng, polytope), answers)
+        assert min(answers.values()) >= 40
+
+    def test_corpus_domains_and_tangent_polygons(self):
+        rng = random.Random(20261020)
+        answers = {True: 0, False: 0}
+        for _, polytope in chord_domains():
+            same_chord(polytope, chord_points(rng, polytope), answers)
+        assert min(answers.values()) >= 400
+
+    @pytest.mark.parametrize("name", ["square", "pentagon", "cube"])
+    def test_redundant_halfspaces_are_read_and_change_nothing(self, name):
+        polytope = domain(name)[0]
+        rng = random.Random(f"redundant-{name}")
+        answers = {True: 0, False: 0}
+        for variant in redundant(polytope):
+            for _ in range(3):
+                points = chord_points(rng, polytope)
+                same_chord(variant, points, answers)
+                for x in points[:3]:
+                    for y in points[:3]:
+                        assert hilbert_cross_ratio(variant, x, y) == hilbert_cross_ratio(polytope, x, y)
+        assert min(answers.values()) >= 20
+
+    def test_scale_one_against_a_scale_near_two_to_the_forty(self):
+        den = 2**40 + 3
+        cases = [
+            (interval(0, 4), (1,), (F(2 * den - 1, den),)),
+            (HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), -4)]), (1, 1), (F(den + 1, den), F(2 * den - 1, den))),
+        ]
+        for polytope, x, y in cases:
+            cone = cone_from_polytope(polytope)
+            for a, b in ((x, y), (y, x)):
+                assert same_gauge(lambda: hilbert_cross_ratio(polytope, a, b),
+                                  lambda: fraction_cross_ratio(polytope, a, b))
+                assert hilbert_cross_ratio(polytope, a, b) == hilbert_cone(lift_to_cone(a), lift_to_cone(b), cone)
+
+
 def counter(monkeypatch, function, modules):
     """A one-item list counting calls to `function` through the names it has in `modules`."""
     count = [0]
@@ -188,6 +286,17 @@ class TestGaugePasses:
         assert passes[0] == 4
         j_eval(cone, centre, lift_to_cone((F(1, 3), F(1, 4))), lift_to_cone((F(1, 4), F(1, 4))))
         assert passes[0] == 7
+
+    def test_chord(self, passes):
+        square = domain("square")[0]
+        centre = (F(1, 2), F(1, 2))
+        hilbert_cross_ratio(square, centre, (F(1, 3), F(1, 4)))
+        assert passes[0] == 2
+        assert hilbert_cross_ratio(square, centre, centre).arg == 1
+        assert passes[0] == 4  # x == y is answered after both interior tests
+        with pytest.raises(DomainError, match="is not interior"):
+            hilbert_cross_ratio(square, (2, 2), centre)
+        assert passes[0] == 5  # an exterior x is refused before y is read
 
     def test_busemann_point_fills_no_anchor(self, passes, monkeypatch):
         cone, centre, edge, face = square_points()

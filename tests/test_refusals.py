@@ -226,6 +226,8 @@ REFUSALS = [
     ("cross-ratio-y-dimension", lambda: hilbert_cross_ratio(unit_square(), MID, (1, 1, 1, 1)), DomainError, "point has dimension 4, polytope has 2"),
     ("cross-ratio-x-exterior", lambda: hilbert_cross_ratio(unit_square(), (2, 2), MID), DomainError, "point ('2', '2') is not interior"),
     ("cross-ratio-y-exterior", lambda: hilbert_cross_ratio(unit_square(), MID, (0, F(1, 2))), DomainError, "point ('0', '1/2') is not interior"),
+    # x == y is answered only after both interior tests: a boundary point is refused, not at distance zero.
+    ("cross-ratio-equal-boundary-points", lambda: hilbert_cross_ratio(unit_square(), (0, F(1, 2)), (0, F(1, 2))), DomainError, "point ('0', '1/2') is not interior"),
     ("cross-ratio-x-dimension-first", lambda: hilbert_cross_ratio(unit_square(), CENTRE, (1, 1, 1, 1)), DomainError, "point has dimension 3, polytope has 2"),
     ("cross-ratio-x-exterior-before-y-dimension", lambda: hilbert_cross_ratio(unit_square(), (2, 2), (1, 1, 1, 1)), DomainError, "point ('2', '2') is not interior"),
     ("cross-ratio-y-parsed-before-x-dimension", lambda: hilbert_cross_ratio(unit_square(), CENTRE, (0.5, 1)), ParseError, FLOAT),
