@@ -405,12 +405,13 @@ def cone_from_polytope(polytope: HPolytope) -> PolyCone:
     Each halfspace <a, x> > b becomes the facet functional
     (x, h) -> <a, x> - b*h on R^(dim+1); the height coordinate is last.
     The polytope's integer rows are positive multiples of these functionals.
+    The cone is always proper.  For (v, s) in the rows' common kernel and an
+    interior point x, each slack at x + t(v - s x) is (1 - s t) times the
+    slack at x, so the points with s t <= 0 stay interior; boundedness then
+    gives v = s x, and s times a positive slack is zero, so (v, s) = 0.
     """
     _refuse("polytope", HPolytope, polytope)
-    cone = PolyCone(polytope._rows, polytope.dim + 1)
-    if not cone.is_proper:
-        raise ConstructionError("homogenisation produced an improper cone")
-    return cone
+    return PolyCone(polytope._rows, polytope.dim + 1)
 
 
 def lift_to_cone(point: Sequence[Fraction]) -> Vector:

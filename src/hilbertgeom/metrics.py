@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import total_ordering
 from typing import Callable, Sequence
 
 from .geometry import (
-    ConstructionError,
     DomainError,
     Face,
     HPolytope,
@@ -40,11 +40,13 @@ from .geometry import (
 from .linalg import ONE, _refuse, rational, vector
 
 
+@total_ordering
 class LogValue:
     """Extended metric value log(arg) for an exact rational arg > 0.
 
-    `LogValue.INFINITY` is the saturating plus-infinity element.  Addition
-    multiplies arguments, negation inverts; comparisons are exact.
+    `LogValue.INFINITY` is the saturating plus-infinity element, above every
+    finite value.  Addition multiplies arguments, negation inverts; `__lt__`
+    and `__eq__` compare exactly, and `total_ordering` derives the rest.
     """
 
     __slots__ = ("_arg",)
@@ -104,15 +106,6 @@ class LogValue:
 
     def __lt__(self, other):
         return self._key() < other._key() if isinstance(other, LogValue) else NotImplemented
-
-    def __le__(self, other):
-        return self._key() <= other._key() if isinstance(other, LogValue) else NotImplemented
-
-    def __gt__(self, other):
-        return self._key() > other._key() if isinstance(other, LogValue) else NotImplemented
-
-    def __ge__(self, other):
-        return self._key() >= other._key() if isinstance(other, LogValue) else NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, LogValue):
@@ -207,7 +200,9 @@ def hilbert_cross_ratio(polytope: HPolytope, x: Sequence[Fraction], y: Sequence[
     x of scale p, for the halfspace's slack s = f(.) - b and the row's multiple
     c > 0, and Y = c q s_y at y.  x and y are interior when every value is
     positive, and the chord meets the row's boundary at
-    t = -s_x / (s_y - s_x) = -Xq / (Yp - Xq).
+    t = -s_x / (s_y - s_x) = -Xq / (Yp - Xq).  For x != y some row has
+    Yp - Xq > 0 and some has Yp - Xq < 0, since Yp - Xq = c p q f(y - x)
+    and a bounded polytope keeps no ray from x inside.
     """
     _refuse("polytope", HPolytope, polytope)
     x = vector(x)
@@ -229,8 +224,6 @@ def hilbert_cross_ratio(polytope: HPolytope, x: Sequence[Fraction], y: Sequence[
             ln, ld = -n, d
         elif d < 0 and n * ud < un * -d:
             un, ud = n, -d
-    if not ld or not ud:
-        raise ConstructionError("chord does not meet the boundary twice")
     # ((1 - l) u) / ((-l)(u - 1)) with x' at t=l and y' at t=u; ld and ud cancel.
     return LogValue(Fraction((ld - ln) * un, -ln * (un - ud)))
 

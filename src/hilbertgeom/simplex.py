@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from typing import Callable, Sequence
 
 from .geometry import DomainError, PolyCone, classify_point
@@ -298,8 +298,7 @@ def exp_chart(v: VClass, base: Fraction) -> Vector:
 
 
 def _int_log(q: Fraction, base: Fraction) -> int:
-    if q <= 0:
-        raise DomainError("logarithm of a nonpositive rational")
+    """The integer k with base**k == q; its one caller, `log_chart`, ensures q > 0 and 0 < base != 1."""
     if base < 1:
         return -_int_log(q, 1 / base)
     if q == 1:
@@ -408,9 +407,8 @@ class CollinearityWitness(_Frozen):
             _set(self, name, value)
 
 
-def _det3(rows: Sequence[Vector], cols: tuple[int, int, int]) -> Fraction:
-    a, b, c = cols
-    m = [[row[a], row[b], row[c]] for row in rows]
+def _det3(rows: Sequence[Vector]) -> Fraction:
+    m = [row[:3] for row in rows]
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -422,8 +420,11 @@ def collineation_witness_failure(n: int) -> CollinearityWitness | None:
     """Certificate that the reciprocal map is not a collineation, for n >= 2.
 
     Picks a collinear rational triple in the simplex section of the positive
-    cone and exhibits a nonzero 3x3 minor of the image matrix.  For n = 1
-    every candidate triple stays collinear and None is returned.
+    cone and exhibits a nonzero 3x3 minor of the image matrix: with
+    T = n + 2 the points are (2, 1, ..., 1)/T, (1, 2, 1, ..., 1)/T and their
+    midpoint, whose images on columns (0, 1, 2) are T (1/2, 1, 1),
+    T (1, 1/2, 1) and T (2/3, 2/3, 1), with minor -T^3/12.  For n = 1 the
+    reciprocal map is the swap up to scale, a collineation: None is returned.
     """
     _check_size(n)
     if n == 1:
@@ -435,11 +436,7 @@ def collineation_witness_failure(n: int) -> CollinearityWitness | None:
     p3 = tuple((a + b) / 2 for a, b in zip(p1, p2))
     points = (p1, p2, p3)
     images = tuple(reciprocal_map(p) for p in points)
-    for cols in combinations(range(size), 3):
-        det = _det3(images, cols)
-        if det != 0:
-            return CollinearityWitness(points, images, cols, det)
-    return None
+    return CollinearityWitness(points, images, (0, 1, 2), _det3(images))
 
 
 def is_metric_preserving(

@@ -254,6 +254,11 @@ class TestExitCodes:
         assert run_cli("simplex-isom", "--n", "9", "--orders").returncode == 1
         assert run_cli("simplex-isom", "--n", "0", "--orders").returncode == 1
 
+    def test_one_past_the_largest_n_names_the_range(self):
+        result = run_cli("simplex-isom", "--n", "7", "--orders")
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr == b"domain error: n must be between 1 and 6\n"
+
     def test_interior_tangent_point_is_one(self):
         result = run_cli("tangent", "--polytope", SQUARE, "--z", "1/2,1/2")
         assert (result.returncode, result.stdout) == (1, b"")

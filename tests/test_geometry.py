@@ -29,6 +29,7 @@ from hilbertgeom import (
     format_rational,
     hilbert_cone,
     hilbert_cross_ratio,
+    hilbert_dimension,
     interior_point,
     lift_to_cone,
     parse_point,
@@ -205,6 +206,30 @@ class TestConeFromPolytope:
         with pytest.raises(ConstructionError):
             HPolytope(2, [((0, 1), 0), ((0, -1), 0), ((1, 0), -1), ((-1, 0), -1)])
 
+    def test_every_accepted_polytope_homogenises_to_a_proper_cone(self):
+        # `cone_from_polytope` has no properness check: boundedness and a nonempty interior imply it.
+        accepted = []
+        for dim, halfspaces in halfspace_systems(random.Random("corpus-systems"), 300):
+            try:
+                accepted.append(HPolytope(dim, halfspaces))
+            except ConstructionError:
+                pass
+        accepted += [tangent_polygon(random.Random(seed), m) for seed, m in enumerate(range(3, 9))]
+        accepted += [tangent_polytope3(random.Random(seed), m) for seed, m in enumerate(range(5, 9))]
+        assert len(accepted) > 50
+        for polytope in accepted:
+            cone = cone_from_polytope(polytope)
+            assert cone.is_proper
+            assert hilbert_dimension(cone) == polytope.dim
+
+    def test_repr_counts_halfspaces_and_vertices(self):
+        assert repr(pentagon()) == "HPolytope(dim=2, halfspaces=5, vertices=5)"
+
+    def test_cone_equality_with_another_type_is_not_implemented(self):
+        cone = cone_from_polytope(unit_square())
+        assert cone.__eq__(3) is NotImplemented
+        assert (cone == 3) is False
+
 
 class TestBoundedness:
     """No LP: the rays decide, as the 2 * dim axis LPs and the rank-and-one-LP route do."""
@@ -353,6 +378,10 @@ class TestFaces:
                 assert inside == (fx.active <= fy.active)
                 # same face holds exactly when membership is mutual
                 assert (fx.active == fy.active) == (inside and face_contains(fy, x))
+
+    def test_exterior_point_is_in_no_face(self):
+        cone = cone_from_polytope(unit_square())
+        assert face_contains(face_of(cone, (0, F(1, 2), 1)), (-1, F(1, 2), 1)) is False
 
 
 class TestLineality:

@@ -1,5 +1,6 @@
 """Gauge, Funk, Hilbert, cross-ratio, and variation-norm computations."""
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -96,6 +97,32 @@ class TestLogValueOperands:
             with pytest.raises(TypeError):
                 op(other, value)
         assert value != other
+
+
+class TestLogValueContract:
+    """Order, hashing and arithmetic; the order comes from `__lt__` and `__eq__` alone."""
+
+    def test_order_among_finite_values_and_infinity(self):
+        small, large, inf = LogValue(F(1, 2)), LogValue(3), LogValue.INFINITY
+        for a, b in ((small, large), (large, inf), (small, inf)):
+            assert a < b and a <= b and not a > b and not a >= b
+            assert b > a and b >= a and not b < a and not b <= a
+        for a in (small, LogValue(3), inf):
+            assert a <= a and a >= a and not a < a and not a > a
+        assert large == LogValue(3) and large <= LogValue(3) and large >= LogValue(3)
+        assert sorted([inf, large, LogValue.zero(), small]) == [small, LogValue.zero(), large, inf]
+
+    def test_equal_values_hash_equal_and_dedupe(self):
+        assert hash(LogValue(F(6, 4))) == hash(LogValue(F(3, 2)))
+        assert len({LogValue(F(6, 4)), LogValue(F(3, 2)), LogValue(2), LogValue.INFINITY, LogValue(None)}) == 3
+
+    @pytest.mark.parametrize("q", [F(2), F(3, 7), F(1)])
+    def test_negation_inverts_the_argument(self, q):
+        assert -LogValue(q) == LogValue(1 / q)
+
+    def test_infinity_saturates(self):
+        assert LogValue.INFINITY.to_float() == math.inf
+        assert LogValue.INFINITY - LogValue(2) == LogValue.INFINITY
 
 
 class TestGauge:

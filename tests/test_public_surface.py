@@ -52,6 +52,10 @@ def test_all_is_pinned():
     assert sorted(hilbertgeom.__all__) == PUBLIC
 
 
+def test_dir_lists_every_public_name():
+    assert set(hilbertgeom.__all__) <= set(dir(hilbertgeom))
+
+
 def test_submodules_are_attributes_not_exports():
     for name in SUBMODULES:
         assert getattr(hilbertgeom, name) is importlib.import_module(f"hilbertgeom.{name}")

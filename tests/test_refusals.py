@@ -263,6 +263,8 @@ REFUSALS = [
     ("ball-zero", lambda: var_ball_vertices(0), DomainError, AT_LEAST_ONE),
     ("ball-guard", lambda: var_ball_vertices(13), DomainError, "vertex enumeration guard: n <= 12"),
     ("point-group-zero", lambda: point_group_elements(0), DomainError, AT_LEAST_ONE),
+    ("point-group-guard", lambda: point_group_elements(7), DomainError, "point group guard: n <= 6"),
+    ("permutation-group-guard", lambda: permutation_group_elements(7), DomainError, "point group guard: n <= 6"),
     # Sizes: one check refuses a non-integer before the range, naming it.
     ("ball-float", lambda: var_ball_vertices(2.5), DomainError, SIZE.format(2.5)),
     ("point-group-float", lambda: point_group_elements(2.0), DomainError, SIZE.format(2.0)),

@@ -143,6 +143,10 @@ class TestAction:
         v = vclass([1, 0, 0])
         assert apply_isometry(identity_isometry(2), v) == v
 
+    def test_n_is_the_simplex_dimension(self):
+        assert vclass([0, 1, 2, 3]).n == 3
+        assert identity_isometry(3).n == 3
+
     def test_flip_only(self):
         flip = SimplexIsometry(vclass([0, 0, 0]), (0, 1, 2), True)
         v = vclass([1, 0, 0])
@@ -352,6 +356,9 @@ class TestCharts:
         assert exponent_distance == 3
         assert distance == LogValue(F(2) ** 3)
 
+    def test_log_chart_base_below_one(self):
+        assert log_chart((1, 2, 4), F(1, 2)) == vclass([0, -1, -2])
+
     def test_round_trip(self):
         rng = random.Random(79)
         for _ in range(30):
@@ -446,11 +453,12 @@ class TestCollineations:
 
 
 class TestWitness:
-    @pytest.mark.parametrize("n", [2, 3])
+    # Columns (0, 1, 2) certify at every n >= 2, so there is no column search.
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_nonzero_determinant_certificate(self, n):
         witness = collineation_witness_failure(n)
-        assert witness is not None
-        assert witness.determinant != 0
+        assert witness.columns == (0, 1, 2)
+        assert witness.determinant == Fraction(-(n + 2) ** 3, 12)
         p1, p2, p3 = witness.points
         assert all(sum(p) == 1 for p in witness.points)
         assert p3 == tuple((a + b) / 2 for a, b in zip(p1, p2))
