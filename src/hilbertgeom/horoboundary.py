@@ -30,7 +30,7 @@ from .geometry import (
     face_lattice_active_sets,
 )
 from .linalg import Vector, _Frozen, _fractions, _gauss_jordan, _refuse, _scaled, _set, _unit_lead, rational, vector
-from .metrics import LogValue, _max_ratio, face_hilbert, face_m_ratio, hilbert_cone, m_ratio
+from .metrics import LogValue, _arg_max, _two_sided, face_hilbert, hilbert_cone, m_ratio
 from .tangent import _cut, canonical_index_set
 
 
@@ -43,12 +43,20 @@ class BusemannPoint(_Frozen):
     cone.  Equality of canonical forms is used as identity of Busemann
     points; the horofunction itself is available through `busemann_eval`.
 
-    `_anchor` holds the base gauges (M(x/base; cone), M(base/p; funk_cone))
-    once an evaluation has needed them, and None before; being underscored,
-    it takes no part in equality, hashing, repr or pickling.
+    Two fields are computed on first use and None before; being
+    underscored, they take no part in equality, hashing, repr or pickling:
+    - `_anchor`, the product M(x/base; cone) M(base/p; funk_cone) of the
+      base gauges;
+    - `_values`, the tuple (X, s_x, P, s_p, inactive, funk): x's and p's
+      integer values on the parent cone's rows with their scales
+      (`_row_values`), the rows inactive at x, and the funk cone's rows as
+      sorted parent indices.  They answer every gauge of `busemann_eval`,
+      `detour_cost` and `detour_metric` by selecting rows: the face of x is
+      gauged on its inactive rows, and `tangent._cut` slices the funk cone
+      from the parent's rows without rescaling them.
     """
 
-    __slots__ = ("cone", "x", "x_active", "funk_index", "funk_cone", "p", "base", "_anchor")
+    __slots__ = ("cone", "x", "x_active", "funk_index", "funk_cone", "p", "base", "_anchor", "_values")
     _classes = (PolyCone, tuple, frozenset, frozenset, PolyCone, tuple, tuple)  # checked per field when built
 
     def __init__(self, cone: PolyCone, x: Vector, x_active: frozenset[int], funk_index: frozenset[int],
@@ -59,15 +67,32 @@ class BusemannPoint(_Frozen):
                 _refuse(f"Busemann point {name}", cls, value)
             _set(self, name, value)
         _set(self, "_anchor", None)
+        _set(self, "_values", None)
 
 
-def _anchor(point: BusemannPoint) -> tuple[Fraction, Fraction]:
-    """(M(x/base; cone), M(base/p; funk_cone)), computed on first use and kept on the point."""
+def _anchor(point: BusemannPoint) -> Fraction:
+    """M(x/base; cone) M(base/p; funk_cone), computed on first use and kept on the point."""
     anchor = point._anchor
     if anchor is None:
-        anchor = (m_ratio(point.x, point.base, point.cone), m_ratio(point.base, point.p, point.funk_cone))
+        anchor = m_ratio(point.x, point.base, point.cone) * m_ratio(point.base, point.p, point.funk_cone)
         _set(point, "_anchor", anchor)
     return anchor
+
+
+def _values(point: BusemannPoint) -> tuple[list[int], int, list[int], int, list[int], list[int]]:
+    """(X, s_x, P, s_p, inactive, funk) of the point's docstring, computed on first use and kept on the point."""
+    values = point._values
+    if values is None:
+        xs, x_scale = _row_values(point.cone, point.x)
+        ps, p_scale = _row_values(point.cone, point.p)
+        inactive = [i for i in range(len(xs)) if i not in point.x_active]
+        values = (xs, x_scale, ps, p_scale, inactive, sorted(point.funk_index))
+        _set(point, "_values", values)
+    return values
+
+
+# Stored values are positive on the rows they divide by: x on its inactive rows, p on its funk rows.
+_STALE = "a Busemann point's stored row values are not positive where a gauge divides by them"
 
 
 def busemann_point(
@@ -149,15 +174,18 @@ _OFF_INTERIOR = "horofunctions are evaluated at interior points"
 def busemann_eval(point: BusemannPoint, w: Sequence[Fraction]) -> LogValue:
     """Exact horofunction value at an interior point; zero at the base-point.
 
-    w is interior exactly when its row values, the denominators of the
-    first gauge M(x/w; cone), are all positive: the gauge kernel's own test.
+    One row-value pass, for w: w is interior exactly when its row values,
+    the denominators of M(x/w; cone), are all positive.  With the stored
+    values, M(x/w; cone) M(w/p; funk_cone) = (n s_w / d s_x)(m s_p / e s_w):
+    w's scale cancels, and one `Fraction` holds it over the anchor.
     """
     _refuse("Busemann point", BusemannPoint, point)
-    w = vector(w)
-    near = _max_ratio(_row_values(point.cone, point.x), _row_values(point.cone, w), _OFF_INTERIOR)
-    moving = near * m_ratio(w, point.p, point.funk_cone)
-    face_gauge, funk_gauge = _anchor(point)
-    return LogValue(moving / (face_gauge * funk_gauge))
+    ws, _ = _row_values(point.cone, w)
+    xs, x_scale, ps, p_scale, _, funk = _values(point)
+    n, d = _arg_max(xs, ws, _OFF_INTERIOR)
+    m, e = _arg_max([ws[i] for i in funk], [ps[i] for i in funk], _STALE, ArithmeticError)
+    anchor = _anchor(point)
+    return LogValue(Fraction(n * m * p_scale * anchor.denominator, d * e * x_scale * anchor.numerator))
 
 
 def _check_comparable(g: BusemannPoint, h: BusemannPoint) -> None:
@@ -173,7 +201,8 @@ def detour_cost(g: BusemannPoint, h: BusemannPoint) -> LogValue:
 
     Finite exactly when h's boundary point lies in the face of g's and g's
     funk cone is contained in h's; then it splits into a reverse-Funk part
-    along the face and a Funk part between the reference points.
+    along the face and a Funk part between the reference points, read from
+    the stored values with no row-value pass.
     """
     _check_comparable(g, h)
     # Both funk cones are cut from one irredundant facet list, so g's is
@@ -181,11 +210,15 @@ def detour_cost(g: BusemannPoint, h: BusemannPoint) -> LogValue:
     if not (g.x_active <= h.x_active and h.funk_index <= g.funk_index):
         return LogValue.INFINITY
     # The base-point is shared, so the outer gauges at it are the anchors.
-    g_face, g_funk = _anchor(g)
-    h_face, h_funk = _anchor(h)
-    reverse_part = g_face * face_m_ratio(h.x, g.x, Face(g.cone, g.x_active)) / h_face
-    funk_part = g_funk * m_ratio(g.p, h.p, h.funk_cone) / h_funk
-    return LogValue(reverse_part * funk_part)
+    g_anchor = _anchor(g)
+    h_anchor = _anchor(h)
+    gx, gx_scale, gp, gp_scale, inactive, _ = _values(g)
+    hx, hx_scale, hp, hp_scale, _, funk = _values(h)
+    # M(h.x/g.x; face) = (f gx_scale) / (fd hx_scale) and M(g.p/h.p; h's funk cone) = (k hp_scale) / (kd gp_scale).
+    f, fd = _arg_max([hx[i] for i in inactive], [gx[i] for i in inactive], _STALE, ArithmeticError)
+    k, kd = _arg_max([gp[i] for i in funk], [hp[i] for i in funk], _STALE, ArithmeticError)
+    return LogValue(Fraction(f * gx_scale * k * hp_scale * g_anchor.numerator * h_anchor.denominator,
+                             fd * hx_scale * kd * gp_scale * g_anchor.denominator * h_anchor.numerator))
 
 
 def detour_decomposition(g: BusemannPoint, h: BusemannPoint) -> tuple[LogValue, LogValue] | None:
@@ -199,12 +232,21 @@ def detour_decomposition(g: BusemannPoint, h: BusemannPoint) -> tuple[LogValue, 
 def detour_metric(g: BusemannPoint, h: BusemannPoint) -> LogValue:
     """Symmetrised detour cost; finite exactly within a part.
 
-    When finite the value equals the face Hilbert distance between the
-    boundary points plus the Hilbert distance of the reference points in
-    the shared funk cone; both routes are computed and compared, and a
-    disagreement raises `ArithmeticError`.
+    Both costs are finite exactly when the points share their active and
+    funk index sets; then the anchors and scales cancel, leaving four
+    stored-value gauges in one `Fraction`.  `detour_decomposition` computes
+    the same value, the face plus the funk-cone Hilbert distance, with its
+    own row-value passes; a disagreement raises `ArithmeticError`.
     """
-    delta = detour_cost(g, h) + detour_cost(h, g)
+    _check_comparable(g, h)
+    if g.x_active != h.x_active or g.funk_index != h.funk_index:
+        delta = LogValue.INFINITY
+    else:
+        gx, _, gp, _, inactive, funk = _values(g)
+        hx, _, hp, _, _, _ = _values(h)
+        fn, fd = _two_sided(hx, gx, inactive, _STALE, ArithmeticError)
+        kn, kd = _two_sided(gp, hp, funk, _STALE, ArithmeticError)
+        delta = LogValue(Fraction(fn * kn, fd * kd))
     decomposition = detour_decomposition(g, h)
     expected = LogValue.INFINITY if decomposition is None else decomposition[0] + decomposition[1]
     if delta != expected:

@@ -5,20 +5,21 @@ as `LogValue` objects that carry the exact argument; floats only appear when
 a value is rendered for display.
 
 The cone gauges `m_ratio` and `face_m_ratio` take the largest ratio of the
-cone's integer-row values (`_max_ratio`); a row is a positive multiple of
-its facet functional, so each ratio and each sign is the functional's own.
-The kernel is integer-only: `geometry._row_values`, which also gives
-`classify_point` and polytope membership their signs, scales a point to
-integers once, by the lcm of its denominators, and `_max_ratio` finds the
-largest ratio by cross-multiplying, then builds one `Fraction` per gauge,
-with the two points' scales folded in.  The two-sided metrics `hilbert_cone`,
-`face_hilbert` and `j_eval` read each point's row values once and take both
-ratios from them.
+cone's integer-row values; a row is a positive multiple of its facet
+functional, so each ratio and each sign is the functional's own.  The kernel
+is integer-only: `geometry._row_values`, which also gives `classify_point`
+and polytope membership their signs, scales a point to integers once, by the
+lcm of its denominators, and `_arg_max` finds the largest ratio as an
+integer pair by cross-multiplying.  A one-sided gauge builds one `Fraction`
+from that pair with the two points' scales folded in.  The two-sided metrics
+`hilbert_cone` and `face_hilbert` read each point's row values once and
+build one `Fraction` from their two pairs: in M(x/y) M(y/x) the scales
+cancel.
 
 `hilbert_cross_ratio` reads the polytope's own integer rows, one
 `_row_values` pass per point (every input halfspace, duplicated and implied
 ones kept), and compares the chord's boundary parameters as integer pairs.
-It shares no cone, canonicalisation or `_max_ratio` with `hilbert_cone`, so
+It shares no cone, canonicalisation or `_arg_max` with `hilbert_cone`, so
 it stays that gauge's independent check.
 """
 
@@ -126,24 +127,27 @@ LogValue.INFINITY = LogValue(None)
 Metric = Callable[[Sequence[Fraction], Sequence[Fraction]], LogValue]
 
 
-def _max_ratio(numerators: tuple[list[int], int], denominators: tuple[list[int], int], refusal: str) -> Fraction:
-    """The gauge kernel: the largest ratio of paired facet values, from `_row_values` pairs.
+def _arg_max(nums: list[int], dens: list[int], refusal: str, error: type = DomainError) -> tuple[int, int]:
+    """The gauge kernel: the pair (n, d) of paired integer values with the largest ratio n/d.
 
-    Raises `DomainError(refusal)` unless every denominator value is positive.
-    The largest n/d is found by cross-multiplying integers; with the scales
-    ns and ds of the two points, the gauge is (n * ds) / (d * ns).
+    Raises `error(refusal)` unless every denominator value is positive; the
+    largest n/d is found by cross-multiplying integers.
     """
-    nums, ns = numerators
-    dens, ds = denominators
     if min(dens) <= 0:
-        raise DomainError(refusal)
+        raise error(refusal)
     bn = nums[0]
     bd = dens[0]
     for n, d in zip(nums, dens):
         if n * bd > bn * d:
             bn = n
             bd = d
-    return Fraction(bn * ds, bd * ns)
+    return bn, bd
+
+
+def _max_ratio(numerators: tuple[list[int], int], denominators: tuple[list[int], int], refusal: str) -> Fraction:
+    """The one-sided gauge of two `_row_values` pairs: with the scales ns and ds, (n * ds) / (d * ns)."""
+    n, d = _arg_max(numerators[0], denominators[0], refusal)
+    return Fraction(n * denominators[1], d * numerators[1])
 
 
 def _log_gauge(arg: Fraction, metric: str) -> LogValue:
@@ -181,13 +185,18 @@ def reverse_funk(x: Sequence[Fraction], y: Sequence[Fraction], cone: PolyCone) -
 def hilbert_cone(x: Sequence[Fraction], y: Sequence[Fraction], cone: PolyCone) -> LogValue:
     """Hilbert's projective metric: Funk plus reverse-Funk.
 
-    One row-value pass per point feeds both gauges; the refusals are those
-    of `funk` then `reverse_funk`, in that order.
+    One row-value pass per point feeds both gauges, and one `Fraction` is
+    built.  The refusals are those of `funk` then `reverse_funk`, in that
+    order; the reverse gauge needs no positivity test, since by then both
+    points are interior and every value is positive.
     """
-    xs = _row_values(cone, x)
-    ys = _row_values(cone, y)
-    forward = _log_gauge(_max_ratio(xs, ys, _INTERIOR), "Funk")
-    return forward + _log_gauge(_max_ratio(ys, xs, _INTERIOR), "reverse-Funk")
+    xs, _ = _row_values(cone, x)
+    ys, _ = _row_values(cone, y)
+    fn, fd = _arg_max(xs, ys, _INTERIOR)
+    if fn <= 0:
+        raise DomainError("Funk metric undefined: gauge argument is not positive")
+    rn, rd = _arg_max(ys, xs, _INTERIOR)
+    return LogValue(Fraction(fn * rn, fd * rd))
 
 
 def hilbert_cross_ratio(polytope: HPolytope, x: Sequence[Fraction], y: Sequence[Fraction]) -> LogValue:
@@ -236,15 +245,6 @@ def _inactive(face: Face) -> list[int]:
     return inactive
 
 
-def _face_ratio(xs: tuple[list[int], int], ys: tuple[list[int], int], face: Face, inactive: list[int]) -> Fraction:
-    """`_max_ratio` of the `_row_values` pairs xs over ys, on the inactive rows of the face."""
-    nums, ns = xs
-    dens, ds = ys
-    if any(dens[i] != 0 for i in face.active):
-        raise DomainError(_RELATIVE_INTERIOR)
-    return _max_ratio(([nums[i] for i in inactive], ns), ([dens[i] for i in inactive], ds), _RELATIVE_INTERIOR)
-
-
 def face_m_ratio(numerator: Sequence[Fraction], denominator: Sequence[Fraction], face: Face) -> Fraction:
     """Gauge of the face cone: the maximum ratio over the inactive constraints.
 
@@ -252,20 +252,37 @@ def face_m_ratio(numerator: Sequence[Fraction], denominator: Sequence[Fraction],
     strictly; active constraints vanish on the whole face and drop out.
     """
     inactive = _inactive(face)
-    cone = face.parent
-    return _face_ratio(_row_values(cone, numerator), _row_values(cone, denominator), face, inactive)
+    nums, ns = _row_values(face.parent, numerator)
+    dens, ds = _row_values(face.parent, denominator)
+    if any(dens[i] for i in face.active):
+        raise DomainError(_RELATIVE_INTERIOR)
+    n, d = _arg_max([nums[i] for i in inactive], [dens[i] for i in inactive], _RELATIVE_INTERIOR)
+    return Fraction(n * ds, d * ns)
+
+
+def _two_sided(xs: list[int], ys: list[int], rows: list[int], refusal: str, error: type = DomainError) -> tuple[int, int]:
+    """M(x/y) M(y/x) over `rows` of two points' integer values, as one integer pair: the scales cancel."""
+    xs = [xs[i] for i in rows]
+    ys = [ys[i] for i in rows]
+    fn, fd = _arg_max(xs, ys, refusal, error)
+    rn, rd = _arg_max(ys, xs, refusal, error)
+    return fn * rn, fd * rd
 
 
 def face_hilbert(x: Sequence[Fraction], y: Sequence[Fraction], face: Face) -> LogValue:
     """Hilbert metric of the face cone, inside its span.
 
-    One row-value pass per point; the refusals are those of
-    `face_m_ratio(x, y)` then `face_m_ratio(y, x)`.
+    One row-value pass per point and one `Fraction`.  The refusals are
+    those of `face_m_ratio(x, y)` then `face_m_ratio(y, x)`; every
+    relative-interior refusal has the same class and message, so the two
+    points are tested together.
     """
     inactive = _inactive(face)
-    xs = _row_values(face.parent, x)
-    ys = _row_values(face.parent, y)
-    return LogValue(_face_ratio(xs, ys, face, inactive) * _face_ratio(ys, xs, face, inactive))
+    xs, _ = _row_values(face.parent, x)
+    ys, _ = _row_values(face.parent, y)
+    if any(xs[i] or ys[i] for i in face.active):
+        raise DomainError(_RELATIVE_INTERIOR)
+    return LogValue(Fraction(*_two_sided(xs, ys, inactive, _RELATIVE_INTERIOR)))
 
 
 def gromov_product(

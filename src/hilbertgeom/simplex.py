@@ -298,23 +298,25 @@ def exp_chart(v: VClass, base: Fraction) -> Vector:
 
 
 def _int_log(q: Fraction, base: Fraction) -> int:
-    """The integer k with base**k == q; its one caller, `log_chart`, ensures q > 0 and 0 < base != 1."""
+    """The integer k with base**k == q; its one caller, `log_chart`, ensures q > 0 and 0 < base != 1.
+
+    For base = a/b > 1 in lowest terms and k != 0, base**k is a**|k| / b**|k|
+    or its inverse, in lowest terms, so the larger of q's numerator and
+    denominator is a**|k|.  |k| is read off the sizes as log2 of that integer
+    over log2(a), rounded, with a >= 2; the estimate and its two neighbours
+    are checked by exact powers, so the answer rests on no float equality.
+    """
     if base < 1:
         return -_int_log(q, 1 / base)
     if q == 1:
         return 0
-    k = 0
-    if q > 1:
-        while q > 1:
-            q /= base
-            k += 1
-    else:
-        while q < 1:
-            q *= base
-            k -= 1
-    if q != 1:
-        raise DomainError("coordinate is not an exact power of the base")
-    return k
+    big, small = (q.numerator, q.denominator) if q > 1 else (q.denominator, q.numerator)
+    a, b = base.numerator, base.denominator
+    guess = round(math.log2(big) / math.log2(a))
+    for k in (guess, guess - 1, guess + 1):
+        if k > 0 and a**k == big and b**k == small:
+            return k if q > 1 else -k
+    raise DomainError("coordinate is not an exact power of the base")
 
 
 def log_chart(x: Sequence[Fraction], base: Fraction) -> VClass:

@@ -1,13 +1,16 @@
 """Each gauge on the query path is computed once.
 
 The one-pass routes (`hilbert_cone`, `face_hilbert`, the chord
-`hilbert_cross_ratio`, and `busemann_eval` and `detour_cost` on a Busemann
-point that keeps its base gauges) against the routes they replaced, kept as
-oracles in `helpers`: the same exact value, or the same refusal.  Then the
-number of row-value passes each call makes, counted on `_row_values`, which
-every gauge and the chord go through.
+`hilbert_cross_ratio`, and `busemann_eval`, `detour_cost` and
+`detour_metric` on a Busemann point that keeps its base gauges and its
+stored row values) against the routes they replaced, kept as oracles in
+`helpers`: the same exact value, or the same refusal.  Then the number of
+row-value passes each call makes, counted on `_row_values`, which every
+gauge and the chord go through.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from functools import cache
@@ -27,15 +30,20 @@ from hilbertgeom import (
     classify_point,
     cone_from_polytope,
     detour_cost,
+    detour_decomposition,
+    detour_metric,
     face_hilbert,
     face_lattice_active_sets,
     hilbert_cone,
     hilbert_cross_ratio,
     j_eval,
     lift_to_cone,
+    part_of,
 )
+from hilbertgeom.horoboundary import _values
 
 from helpers import (
+    bench_gen,
     boundary_face_points,
     boundary_sample,
     four_gauge_busemann_eval,
@@ -157,6 +165,112 @@ class TestOnePassAgainstTheOldRoutes:
                 assert detour_cost(a, b) == expected  # the anchors are filled now when finite
                 answers["infinite" if expected.is_infinite else "finite"] += 1
         assert min(answers.values()) >= 20
+
+
+def query_domains(seed):
+    """The `query` workload's four domains and Busemann points, built as its set-up builds them.
+
+    Each entry is (polytope, cone, points, interior points for evaluation).
+    """
+    gen = bench_gen()
+    rng = random.Random(f"query/{seed}")
+    out = []
+    for d in [gen.square(), gen.pentagon(), gen.cube(), gen.tangent_polytope3(rng, 8, "octa8")]:
+        polytope = HPolytope(d.dim, d.halfspaces)
+        cone = cone_from_polytope(polytope)
+        base = gen.lift(tuple(sum(v[i] for v in d.vertices) / len(d.vertices) for i in range(d.dim)))
+        points = []
+        for spec in gen.busemann_specs(rng, d):
+            active = classify_point(cone, spec.x).active
+            points.append(busemann_point(cone, spec.x, {min(active)} if spec.single else active, spec.p, base))
+        out.append((polytope, cone, points, [base] + [gen.lift(gen.interior_point(rng, d, big)) for big in (False, True)]))
+    return out
+
+
+def corpus_points(name, polytope):
+    """Busemann points on up to three seeded boundary faces of a corpus domain, with one base-point.
+
+    Each face carries its full tangent cone and the single facet of lowest
+    index, with two scaled reference points each.
+    """
+    cone = cone_from_polytope(polytope)
+    rng = random.Random(f"stored-{name}")
+    base = lift_to_cone(interior_sample(polytope, rng))
+    faces = sorted(face_lattice_active_sets(cone), key=sorted)
+    points = []
+    for active in rng.sample(faces, min(3, len(faces))):
+        x = boundary_face_points(polytope, cone, active, PATTERNS)[0]
+        for index in (active, frozenset({min(active)})):
+            for _ in range(2):
+                points.append(busemann_point(cone, x, index, scaled(rng, lift_to_cone(interior_sample(polytope, rng))), base))
+    return polytope, cone, points, [base, lift_to_cone(interior_sample(polytope, rng))]
+
+
+def same_on_every_pair(polytope, cone, points, ws, answers):
+    """`busemann_eval` at each w, and `detour_cost` and `detour_metric` on every ordered pair, against the oracles.
+
+    Each point is evaluated on a fresh equal point, so that the first call
+    fills the stored values and the later ones read them.
+    """
+    rng = random.Random(len(points))
+    extra = gauge_points(rng, polytope, cone)
+    for point in points:
+        q = fresh(point)
+        for w in ws + extra:
+            answers["value" if same_gauge(lambda: busemann_eval(q, w), lambda: four_gauge_busemann_eval(q, w))
+                    else "refused"] += 1
+    costs = {(i, j): six_gauge_detour_cost(g, h) for i, g in enumerate(points) for j, h in enumerate(points)}
+    for (i, j), expected in costs.items():
+        g, h = points[i], points[j]
+        assert detour_cost(g, h) == expected
+        assert detour_metric(g, h) == expected + costs[j, i]
+        answers["infinite" if expected.is_infinite else "finite"] += 1
+
+
+class TestStoredValuesAgainstTheOracles:
+    """`busemann_eval`, `detour_cost` and `detour_metric` on stored row values against the `Fraction` oracles."""
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_query_domains(self, seed):
+        answers = dict.fromkeys(("value", "refused", "finite", "infinite"), 0)
+        for polytope, cone, points, ws in query_domains(seed):
+            same_on_every_pair(polytope, cone, points, ws, answers)
+        assert answers["value"] >= 150 and answers["refused"] >= 80
+        assert answers["finite"] >= 120 and answers["infinite"] >= 400
+
+    def test_corpus_domains(self):
+        answers = dict.fromkeys(("value", "refused", "finite", "infinite"), 0)
+        for name, polytope in corpus.domains():
+            same_on_every_pair(*corpus_points(name, polytope), answers)
+        assert answers["value"] >= 1200 and answers["refused"] >= 800
+        assert answers["finite"] >= 1500 and answers["infinite"] >= 3500
+
+    def test_stale_or_wrongly_selected_stored_values_raise(self):
+        points = [p for _, _, points, _ in query_domains(1) for p in points]
+        g, h = next((g, h) for g in points for h in points if part_of(g) == part_of(h) and g.p != h.p)
+        assert detour_decomposition(g, h)[1].arg > 1  # the reference points are apart in the funk cone
+        xs, x_scale, ps, p_scale, inactive, funk = _values(g)
+        for stale in [
+            (xs, x_scale, _values(h)[2], p_scale, inactive, funk),  # h's p in g's place: the routes disagree
+            (xs, x_scale, ps, p_scale, list(range(len(xs))), funk),  # active rows taken as inactive: g.x divides by zero
+        ]:
+            twin = fresh(g)
+            object.__setattr__(twin, "_values", stale)
+            with pytest.raises(ArithmeticError):
+                detour_metric(twin, h)
+
+    def test_copy_and_pickle_keep_the_point_and_its_values(self):
+        _, _, points, ws = query_domains(1)[2]
+        g, h = points[0], points[1]
+        detour_metric(g, h)
+        busemann_eval(g, ws[1])
+        for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+            assert twin._values is None and twin._anchor is None
+            for w in ws:
+                assert busemann_eval(twin, w) == busemann_eval(g, w)
+            assert detour_cost(twin, h) == detour_cost(g, h) and detour_metric(h, twin) == detour_metric(h, g)
+            assert twin._values == g._values and twin._anchor == g._anchor
 
 
 @cache
@@ -311,24 +425,37 @@ class TestGaugePasses:
         passes[0] = 0  # construction's three passes are pinned above; count the evaluation's
         classified = counter(monkeypatch, classify_point, (geometry, horoboundary))
         busemann_eval(point, lift_to_cone((F(1, 4), F(2, 3))))
-        assert passes[0] == 8  # four gauges: the two at w and the two base gauges, kept
+        # w, then x's and p's stored values, then the two base gauges of the anchor, two passes each
+        assert passes[0] == 7 and point._values is not None and point._anchor is not None
         for k in range(1, 4):
             busemann_eval(point, lift_to_cone((F(1, 5), F(k, 5))))
-            assert passes[0] == 8 + 4 * k
+            assert passes[0] == 7 + k  # w alone
         # w is found interior from its row values in the gauge M(x/w), with no classification
         with pytest.raises(DomainError, match="horofunctions are evaluated at interior points"):
             busemann_eval(point, edge)
-        assert classified[0] == 0
+        assert classified[0] == 0 and passes[0] == 11
 
     def test_detour_cost(self, passes):
         cone, centre, edge, face = square_points()
         g, h = (busemann_point(cone, x, face.active, centre, centre) for x in (edge, lift_to_cone((0, F(1, 4)))))
         passes[0] = 0  # construction's three passes per point
         detour_cost(g, h)
-        assert passes[0] == 12  # the two base gauges of each point, kept, then one face gauge and one funk gauge
-        for k in range(1, 4):
+        assert passes[0] == 12  # each point's two stored value lists and its anchor's two base gauges, two passes each
+        for _ in range(3):
             detour_cost(h, g)
-            assert passes[0] == 12 + 4 * k
+            detour_cost(g, h)
+            assert passes[0] == 12  # the cost reads the stored values alone
+
+    def test_detour_metric(self, passes):
+        cone, centre, edge, face = square_points()
+        g, h = (busemann_point(cone, x, face.active, centre, centre) for x in (edge, lift_to_cone((0, F(1, 4)))))
+        passes[0] = 0  # construction's three passes per point
+        detour_metric(g, h)
+        # The cost route fills each point's stored values and no anchor; the decomposition reads all four points itself.
+        assert passes[0] == 4 + 4 and g._anchor is None and h._anchor is None
+        for k in range(1, 4):
+            detour_metric(h, g)
+            assert passes[0] == 8 + 4 * k
 
     def test_infinite_detour_cost_makes_no_pass(self, passes):
         cone, centre, edge, face = square_points()
@@ -338,3 +465,12 @@ class TestGaugePasses:
         passes[0] = 0  # construction's three passes per point
         assert detour_cost(g, h).is_infinite and detour_cost(h, g).is_infinite
         assert passes[0] == 0 and g._anchor is None and h._anchor is None
+
+    def test_infinite_detour_metric_makes_no_pass(self, passes):
+        cone, centre, edge, face = square_points()
+        g = busemann_point(cone, edge, face.active, centre, centre)
+        h = busemann_point(cone, lift_to_cone((F(1, 2), 0)), classify_point(cone, lift_to_cone((F(1, 2), 0))).active,
+                           centre, centre)
+        passes[0] = 0  # construction's three passes per point
+        assert detour_metric(g, h).is_infinite and detour_metric(h, g).is_infinite
+        assert passes[0] == 0 and g._values is None and h._values is None

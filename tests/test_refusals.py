@@ -208,6 +208,9 @@ REFUSALS = [
     ("hilbert-cone-both-x-read-before-y-interior", lambda: hilbert_cone(SHORT, EDGE, square()), DomainError, SHORT_DIM),
     ("face-hilbert-bad-x", lambda: face_hilbert(CENTRE, EDGE, left_edge()), DomainError, RELATIVE),
     ("face-hilbert-bad-y", lambda: face_hilbert(EDGE_LOW, CENTRE, left_edge()), DomainError, RELATIVE),
+    # A point on the face's span with every inactive value negative: the relative-interior refusal, not a sign one.
+    ("face-hilbert-x-outside-on-the-span", lambda: face_hilbert((0, F(-1, 2), -1), EDGE, left_edge()), DomainError, RELATIVE),
+    ("face-hilbert-y-outside-on-the-span", lambda: face_hilbert(EDGE, (0, F(-1, 2), -1), left_edge()), DomainError, RELATIVE),
     ("face-hilbert-both-x-parsed-first", lambda: face_hilbert(HALF_FLOAT, SHORT, left_edge()), ParseError, FLOAT),
     ("face-hilbert-both-x-dimension-first", lambda: face_hilbert(SHORT, HALF_FLOAT, left_edge()), DomainError, SHORT_DIM),
     ("face-hilbert-both-x-read-before-y-relative", lambda: face_hilbert(SHORT, CENTRE, left_edge()), DomainError, SHORT_DIM),

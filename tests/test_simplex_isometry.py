@@ -35,8 +35,9 @@ from hilbertgeom import (
     VClass,
 )
 from hilbertgeom.linalg import rank
+from hilbertgeom.simplex import _int_log
 
-from helpers import F, basis_action_group
+from helpers import F, basis_action_group, loop_int_log
 
 
 def random_vclass(rng, n, den=12):
@@ -391,6 +392,58 @@ class TestCharts:
             exp_chart(vclass([0, F(1, 2), 1]), F(2))
         with pytest.raises(DomainError):
             log_chart((1, 3, 2), F(2))
+
+
+INT_LOG_BASES = [F(2), F(3, 2), F(1, 3), F(4), F(10), F(10**3), F(1, 10**2)]
+
+
+def int_log_cases(rng, base, exponents):
+    """q = base**k for each k, and beside each a q that is off the powers or may be (the oracle decides)."""
+    a, b = base.numerator, base.denominator
+    cases = []
+    for k in exponents:
+        q = base**k
+        cases += [q, q * F(5, 7), q + 1, F(a ** abs(k), b ** (abs(k) + 1)), F(2) ** (2 * abs(k) + 1)]
+        cases.append(q * base ** rng.choice((-1, 1)))
+    return cases
+
+
+class TestIntLogAgainstTheLoop:
+    """`_int_log` reads the exponent off the sizes; the loop it replaced is the oracle."""
+
+    def same_int_log(self, q, base):
+        try:
+            expected = loop_int_log(q, base)
+        except DomainError as refusal:
+            with pytest.raises(DomainError) as caught:
+                _int_log(q, base)
+            assert str(caught.value) == str(refusal) == "coordinate is not an exact power of the base"
+            return False
+        assert _int_log(q, base) == expected
+        return True
+
+    def test_seeded_bases_and_exponents(self):
+        rng = random.Random(20261020)
+        answers = {True: 0, False: 0}
+        for base in INT_LOG_BASES:
+            exponents = list(range(-12, 13)) + [rng.choice((-1, 1)) * rng.randint(13, 2**10) for _ in range(6)]
+            for q in int_log_cases(rng, base, exponents):
+                answers[self.same_int_log(q, base)] += 1
+        assert min(answers.values()) >= 300
+
+    def test_exponent_two_to_the_sixteen(self):
+        assert self.same_int_log(F(2) ** 2**16, F(2))
+        assert not self.same_int_log(F(2) ** 2**14 * 3, F(2))
+        for base in INT_LOG_BASES:
+            for k in (2**16, -(2**16) + 1):
+                assert _int_log(base**k, base) == k
+                for off in (base**k * F(5, 7), base**k + 1):
+                    with pytest.raises(DomainError, match="coordinate is not an exact power of the base"):
+                        _int_log(off, base)
+
+    def test_large_exponent_through_log_chart(self):
+        assert log_chart((1, 2**64000), F(2)) == vclass([0, 64000])
+        assert log_chart((3**4096, 2**4096), F(2, 3)) == vclass([0, 4096])
 
 
 class TestReciprocalMap:
