@@ -30,7 +30,7 @@ from .geometry import (
     face_lattice_active_sets,
 )
 from .linalg import Vector, _Frozen, _fractions, _gauss_jordan, _refuse, _scaled, _set, _unit_lead, rational, vector
-from .metrics import LogValue, _arg_max, _two_sided, face_hilbert, hilbert_cone, m_ratio
+from .metrics import _INTERIOR, LogValue, _arg_max, _two_sided, face_hilbert, hilbert_cone
 from .tangent import _cut, canonical_index_set
 
 
@@ -43,20 +43,21 @@ class BusemannPoint(_Frozen):
     cone.  Equality of canonical forms is used as identity of Busemann
     points; the horofunction itself is available through `busemann_eval`.
 
-    Two fields are computed on first use and None before; being
-    underscored, they take no part in equality, hashing, repr or pickling:
-    - `_anchor`, the product M(x/base; cone) M(base/p; funk_cone) of the
-      base gauges;
-    - `_values`, the tuple (X, s_x, P, s_p, inactive, funk): x's and p's
-      integer values on the parent cone's rows with their scales
-      (`_row_values`), the rows inactive at x, and the funk cone's rows as
-      sorted parent indices.  They answer every gauge of `busemann_eval`,
-      `detour_cost` and `detour_metric` by selecting rows: the face of x is
-      gauged on its inactive rows, and `tangent._cut` slices the funk cone
-      from the parent's rows without rescaling them.
+    One field, `_values`, is computed on first use and None before; being
+    underscored, it takes no part in equality, hashing, repr or pickling.
+    It is the record (X, P, inactive, funk, an, ad): X and P are x's and
+    p's integer values on the parent cone's rows (`_row_values`), the rows
+    inactive at x, the funk cone's rows as sorted parent indices, and the
+    anchor an / ad = M(X/b; cone) M(b/P; funk_cone) of the base gauges on
+    those integer values.  It holds no scale: the anchor carries x's scale
+    over p's (b's cancels inside it), and each formula divides it out
+    again.  The record answers every gauge of `busemann_eval`,
+    `detour_cost` and `detour_metric` by selecting rows: the face of x is
+    gauged on its inactive rows, and `tangent._cut` slices the funk cone
+    from the parent's rows without rescaling them.
     """
 
-    __slots__ = ("cone", "x", "x_active", "funk_index", "funk_cone", "p", "base", "_anchor", "_values")
+    __slots__ = ("cone", "x", "x_active", "funk_index", "funk_cone", "p", "base", "_values")
     _classes = (PolyCone, tuple, frozenset, frozenset, PolyCone, tuple, tuple)  # checked per field when built
 
     def __init__(self, cone: PolyCone, x: Vector, x_active: frozenset[int], funk_index: frozenset[int],
@@ -66,27 +67,25 @@ class BusemannPoint(_Frozen):
             if value.__class__ is not cls:
                 _refuse(f"Busemann point {name}", cls, value)
             _set(self, name, value)
-        _set(self, "_anchor", None)
         _set(self, "_values", None)
 
 
-def _anchor(point: BusemannPoint) -> Fraction:
-    """M(x/base; cone) M(base/p; funk_cone), computed on first use and kept on the point."""
-    anchor = point._anchor
-    if anchor is None:
-        anchor = m_ratio(point.x, point.base, point.cone) * m_ratio(point.base, point.p, point.funk_cone)
-        _set(point, "_anchor", anchor)
-    return anchor
+def _values(point: BusemannPoint) -> tuple[list[int], list[int], list[int], list[int], int, int]:
+    """(X, P, inactive, funk, an, ad) of the point's docstring, filled on first use by passes over x, p and b.
 
-
-def _values(point: BusemannPoint) -> tuple[list[int], int, list[int], int, list[int], list[int]]:
-    """(X, s_x, P, s_p, inactive, funk) of the point's docstring, computed on first use and kept on the point."""
+    The base gauges refuse as `m_ratio` does, a base-point that is not interior first.
+    """
     values = point._values
     if values is None:
-        xs, x_scale = _row_values(point.cone, point.x)
-        ps, p_scale = _row_values(point.cone, point.p)
+        xs, _ = _row_values(point.cone, point.x)
+        ps, _ = _row_values(point.cone, point.p)
+        bs, _ = _row_values(point.cone, point.base)
+        funk = sorted(point.funk_index)
+        n, d = _arg_max(xs, bs, _INTERIOR)
+        m, e = _arg_max([bs[i] for i in funk], [ps[i] for i in funk], _INTERIOR)
+        anchor = Fraction(n * m, d * e)
         inactive = [i for i in range(len(xs)) if i not in point.x_active]
-        values = (xs, x_scale, ps, p_scale, inactive, sorted(point.funk_index))
+        values = (xs, ps, inactive, funk, anchor.numerator, anchor.denominator)
         _set(point, "_values", values)
     return values
 
@@ -175,17 +174,17 @@ def busemann_eval(point: BusemannPoint, w: Sequence[Fraction]) -> LogValue:
     """Exact horofunction value at an interior point; zero at the base-point.
 
     One row-value pass, for w: w is interior exactly when its row values,
-    the denominators of M(x/w; cone), are all positive.  With the stored
-    values, M(x/w; cone) M(w/p; funk_cone) = (n s_w / d s_x)(m s_p / e s_w):
-    w's scale cancels, and one `Fraction` holds it over the anchor.
+    the denominators of M(x/w; cone), are all positive.  On the stored
+    values, M(x/w; cone) M(w/p; funk_cone) = (n / d)(m / e) in the units
+    of the anchor an / ad: w's scale cancels, and so do x's and p's
+    against the anchor, so one `Fraction` holds the value.
     """
     _refuse("Busemann point", BusemannPoint, point)
     ws, _ = _row_values(point.cone, w)
-    xs, x_scale, ps, p_scale, _, funk = _values(point)
+    xs, ps, _, funk, an, ad = _values(point)
     n, d = _arg_max(xs, ws, _OFF_INTERIOR)
     m, e = _arg_max([ws[i] for i in funk], [ps[i] for i in funk], _STALE, ArithmeticError)
-    anchor = _anchor(point)
-    return LogValue(Fraction(n * m * p_scale * anchor.denominator, d * e * x_scale * anchor.numerator))
+    return LogValue(Fraction(n * m * ad, d * e * an))
 
 
 def _check_comparable(g: BusemannPoint, h: BusemannPoint) -> None:
@@ -209,16 +208,12 @@ def detour_cost(g: BusemannPoint, h: BusemannPoint) -> LogValue:
     # contained in h's exactly when h's index set is a subset of g's.
     if not (g.x_active <= h.x_active and h.funk_index <= g.funk_index):
         return LogValue.INFINITY
-    # The base-point is shared, so the outer gauges at it are the anchors.
-    g_anchor = _anchor(g)
-    h_anchor = _anchor(h)
-    gx, gx_scale, gp, gp_scale, inactive, _ = _values(g)
-    hx, hx_scale, hp, hp_scale, _, funk = _values(h)
-    # M(h.x/g.x; face) = (f gx_scale) / (fd hx_scale) and M(g.p/h.p; h's funk cone) = (k hp_scale) / (kd gp_scale).
+    # M(h.x/g.x; face) M(g.p/h.p; h's funk cone) over the anchors at the shared base-point: every scale cancels.
+    gx, gp, inactive, _, gn, gd = _values(g)
+    hx, hp, _, funk, hn, hd = _values(h)
     f, fd = _arg_max([hx[i] for i in inactive], [gx[i] for i in inactive], _STALE, ArithmeticError)
     k, kd = _arg_max([gp[i] for i in funk], [hp[i] for i in funk], _STALE, ArithmeticError)
-    return LogValue(Fraction(f * gx_scale * k * hp_scale * g_anchor.numerator * h_anchor.denominator,
-                             fd * hx_scale * kd * gp_scale * g_anchor.denominator * h_anchor.numerator))
+    return LogValue(Fraction(f * k * gn * hd, fd * kd * gd * hn))
 
 
 def detour_decomposition(g: BusemannPoint, h: BusemannPoint) -> tuple[LogValue, LogValue] | None:
@@ -233,17 +228,17 @@ def detour_metric(g: BusemannPoint, h: BusemannPoint) -> LogValue:
     """Symmetrised detour cost; finite exactly within a part.
 
     Both costs are finite exactly when the points share their active and
-    funk index sets; then the anchors and scales cancel, leaving four
-    stored-value gauges in one `Fraction`.  `detour_decomposition` computes
-    the same value, the face plus the funk-cone Hilbert distance, with its
-    own row-value passes; a disagreement raises `ArithmeticError`.
+    funk index sets; then the anchors cancel, leaving four stored-value
+    gauges in one `Fraction`.  `detour_decomposition` computes the same
+    value, the face plus the funk-cone Hilbert distance, with its own
+    row-value passes; a disagreement raises `ArithmeticError`.
     """
     _check_comparable(g, h)
     if g.x_active != h.x_active or g.funk_index != h.funk_index:
         delta = LogValue.INFINITY
     else:
-        gx, _, gp, _, inactive, funk = _values(g)
-        hx, _, hp, _, _, _ = _values(h)
+        gx, gp, inactive, funk, _, _ = _values(g)
+        hx, hp, _, _, _, _ = _values(h)
         fn, fd = _two_sided(hx, gx, inactive, _STALE, ArithmeticError)
         kn, kd = _two_sided(gp, hp, funk, _STALE, ArithmeticError)
         delta = LogValue(Fraction(fn * kn, fd * kd))

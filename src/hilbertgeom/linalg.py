@@ -131,7 +131,9 @@ def rational(value) -> Fraction:
 
 
 def vector(values: Iterable) -> Vector:
-    """The values as a tuple of `Fraction`s; a float or a non-iterable is refused with a `ParseError`."""
+    """The values as a tuple of `Fraction`s; a float, a string or a non-iterable is refused with a `ParseError`."""
+    if isinstance(values, (str, bytes, bytearray)):
+        raise ParseError(f"a vector must be an iterable of rationals, not {type(values).__name__}")
     try:
         return tuple(v if type(v) is Fraction else rational(v) for v in values)
     except TypeError:

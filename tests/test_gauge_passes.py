@@ -2,11 +2,11 @@
 
 The one-pass routes (`hilbert_cone`, `face_hilbert`, the chord
 `hilbert_cross_ratio`, and `busemann_eval`, `detour_cost` and
-`detour_metric` on a Busemann point that keeps its base gauges and its
-stored row values) against the routes they replaced, kept as oracles in
-`helpers`: the same exact value, or the same refusal.  Then the number of
-row-value passes each call makes, counted on `_row_values`, which every
-gauge and the chord go through.
+`detour_metric` on a Busemann point that keeps one record of its stored
+row values and its anchor) against the routes they replaced, kept as
+oracles in `helpers`: the same exact value, or the same refusal.  Then the
+number of row-value passes each call makes, counted on `_row_values`,
+which every gauge and the chord go through.
 """
 
 import copy
@@ -22,6 +22,7 @@ import hilbertgeom.geometry as geometry
 import hilbertgeom.horoboundary as horoboundary
 import hilbertgeom.metrics as metrics
 from hilbertgeom import (
+    BusemannPoint,
     DomainError,
     Face,
     HPolytope,
@@ -84,7 +85,7 @@ def scaled(rng, point):
 
 
 def fresh(point):
-    """An equal Busemann point whose base gauges are not yet computed."""
+    """An equal Busemann point whose record is not yet filled."""
     return busemann_point(point.cone, point.x, point.funk_index, point.p, point.base)
 
 
@@ -145,10 +146,10 @@ class TestOnePassAgainstTheOldRoutes:
         for group in groups:
             for kept in group:
                 point = fresh(kept)
-                assert point._anchor is None
+                assert point._values is None
                 for w in [base] + gauge_points(rng, polytope, cone):
                     same_gauge(lambda: busemann_eval(point, w), lambda: four_gauge_busemann_eval(point, w))
-                assert point._anchor is not None
+                assert point._values is not None
                 assert busemann_eval(point, base).arg == 1
 
     def test_detour_cost_before_and_after_the_anchors_are_filled(self, name):
@@ -249,10 +250,10 @@ class TestStoredValuesAgainstTheOracles:
         points = [p for _, _, points, _ in query_domains(1) for p in points]
         g, h = next((g, h) for g in points for h in points if part_of(g) == part_of(h) and g.p != h.p)
         assert detour_decomposition(g, h)[1].arg > 1  # the reference points are apart in the funk cone
-        xs, x_scale, ps, p_scale, inactive, funk = _values(g)
+        xs, ps, inactive, funk, an, ad = _values(g)
         for stale in [
-            (xs, x_scale, _values(h)[2], p_scale, inactive, funk),  # h's p in g's place: the routes disagree
-            (xs, x_scale, ps, p_scale, list(range(len(xs))), funk),  # active rows taken as inactive: g.x divides by zero
+            (xs, _values(h)[1], inactive, funk, an, ad),  # h's p in g's place: the routes disagree
+            (xs, ps, list(range(len(xs))), funk, an, ad),  # active rows taken as inactive: g.x divides by zero
         ]:
             twin = fresh(g)
             object.__setattr__(twin, "_values", stale)
@@ -266,11 +267,51 @@ class TestStoredValuesAgainstTheOracles:
         busemann_eval(g, ws[1])
         for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
             assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
-            assert twin._values is None and twin._anchor is None
+            assert twin._values is None
             for w in ws:
                 assert busemann_eval(twin, w) == busemann_eval(g, w)
             assert detour_cost(twin, h) == detour_cost(g, h) and detour_metric(h, twin) == detour_metric(h, g)
-            assert twin._values == g._values and twin._anchor == g._anchor
+            assert twin._values == g._values
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_no_formula_reads_a_scale(self, monkeypatch, seed):
+        """Each pass's values times a random positive integer drawn per call, its scale kept as it was.
+
+        Any ratio of two points' values then carries a factor that only the
+        anchors cancel, and a scale that a formula read would no longer
+        match its values.
+        """
+        rng = random.Random(seed)
+
+        def rescaled(owner, point):
+            values, scale = geometry._row_values(owner, point)
+            c = rng.randint(2, 2**20)
+            return [c * v for v in values], scale
+
+        domains = query_domains(seed)
+        monkeypatch.setattr(horoboundary, "_row_values", rescaled)
+        answers = dict.fromkeys(("value", "refused", "finite", "infinite"), 0)
+        for polytope, cone, points, ws in domains:
+            same_on_every_pair(polytope, cone, points, ws, answers)
+        assert answers["value"] >= 150 and answers["finite"] >= 120
+
+    @pytest.mark.parametrize("field, value", [
+        ("base", lift_to_cone((0, F(1, 4)))),  # on the boundary
+        ("base", lift_to_cone((2, 2))),  # outside
+        ("p", lift_to_cone((0, F(1, 3)))),  # on the funk cone's boundary
+        ("p", lift_to_cone((-1, F(1, 3)))),  # outside the funk cone
+    ])
+    def test_hand_built_point_off_the_interior_is_refused_by_every_call(self, field, value):
+        """The record's base gauges refuse as `m_ratio` does, whichever call fills it first."""
+        cone, centre, edge, face = square_points()
+        valid = busemann_point(cone, edge, face.active, lift_to_cone((F(1, 3), F(1, 3))), centre)
+        fields = {name: getattr(valid, name) for name in BusemannPoint._fields}
+        calls = [lambda g: busemann_eval(g, centre), lambda g: detour_cost(g, g), lambda g: detour_metric(g, g)]
+        for call in calls:
+            point = BusemannPoint(**{**fields, field: value})
+            with pytest.raises(DomainError, match="^gauge denominator point must be interior$"):
+                call(point)
+            assert point._values is None
 
 
 @cache
@@ -390,7 +431,7 @@ def square_points():
 
 
 class TestGaugePasses:
-    """One row-value pass per point and call; a Busemann point's base gauges once per point."""
+    """One row-value pass per point and call; a Busemann point's record once per point."""
 
     def test_two_sided_metrics(self, passes):
         cone, centre, edge, face = square_points()
@@ -417,7 +458,7 @@ class TestGaugePasses:
         classified = counter(monkeypatch, classify_point, (geometry, horoboundary))
         point = busemann_point(cone, edge, face.active, centre, centre)
         # One row-value pass each for x, the base-point and p, and no classification.
-        assert passes[0] == 3 and classified[0] == 0 and point._anchor is None
+        assert passes[0] == 3 and classified[0] == 0 and point._values is None
 
     def test_busemann_eval(self, passes, monkeypatch):
         cone, centre, edge, face = square_points()
@@ -425,37 +466,37 @@ class TestGaugePasses:
         passes[0] = 0  # construction's three passes are pinned above; count the evaluation's
         classified = counter(monkeypatch, classify_point, (geometry, horoboundary))
         busemann_eval(point, lift_to_cone((F(1, 4), F(2, 3))))
-        # w, then x's and p's stored values, then the two base gauges of the anchor, two passes each
-        assert passes[0] == 7 and point._values is not None and point._anchor is not None
+        # w, then the record: x's and p's stored values and the base-point for the anchor
+        assert passes[0] == 4 and point._values is not None
         for k in range(1, 4):
             busemann_eval(point, lift_to_cone((F(1, 5), F(k, 5))))
-            assert passes[0] == 7 + k  # w alone
+            assert passes[0] == 4 + k  # w alone
         # w is found interior from its row values in the gauge M(x/w), with no classification
         with pytest.raises(DomainError, match="horofunctions are evaluated at interior points"):
             busemann_eval(point, edge)
-        assert classified[0] == 0 and passes[0] == 11
+        assert classified[0] == 0 and passes[0] == 8
 
     def test_detour_cost(self, passes):
         cone, centre, edge, face = square_points()
         g, h = (busemann_point(cone, x, face.active, centre, centre) for x in (edge, lift_to_cone((0, F(1, 4)))))
         passes[0] = 0  # construction's three passes per point
         detour_cost(g, h)
-        assert passes[0] == 12  # each point's two stored value lists and its anchor's two base gauges, two passes each
+        assert passes[0] == 6  # each point's record: x, p and the base-point
         for _ in range(3):
             detour_cost(h, g)
             detour_cost(g, h)
-            assert passes[0] == 12  # the cost reads the stored values alone
+            assert passes[0] == 6  # the cost reads the records alone
 
     def test_detour_metric(self, passes):
         cone, centre, edge, face = square_points()
         g, h = (busemann_point(cone, x, face.active, centre, centre) for x in (edge, lift_to_cone((0, F(1, 4)))))
         passes[0] = 0  # construction's three passes per point
         detour_metric(g, h)
-        # The cost route fills each point's stored values and no anchor; the decomposition reads all four points itself.
-        assert passes[0] == 4 + 4 and g._anchor is None and h._anchor is None
+        # The cost route fills each point's record, its anchor included; the decomposition reads all four points itself.
+        assert passes[0] == 6 + 4 and g._values is not None and h._values is not None
         for k in range(1, 4):
             detour_metric(h, g)
-            assert passes[0] == 8 + 4 * k
+            assert passes[0] == 10 + 4 * k
 
     def test_infinite_detour_cost_makes_no_pass(self, passes):
         cone, centre, edge, face = square_points()
@@ -464,7 +505,7 @@ class TestGaugePasses:
                            centre, centre)
         passes[0] = 0  # construction's three passes per point
         assert detour_cost(g, h).is_infinite and detour_cost(h, g).is_infinite
-        assert passes[0] == 0 and g._anchor is None and h._anchor is None
+        assert passes[0] == 0 and g._values is None and h._values is None
 
     def test_infinite_detour_metric_makes_no_pass(self, passes):
         cone, centre, edge, face = square_points()

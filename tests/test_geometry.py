@@ -122,6 +122,13 @@ class TestFloatsRefused:
             vector(iter([0.25]))
         assert vector((1, F(1, 3), "2/5")) == (F(1), F(1, 3), F(2, 5))
 
+    @pytest.mark.parametrize("text", ["12", b"12", bytearray(b"12")])
+    def test_a_string_is_not_a_vector(self, text):
+        with pytest.raises(ParseError, match=rf"^a vector must be an iterable of rationals, not {type(text).__name__}$"):
+            vector(text)
+        # A string is still read where one rational belongs, and as an entry.
+        assert rational("1/2") == F(1, 2) and vector(["1/2", "3"]) == (F(1, 2), F(3))
+
     def test_library_entry_points(self):
         square = unit_square()
         with pytest.raises(ParseError, match=r"coordinate 0 is the float 0\.1"):

@@ -6,7 +6,9 @@ up by the callable's name and the parameter's name, then by the parameter's
 name alone; the call with every default must succeed.  Each required
 position in turn then takes `None`, `1.5`, `"x"` and `[[]]`, and the call
 must either succeed or raise a `HilbertGeometryError`: never a `TypeError`,
-`AttributeError` or any other class.
+`AttributeError` or any other class.  Each position whose default is a
+vector then takes a digit string of the same length, which must be refused
+as a `ParseError`, not read one character per coordinate.
 """
 
 import inspect
@@ -18,6 +20,7 @@ import hilbertgeom
 from hilbertgeom import (
     Face,
     HilbertGeometryError,
+    ParseError,
     PartId,
     VClass,
     busemann_point,
@@ -127,3 +130,34 @@ def test_only_library_errors_escape(name, position, bad):
         function(*args)
     except HilbertGeometryError:
         pass
+
+
+# Tuples of ints that name indices, not coordinates; and the record `BusemannPoint`, whose
+# fields are refused by their class before any is read (`test_refusals`).
+NOT_VECTORS = {"permutation", "perm", "columns"}
+
+
+def _is_vector(value):
+    return type(value) is tuple and bool(value) and all(type(c) is int or type(c) is F for c in value)
+
+
+DIGIT_STRINGS = [
+    (name, position)
+    for name, function in CALLABLES.items()
+    if name != "BusemannPoint"
+    for position, (param, value) in enumerate(zip(_required(function), _defaults(name, function)))
+    if param not in NOT_VECTORS and _is_vector(value)
+]
+
+
+@pytest.mark.parametrize("name, position", DIGIT_STRINGS, ids=[f"{name}-{position}" for name, position in DIGIT_STRINGS])
+def test_a_digit_string_is_not_a_vector(name, position):
+    function = CALLABLES[name]
+    args = _defaults(name, function)
+    args[position] = "1" * len(args[position])
+    with pytest.raises(ParseError, match="^a vector must be an iterable of rationals, not str$"):
+        function(*args)
+
+
+def test_every_vector_position_is_swept():
+    assert len(DIGIT_STRINGS) >= 40

@@ -140,12 +140,12 @@ def test_simplex_isometry_equality_ignores_gather():
 def test_busemann_point_with_a_filled_anchor_is_the_same_value():
     a = _busemann()
     busemann_eval(a, (F(1, 3), F(1, 4), 1))
-    assert a._anchor is not None
+    assert a._values is not None  # the record, its anchor included
     b = _busemann()
-    assert b._anchor is None and a == b and b == a and hash(a) == hash(b)
+    assert b._values is None and a == b and b == a and hash(a) == hash(b)
     for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert twin == a and hash(twin) == hash(a)
-    assert repr(a) == repr(b) and "_anchor" not in repr(a)
+    assert repr(a) == repr(b) and "_values" not in repr(a)
 
 
 def test_simplex_isometry_takes_any_sequence_of_ints_as_a_tuple():
