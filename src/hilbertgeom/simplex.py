@@ -18,6 +18,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import permutations, product
+from operator import itemgetter, sub
 from typing import Callable, Sequence
 
 from .geometry import DomainError, PolyCone, classify_point
@@ -89,7 +90,7 @@ def var_dist(v: VClass, w: VClass) -> Fraction:
         raise DomainError("variation classes of different dimension")
     dv, dw = v.den, w.den
     if dv == dw:
-        diffs = [a - b for a, b in zip(v.nums, w.nums)]
+        diffs = list(map(sub, v.nums, w.nums))
         return Fraction(max(diffs) - min(diffs), dv)
     diffs = [a * dw - b * dv for a, b in zip(v.nums, w.nums)]
     return Fraction(max(diffs) - min(diffs), dv * dw)
@@ -105,9 +106,11 @@ class SimplexIsometry(_Frozen):
     """
 
     # `_gather` is the inverse permutation: coordinate j of the image comes
-    # from _gather[j].  `_shift` is the translation, or None when it is zero.
-    # Both are derived, so equality and hashing skip them.
-    __slots__ = ("translation", "permutation", "flip", "_gather", "_shift")
+    # from _gather[j], and `_get` is itemgetter(*_gather), which reads all of
+    # them in one call.  `_shift` is the translation, or None when it is
+    # zero.  All three are derived, so equality, hashing, repr and pickling
+    # skip them.
+    __slots__ = ("translation", "permutation", "flip", "_gather", "_get", "_shift")
 
     def __init__(self, translation: VClass, permutation: Sequence[int], flip: bool):
         _check_permutation(permutation)
@@ -124,6 +127,14 @@ class SimplexIsometry(_Frozen):
         return len(self.permutation) - 1
 
 
+_set_translation = SimplexIsometry.translation.__set__
+_set_permutation = SimplexIsometry.permutation.__set__
+_set_flip = SimplexIsometry.flip.__set__
+_set_gather = SimplexIsometry._gather.__set__
+_set_get = SimplexIsometry._get.__set__
+_set_shift = SimplexIsometry._shift.__set__
+
+
 def _check_permutation(permutation: Sequence[int]) -> None:
     """Refuse what is not a sequence, an entry that is not an `int` (a `bool` included), then a non-permutation."""
     if not isinstance(permutation, Sequence):
@@ -137,11 +148,12 @@ def _check_permutation(permutation: Sequence[int]) -> None:
 
 def _fill(g: SimplexIsometry, translation: VClass, permutation: tuple[int, ...], flip: bool,
           gather: tuple[int, ...]) -> SimplexIsometry:
-    _set(g, "translation", translation)
-    _set(g, "permutation", permutation)
-    _set(g, "flip", flip)
-    _set(g, "_gather", gather)
-    _set(g, "_shift", translation if any(translation.nums) else None)
+    _set_translation(g, translation)
+    _set_permutation(g, permutation)
+    _set_flip(g, flip)
+    _set_gather(g, gather)
+    _set_get(g, itemgetter(*gather))
+    _set_shift(g, translation if any(translation.nums) else None)
     return g
 
 
@@ -163,20 +175,22 @@ def identity_isometry(n: int) -> SimplexIsometry:
     return SimplexIsometry(vclass([0] * (n + 1)), tuple(range(n + 1)), False)
 
 
-def _move(gather: Sequence[int], negate: bool, nums: tuple[int, ...]) -> tuple[int, ...]:
-    """Coordinate j is +-nums[gather[j]], shifted so the first is zero.
+def _move(moved: tuple[int, ...], negate: bool) -> tuple[int, ...]:
+    """Gathered numerators, negated for the flip, then shifted so the first is zero.
 
     Differences of canonical numerators keep gcd 1 with the denominator.
     """
-    first = nums[gather[0]]
+    first = moved[0]
     if negate:
-        return tuple([first - nums[j] for j in gather])
-    return tuple([nums[j] - first for j in gather])
+        return tuple([first - a for a in moved])
+    if first:
+        return tuple([a - first for a in moved])
+    return moved
 
 
 def _act(g: SimplexIsometry, nums: tuple[int, ...], den: int) -> VClass:
     """g applied to the class nums / den; reduced only after a translation."""
-    moved = _move(g._gather, g.flip, nums)
+    moved = _move(g._get(nums), g.flip)
     t = g._shift
     if t is None:
         return _vclass(moved, den)
@@ -197,7 +211,10 @@ def apply_isometry(g: SimplexIsometry, v: VClass) -> VClass:
         _refuse("point", VClass, v)
     if len(g._gather) != len(v.nums):
         raise DomainError("isometry and class dimensions differ")
-    return _act(g, v.nums, v.den)
+    if g._shift is not None:
+        return _act(g, v.nums, v.den)
+    # With no translation (every point group element) the class is only moved; `_act`'s frame is skipped.
+    return _vclass(_move(g._get(v.nums), g.flip), v.den)
 
 
 def compose(g: SimplexIsometry, h: SimplexIsometry) -> SimplexIsometry:
@@ -216,7 +233,7 @@ def inverse(g: SimplexIsometry) -> SimplexIsometry:
     if g.__class__ is not SimplexIsometry:
         _refuse("isometry", SimplexIsometry, g)
     t = g.translation
-    translation = _vclass(_move(g.permutation, not g.flip, t.nums), t.den)
+    translation = _vclass(_move(itemgetter(*g.permutation)(t.nums), not g.flip), t.den)
     return _isometry(translation, g._gather, g.flip, g.permutation)
 
 
@@ -240,20 +257,38 @@ def var_ball_vertices(n: int) -> list[VClass]:
     return out
 
 
+def _check_group_size(n: int) -> None:
+    _check_size(n)
+    if n > POINT_GROUP_MAX_N:
+        raise DomainError(f"point group guard: n <= {POINT_GROUP_MAX_N}")
+
+
 def _enumerate_group(n: int, flips: tuple[bool, ...]) -> list[SimplexIsometry]:
     """One zero-translation element per permutation, for each flip in turn.
 
     No two act alike, since the action is faithful for n >= 2 (see
     `point_group_elements`); for n = 1 the flip acts as the swap.
     """
-    _check_size(n)
-    if n > POINT_GROUP_MAX_N:
-        raise DomainError(f"point group guard: n <= {POINT_GROUP_MAX_N}")
+    _check_group_size(n)
     if n == 1:
         flips = (False,)
     zero = _vclass((0,) * (n + 1), 1)
-    pairs = [(perm, _inverse(perm)) for perm in permutations(range(n + 1))]
-    return [_isometry(zero, perm, flip, gather) for flip in flips for perm, gather in pairs]
+    parts = []
+    for perm in permutations(range(n + 1)):
+        gather = _inverse(perm)
+        parts.append((perm, gather, itemgetter(*gather)))
+    out = []
+    for flip in flips:
+        for perm, gather, get in parts:
+            g = object.__new__(SimplexIsometry)
+            _set_translation(g, zero)
+            _set_permutation(g, perm)
+            _set_flip(g, flip)
+            _set_gather(g, gather)
+            _set_get(g, get)
+            _set_shift(g, None)
+            out.append(g)
+    return out
 
 
 def point_group_elements(n: int) -> list[SimplexIsometry]:
@@ -277,7 +312,9 @@ def permutation_group_elements(n: int) -> list[SimplexIsometry]:
 
 
 def permutation_group_order(n: int) -> int:
-    return len(permutation_group_elements(n))
+    """(n + 1)!, the number of elements `permutation_group_elements(n)` lists, refused as it refuses."""
+    _check_group_size(n)
+    return math.factorial(n + 1)
 
 
 def exp_chart(v: VClass, base: Fraction) -> Vector:
@@ -398,13 +435,27 @@ class CollinearityWitness(_Frozen):
 
     The nonzero 3x3 determinant over the given coordinate columns certifies
     that the image rays span three projective directions, so the reciprocal
-    map is an isometry that is not a collineation.
+    map is an isometry that is not a collineation.  Each field is checked by
+    class when built: `points` and `images` are three tuples of `Fraction`s
+    each, `columns` three `int`s and `determinant` a `Fraction`.
     """
 
     __slots__ = ("points", "images", "columns", "determinant")
 
     def __init__(self, points: tuple[Vector, Vector, Vector], images: tuple[Vector, Vector, Vector],
                  columns: tuple[int, int, int], determinant: Fraction):
+        for name, triple in (("points", points), ("images", images), ("columns", columns)):
+            _refuse(f"witness {name}", tuple, triple)
+            if len(triple) != 3:
+                raise DomainError(f"witness {name} must hold three entries, not {len(triple)}")
+        for name, rows in (("point", points), ("image", images)):
+            _refuse(f"witness {name}", tuple, *rows)
+            for row in rows:
+                _refuse(f"witness {name} coordinate", Fraction, *row)
+        for c in columns:
+            if c.__class__ is not int:
+                raise DomainError(f"witness column {c!r} is not an integer")
+        _refuse("witness determinant", Fraction, determinant)
         for name, value in zip(self.__slots__, (points, images, columns, determinant)):
             _set(self, name, value)
 

@@ -79,6 +79,7 @@ BY_CALLABLE = {
     "apply_isometry": {"g": ISOMETRY},
     "compose": {"g": ISOMETRY, "h": ISOMETRY},
     "inverse": {"g": ISOMETRY},
+    "CollinearityWitness": {"points": (CENTRE, NEAR, EDGE)},
 }
 
 GARBAGE = [None, 1.5, "x", [[]]]

@@ -12,6 +12,7 @@ import pytest
 
 from hilbertgeom import (
     BusemannPoint,
+    CollinearityWitness,
     ConstructionError,
     DomainError,
     Face,
@@ -64,6 +65,7 @@ from hilbertgeom import (
     part_dimension,
     part_of,
     permutation_group_elements,
+    permutation_group_order,
     point_group_elements,
     positive_orthant,
     simplex_collineation,
@@ -111,6 +113,16 @@ def busemann_with(**field):
     """`on_square()` rebuilt from its fields, one of them swapped."""
     point = on_square()
     return BusemannPoint(**{**{name: getattr(point, name) for name in BusemannPoint._fields}, **field})
+
+
+@cache
+def witness():
+    return collineation_witness_failure(2)
+
+
+def witness_with(**field):
+    """`witness()` rebuilt from its fields, one of them swapped."""
+    return CollinearityWitness(**{**{name: getattr(witness(), name) for name in CollinearityWitness._fields}, **field})
 
 
 def on_triangle():
@@ -195,6 +207,16 @@ REFUSALS = [
     ("busemann-field-base", lambda: busemann_with(base="1/2,1/2,1"), DomainError, "Busemann point base must be a tuple, not str"),
     ("linear-map-rows", lambda: LinearMap(None), DomainError, "linear map rows must be a tuple, not NoneType"),
     ("linear-map-row", lambda: LinearMap(((1, 0), [0, 1])), DomainError, "linear map row must be a tuple, not list"),
+    # So does a CollinearityWitness: three Fraction vectors twice, three int columns, a Fraction determinant.
+    ("witness-field-points", lambda: witness_with(points=None), DomainError, "witness points must be a tuple, not NoneType"),
+    ("witness-field-points-two", lambda: witness_with(points=witness().points[:2]), DomainError, "witness points must hold three entries, not 2"),
+    ("witness-field-images", lambda: witness_with(images=list(witness().images)), DomainError, "witness images must be a tuple, not list"),
+    ("witness-field-point-string", lambda: witness_with(points=("111", *witness().points[1:])), DomainError, "witness point must be a tuple, not str"),
+    ("witness-field-image-int", lambda: witness_with(images=(*witness().images[:2], (1, 2, 3))), DomainError, "witness image coordinate must be a Fraction, not int"),
+    ("witness-field-columns-string", lambda: witness_with(columns="111"), DomainError, "witness columns must be a tuple, not str"),
+    ("witness-field-columns-four", lambda: witness_with(columns=(0, 1, 2, 3)), DomainError, "witness columns must hold three entries, not 4"),
+    ("witness-field-column-bool", lambda: witness_with(columns=(0, True, 2)), DomainError, "witness column True is not an integer"),
+    ("witness-field-determinant", lambda: witness_with(determinant=-1), DomainError, "witness determinant must be a Fraction, not int"),
     # Two-sided gauges read each point once, x then y, and refuse as the
     # one-sided gauges they combine: hilbert_cone as funk then reverse_funk
     # (y interior, the Funk sign, x interior), face_hilbert as
@@ -268,6 +290,10 @@ REFUSALS = [
     ("point-group-zero", lambda: point_group_elements(0), DomainError, AT_LEAST_ONE),
     ("point-group-guard", lambda: point_group_elements(7), DomainError, "point group guard: n <= 6"),
     ("permutation-group-guard", lambda: permutation_group_elements(7), DomainError, "point group guard: n <= 6"),
+    # The closed-form order refuses as the enumeration it counts.
+    ("permutation-order-guard", lambda: permutation_group_order(7), DomainError, "point group guard: n <= 6"),
+    ("permutation-order-zero", lambda: permutation_group_order(0), DomainError, AT_LEAST_ONE),
+    ("permutation-order-bool", lambda: permutation_group_order(True), DomainError, SIZE.format(True)),
     # Sizes: one check refuses a non-integer before the range, naming it.
     ("ball-float", lambda: var_ball_vertices(2.5), DomainError, SIZE.format(2.5)),
     ("point-group-float", lambda: point_group_elements(2.0), DomainError, SIZE.format(2.0)),

@@ -1,5 +1,6 @@
 """Variation-norm model of the simplex geometry and its isometry group."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -256,6 +257,29 @@ class TestIntegerClasses:
         assert log_chart((2, 4, 1), F(2)) == vclass([1, 2, 0])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_zero_translation_action_matches_the_reference(self, n):
+        """Every point group element acts by its gather alone, as the reference does.
+
+        The classes have denominator 1 and above 1, and each element's
+        gathered first numerator is zero for some and nonzero for others, so
+        both branches of the shift run, with and without the flip.
+        """
+        rng = random.Random(113 + n)
+        classes = [random_vclass(rng, n, den) for den in (1, 1, 3, 4, 12)]
+        seen = set()
+        for g in point_group_elements(n):
+            assert g._get(tuple(range(n + 1))) == g._gather
+            rebuilt = SimplexIsometry(g.translation, g.permutation, g.flip)
+            for v in classes:
+                image = apply_isometry(g, v)
+                assert image.rep == ref_apply(g, v.rep)
+                assert canonical(image)
+                assert apply_isometry(rebuilt, v) == image
+                seen.add((v.den > 1, v.nums[g._gather[0]] != 0, g.flip))
+        flips = (False,) if n == 1 else (False, True)
+        assert seen == set(itertools.product((False, True), (False, True), flips))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_enumeration_matches_the_closure(self, n):
         zero = vclass([0] * (n + 1))
         flip = SimplexIsometry(zero, tuple(range(n + 1)), True)
@@ -321,6 +345,10 @@ class TestPointGroup:
         assert permutation_group_order(1) == 2
         assert permutation_group_order(2) == 6
         assert permutation_group_order(3) == 24
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_closed_form_order_counts_the_enumeration(self, n):
+        assert permutation_group_order(n) == len(permutation_group_elements(n)) == math.factorial(n + 1)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_index_two(self, n):

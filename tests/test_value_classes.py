@@ -133,8 +133,11 @@ def test_simplex_isometry_equality_ignores_gather():
     a = SimplexIsometry(vclass([0, 1, 2]), (2, 0, 1), False)
     b = SimplexIsometry(vclass([0, 1, 2]), (2, 0, 1), False)
     object.__setattr__(b, "_gather", (0, 1, 2))
+    object.__setattr__(b, "_get", None)
     assert a._gather == (1, 2, 0) and a == b and hash(a) == hash(b)
-    assert "_gather" not in repr(a)
+    assert "_gather" not in repr(a) and "_get" not in repr(a)
+    for twin in (copy.copy(b), pickle.loads(pickle.dumps(b))):  # rebuilt from the fields, the derived slots refilled
+        assert twin == a and twin._gather == a._gather and twin._get("xyz") == a._get("xyz") == ("y", "z", "x")
 
 
 def test_busemann_point_with_a_filled_anchor_is_the_same_value():
