@@ -6,10 +6,8 @@ the Busemann points of the horofunction boundary together with the detour
 metric and the part decomposition in closed form, and implements the
 isometry group of the simplex geometry in its variation-norm model.
 
-`import hilbertgeom` loads none of the submodules.  The first access of a
-public name imports them all and binds the whole API in the package
-(PEP 562), so later accesses are plain lookups.  The command line imports
-only the modules its subcommand runs.
+`import hilbertgeom` loads no submodule.  The first access of a public
+name imports them all and binds the whole API in the package (PEP 562).
 """
 
 # Home module -> the public names the package takes from it.

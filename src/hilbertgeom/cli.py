@@ -14,8 +14,7 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
-# The handlers import the modules they run, so a fresh process loads only
-# what its subcommand needs; `geometry` holds the errors and parsers of all.
+# Each handler imports the modules it runs, so a fresh process loads only those.
 from .geometry import (ConstructionError, DomainError, HPolytope, ParseError, classify_point,
                        cone_from_polytope, format_rational, interior_point, lift_to_cone, parse_point,
                        parse_rational)

@@ -1,11 +1,7 @@
-"""Exact polyhedral geometry: cones, polytopes, faces, point classification.
+"""Exact polyhedral geometry: rational parsing, cones, polytopes, faces and point classification.
 
-All coordinates are rationals and every predicate here is decided exactly.
-The central object is the open polyhedral cone
-
-    C = {x : psi_i(x) > 0 for each facet functional psi_i},
-
-kept in a canonical form so that cone equality is plain tuple equality.
+Every predicate is decided exactly.  An open cone C = {x : psi_i(x) > 0}
+is held in a canonical form, so cone equality is tuple equality.
 """
 
 from __future__ import annotations
@@ -57,7 +53,7 @@ _RATIONAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p", "-p" or "p/q"; floats and anything else are rejected."""
+    """Parse "p", "-p" or "p/q"; anything else, a float literal included, is a `ParseError`."""
     if not isinstance(text, str):
         raise ParseError(f"a rational literal must be a string, not {type(text).__name__}")
     token = text.strip()
@@ -84,7 +80,7 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_point(text: str, dim: int | None = None) -> Vector:
-    """Parse a comma-separated rational point, e.g. "1/2,3,-2/5"."""
+    """Parse a comma-separated rational point, e.g. "1/2,3,-2/5"; a bad literal or count is a `ParseError`."""
     if not isinstance(text, str):
         raise ParseError(f"a point must be a string of comma-separated rationals, not {type(text).__name__}")
     coords = vector(parse_rational(part) for part in text.split(","))
@@ -116,27 +112,22 @@ def _nonzero(coeffs: Vector) -> Vector:
 
 
 class PolyCone(_Sealed):
-    """Open polyhedral cone, stored only as integers: canonical rows and a lineality basis.
+    """Open polyhedral cone {x : psi_i(x) > 0}, stored as canonical integer rows and a lineality basis.
 
-    Each facet is one primitive integer row, the positive multiple of its
-    functional with coprime entries; implied rows are removed and the rest
-    sorted by unit-lead form (leading nonzero entry of absolute value one).
-    Cones are equal as sets exactly when their rows coincide, so equality,
-    hashing, sign tests and gauges read the rows.  `facets` (unit-lead
-    `LinearFunctional`s) and `lineality_basis` (`kernel_basis`) are views
-    built from the rows on each access; `is_proper`, the Hilbert dimension
-    and the face lattice read the length of the stored integer basis.
+    Each facet is one primitive integer row (coprime entries, a positive
+    multiple of its functional); implied rows are removed and the rest sorted
+    by unit-lead form, so cones are equal as sets exactly when their rows
+    coincide.  No functional, a zero or mixed-dimension one, a dimension
+    other than `ambient_dim`, or an empty interior is a `ConstructionError`.
 
-    Construction merges equal primitive rows and reads the rest off the
-    extreme rays of the closed cone {row . x >= 0} (`linalg._extreme_rays`,
-    no LP), and keeps its lineality basis.  The closed cone is the lineality
-    space plus the cone of its rays, and every row vanishes on the lineality
-    space, so a row vanishes on the whole closed cone exactly when it
-    vanishes on every ray: then the open cone is empty and is refused.
-    Otherwise each row's face is spanned by the rays it vanishes on, and a
-    row is kept exactly when that face is a facet, that is when its set of
-    rays is not strictly inside another row's.  Two rows with one facet are
-    positive multiples of each other, so every facet keeps exactly one row.
+    The rows are read off the extreme rays of the closed cone
+    (`linalg._extreme_rays`).  The closed cone is the lineality space plus
+    the cone of its rays, and every row vanishes on the lineality space, so
+    a row that vanishes on every ray vanishes on the closed cone: the
+    interior is empty.  Otherwise each row's face is spanned by the rays it
+    vanishes on, and a row is a facet exactly when its set of rays is not
+    strictly inside another row's.  Two rows with one facet are positive
+    multiples of each other, so each facet keeps exactly one row.
     """
 
     __slots__ = ("ambient_dim", "_rows", "_lineality")
@@ -208,6 +199,8 @@ EXTERIOR = "exterior"
 
 
 class PointLocation(_Frozen):
+    """Where a point lies: `kind` is INTERIOR, BOUNDARY or EXTERIOR, `active` the facets zero at a boundary point."""
+
     __slots__ = ("kind", "active")
 
     def __init__(self, kind: str, active: frozenset[int] = frozenset()):
@@ -224,13 +217,12 @@ class PointLocation(_Frozen):
 
 
 def _row_values(owner: PolyCone | HPolytope, point: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The integer rows of a cone or polytope at `point` encoded once (`_scaled`), and its scale s.
+    """The integer rows of a cone or polytope at `point`, and the point's scale s (`_scaled`).
 
-    Each value is s times the row's `Fraction` value at the point: signs and
-    zeros are exact, and two points' values give each rational ratio with
-    their scales folded in.  A polytope's rows (a, -b) are one longer than
-    its points and read the point at height one, scaled to s; a cone's rows
-    stop before that last entry.
+    Each value is s times the row's value at the point, so signs and zeros
+    are exact, and two points' values give each ratio once their scales are
+    folded in.  A polytope's rows (a, -b) read the point at height one.  A
+    non-cone, a float or a wrong dimension is refused.
     """
     if owner.__class__ is not PolyCone and owner.__class__ is not HPolytope:
         _refuse("cone", PolyCone, owner)
@@ -253,12 +245,10 @@ def classify_point(cone: PolyCone, point: Sequence[Fraction]) -> PointLocation:
 
 
 class Face(_Frozen):
-    """Face of a cone, named by its active facet set.
+    """Face {y in closure(C) : psi_i(y) = 0 for i in `active`} of the cone `parent`.
 
-    The face of x is {y in closure(C) : psi_i(y) = 0 for all i active at x}.
-    The face lattice maps each boundary face's active set to its span dimension.
-    The active set must be a `frozenset` of facet indices of the parent cone;
-    it is empty for the face of an interior point, which is the cone itself.
+    `active` must be a `frozenset` of the parent's facet indices, empty for
+    the cone itself; anything else is a `DomainError`.
     """
 
     __slots__ = ("parent", "active")
@@ -284,6 +274,7 @@ def _check_indices(cone: PolyCone, indices: Iterable) -> None:
 
 
 def face_of(cone: PolyCone, x: Sequence[Fraction]) -> Face:
+    """The face of a nonzero point of the closed cone; the origin or an exterior point is a `DomainError`."""
     x = vector(x)
     if all(c == 0 for c in x):
         raise DomainError("the face of the origin is not defined")
@@ -303,13 +294,13 @@ def face_contains(face: Face, y: Sequence[Fraction]) -> bool:
 
 
 def cone_subset(inner: PolyCone, outer: PolyCone) -> bool:
-    """Exact containment test inner <= outer, on the double description of `inner`, no LP.
+    """Is inner <= outer?  Cones of different ambient dimensions are a `DomainError`.
 
     Both open cones are the interiors of their closures, so inner <= outer
-    exactly when the closure of `inner` lies in every closed halfspace
-    {psi >= 0} of an outer row psi.  That closure is the lineality space
-    plus the cone of the extreme rays (`linalg._extreme_rays`), so psi must
-    vanish on the stored lineality basis and be >= 0 on every ray.
+    exactly when the closure of `inner` lies in {psi >= 0} for every outer
+    row psi.  That closure is the lineality space plus the cone of the
+    extreme rays, so psi must vanish on the lineality basis and be >= 0 on
+    every ray.
     """
     _refuse("cone", PolyCone, inner, outer)
     if inner.ambient_dim != outer.ambient_dim:
@@ -323,22 +314,18 @@ def cone_subset(inner: PolyCone, outer: PolyCone) -> bool:
 
 
 class HPolytope(_Sealed):
-    """Bounded open polytope {x : <a_i, x> > b_i} with nonempty interior.
+    """Bounded open polytope {x : <a_i, x> > b_i} with nonempty interior, and its exact vertices.
 
-    Construction enumerates the vertices (exactly) and fails on unbounded,
-    empty, or lower-dimensional input.  Each halfspace is also kept as the
-    primitive integer row of (a_i, -b_i), on which membership is a sign
-    test of `_row_values`, the rows at the point at height one.
+    Malformed, unbounded, empty or lower-dimensional input, or input past
+    the `VERTEX_ENUM_MAX_*` guard, is a `ConstructionError`.
 
-    Vertices and boundedness come from one double description, no LP: the
-    extreme rays of K = {(x, h) : (a_i, -b_i) . (x, h) >= 0, h >= 0}.  The
-    face of K at h = 0 is {a_i . x >= 0}, which is {0} exactly when the
-    polytope is bounded (whether or not it is empty); so the polytope is
-    unbounded exactly when K keeps a line or has a ray with h = 0.  When it
-    is bounded, K is the cone over the closed polytope, and the rays (x h, h)
-    give its vertices x; none means the closed polytope is empty.  The
-    interior is empty exactly when some halfspace row vanishes on every
-    vertex, that is at the vertex centroid, where every row is >= 0.
+    The vertices come from the extreme rays of
+    K = {(x, h) : (a_i, -b_i) . (x, h) >= 0, h >= 0}.  K's face at h = 0 is
+    {a_i . x >= 0}, which is {0} exactly when the polytope is bounded, so the
+    polytope is unbounded exactly when K keeps a line or a ray with h = 0.
+    Otherwise K is the cone over the closed polytope, its rays (x h, h) give
+    the vertices x, and no ray means the polytope is empty.  The interior is
+    empty exactly when some row vanishes on every vertex.
     """
 
     __slots__ = ("dim", "halfspaces", "vertices", "_rows")
@@ -400,11 +387,8 @@ def interior_point(polytope: HPolytope) -> Vector:
 
 
 def cone_from_polytope(polytope: HPolytope) -> PolyCone:
-    """Homogenise: embed the polytope at height one.
+    """The cone over the polytope at height one: (x, h) -> <a, x> - b h per halfspace, height last.
 
-    Each halfspace <a, x> > b becomes the facet functional
-    (x, h) -> <a, x> - b*h on R^(dim+1); the height coordinate is last.
-    The polytope's integer rows are positive multiples of these functionals.
     The cone is always proper.  For (v, s) in the rows' common kernel and an
     interior point x, each slack at x + t(v - s x) is (1 - s t) times the
     slack at x, so the points with s t <= 0 stay interior; boundedness then
@@ -422,10 +406,7 @@ def lift_to_cone(point: Sequence[Fraction]) -> Vector:
 # Bounded: every fresh cone would otherwise stay cached for the life of the process.
 @lru_cache(maxsize=16)
 def _face_lattice_cached(cone: PolyCone) -> dict[frozenset[int], int]:
-    """Each face's active set, mapped to the dimension of the face's linear span.
-
-    Callers only read the dict; it is shared by every hit on `cone`.
-    """
+    """Each face's active set, mapped to the dimension of its span; callers must not change the shared dict."""
     n = cone.num_facets
     if n > FACE_LATTICE_MAX_FACETS:
         raise ConstructionError(
@@ -443,7 +424,6 @@ def _face_lattice_cached(cone: PolyCone) -> dict[frozenset[int], int]:
             if r > full_rank and any(subset[:k] + subset[k + 1 :] in spanning for k in range(r)):
                 larger.add(subset)
                 continue
-            # One kernel per subset: it decides spanning, poses the LP and gives the span.
             basis, _ = _kernel([rows[i] for i in subset], dim)
             if r == full_rank and len(basis) == lineality:
                 larger.add(subset)
@@ -456,27 +436,18 @@ def _face_lattice_cached(cone: PolyCone) -> dict[frozenset[int], int]:
 
 
 def face_lattice_active_sets(cone: PolyCone) -> list[frozenset[int]]:
-    """Active sets of the nonzero relatively open boundary faces.
+    """Active sets of the nonzero relatively open boundary faces, by size and then lexicographically.
 
-    A proper nonempty subset I of the facet indices is listed when
-    {psi_i = 0 on I, psi_j > 0 off I} has a (necessarily nonzero) solution.
-    Rank and irredundancy decide most subsets without an LP:
-
-    - every singleton is listed: the constructor kept exactly the facet
-      rows, and each is zero on its facet's relative interior, where every
-      other row is positive;
-    - no subset whose rows reach the rank of the whole list is listed: its
-      kernel is the lineality space, where every functional vanishes.  A
-      subset larger than that rank reaches it exactly when one of its
-      one-smaller subsets does, so only subsets of exactly that size are
-      checked by their kernel.  Once every subset of some size reaches it,
-      so does every larger one, and the walk stops.
-
-    Each subset left to check takes one integer kernel K of the cone's rows
-    as held.  K decides spanning (dim K equals the lineality dimension),
-    poses the face test (`linalg._gordan_empty`, one LP) and gives the span
-    dimension, dim K.  Sets come ordered by size, then lexicographically,
-    and are memoised per cone (cones are immutable values keyed by rows).
+    A proper nonempty subset I of the facets is listed when
+    {psi_i = 0 on I, psi_j > 0 off I} has a solution.  Every singleton is,
+    since every row is a facet.  No subset whose rows reach the rank of the
+    whole list is, since its kernel is the lineality space, where every row
+    vanishes; a larger subset reaches that rank exactly when a one-smaller
+    subset does, and once every subset of a size reaches it, so does every
+    larger one.  Each other subset takes one integer kernel K, which decides
+    spanning and poses the face test (`linalg._gordan_empty`); dim K is the
+    span dimension.  More than `FACE_LATTICE_MAX_FACETS` facets is a
+    `ConstructionError`.
     """
     _refuse("cone", PolyCone, cone)
     return list(_face_lattice_cached(cone))

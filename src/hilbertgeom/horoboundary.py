@@ -6,11 +6,9 @@ and a point p interior to T; its horofunction is
 
     w  |->  [log M(x/w;C) - log M(x/b;C)] + [log M(w/p;T) - log M(b/p;T)]
 
-with base-point b.  The detour cost between two such points has a closed
-form in the same gauges, finite exactly when the first boundary point lies
-in the face of the second and the first tangent-family cone is contained in
-the second; symmetrising gives the detour metric, which is finite exactly
-within a "part" (same face, same cone).
+with base-point b.  The detour cost between two such points is a closed
+form in the same gauges, and the detour metric, its symmetrisation, is
+finite exactly within a part (same face, same cone).
 """
 
 from __future__ import annotations
@@ -35,26 +33,21 @@ from .tangent import _cut, canonical_index_set
 
 
 class BusemannPoint(_Frozen):
-    """Canonical data (boundary ray, tangent-family cone, reference point).
+    """A Busemann point: boundary ray x, funk cone cut by the facets `funk_index`, reference point p.
 
-    Stored in canonical form: the boundary point and the reference point are
-    scaled so their leading nonzero coordinate has absolute value one, and
-    the reference point is reduced modulo the lineality space of the funk
-    cone.  Equality of canonical forms is used as identity of Busemann
-    points; the horofunction itself is available through `busemann_eval`.
+    `busemann_point` builds it canonical: x and p have a leading coordinate
+    of absolute value one and p is reduced modulo the funk cone's lineality
+    space, so equal fields mean equal Busemann points.  A field of the wrong
+    class is a `DomainError`.
 
-    One field, `_values`, is computed on first use and None before; being
-    underscored, it takes no part in equality, hashing, repr or pickling.
-    It is the record (X, P, inactive, funk, an, ad): X and P are x's and
-    p's integer values on the parent cone's rows (`_row_values`), the rows
-    inactive at x, the funk cone's rows as sorted parent indices, and the
-    anchor an / ad = M(X/b; cone) M(b/P; funk_cone) of the base gauges on
-    those integer values.  It holds no scale: the anchor carries x's scale
-    over p's (b's cancels inside it), and each formula divides it out
-    again.  The record answers every gauge of `busemann_eval`,
-    `detour_cost` and `detour_metric` by selecting rows: the face of x is
-    gauged on its inactive rows, and `tangent._cut` slices the funk cone
-    from the parent's rows without rescaling them.
+    `_values`, filled on first use and out of equality, hashing, repr and
+    pickling, is the record (X, P, inactive, funk, an, ad): x's and p's
+    integer values on the cone's rows, the rows inactive at x, the sorted
+    funk indices, and the anchor an / ad = M(X/b; cone) M(b/P; funk_cone).
+    It holds no scale: b's cancels inside the anchor, which carries x's
+    scale over p's, and each formula divides that out again.  The funk
+    cone's rows are the parent's, unscaled, so every gauge of the horofunction
+    and the detour cost selects rows of the record.
     """
 
     __slots__ = ("cone", "x", "x_active", "funk_index", "funk_cone", "p", "base", "_values")
@@ -71,10 +64,7 @@ class BusemannPoint(_Frozen):
 
 
 def _values(point: BusemannPoint) -> tuple[list[int], list[int], list[int], list[int], int, int]:
-    """(X, P, inactive, funk, an, ad) of the point's docstring, filled on first use by passes over x, p and b.
-
-    The base gauges refuse as `m_ratio` does, a base-point that is not interior first.
-    """
+    """The record of `BusemannPoint`, filled on first use; a bad base-point, then p, is refused as `m_ratio` refuses."""
     values = point._values
     if values is None:
         xs, _ = _row_values(point.cone, point.x)
@@ -103,13 +93,13 @@ def busemann_point(
 ) -> BusemannPoint:
     """Validate and canonicalise the data of a Busemann point.
 
-    x, the base-point and p are each checked by one row-value pass
-    (`_row_values`).  p is reduced modulo the funk cone's lineality space
-    L: the fraction-free reduced echelon form R / d (`_gauss_jordan`) of
-    the funk cone's integer basis is L's own, and zeroes p at each pivot
-    column c by p - sum p_c R_c / d: for P the integer vector of p
-    (`_scaled`), the integer d P - sum P_c R_c, negated when d < 0.  The
-    canonical x and p are the unit-lead forms of these integer vectors.
+    A `DomainError` refuses an improper cone, an x off the boundary or at
+    the apex, a base-point off the interior, a funk index set that
+    `canonical_index_set` refuses or that is not active at x, and a p off
+    the funk cone's interior.  p is reduced modulo the funk cone's lineality
+    space L: the reduced echelon form R / d of L's integer basis is L's own,
+    and d P - sum P_c R_c, for P the integer vector of p, is zero at each
+    pivot column c.  x and p are stored in unit-lead form.
     """
     _refuse("cone", PolyCone, cone)
     if not cone.is_proper:
@@ -171,13 +161,11 @@ _OFF_INTERIOR = "horofunctions are evaluated at interior points"
 
 
 def busemann_eval(point: BusemannPoint, w: Sequence[Fraction]) -> LogValue:
-    """Exact horofunction value at an interior point; zero at the base-point.
+    """Exact horofunction value at w; zero at the base-point.  A w off the interior is a `DomainError`.
 
-    One row-value pass, for w: w is interior exactly when its row values,
-    the denominators of M(x/w; cone), are all positive.  On the stored
-    values, M(x/w; cone) M(w/p; funk_cone) = (n / d)(m / e) in the units
-    of the anchor an / ad: w's scale cancels, and so do x's and p's
-    against the anchor, so one `Fraction` holds the value.
+    On the record, M(x/w; cone) M(w/p; funk_cone) = (n / d)(m / e) in the
+    units of the anchor an / ad: w's scale cancels, and so do x's and p's
+    against the anchor.
     """
     _refuse("Busemann point", BusemannPoint, point)
     ws, _ = _row_values(point.cone, w)
@@ -199,9 +187,9 @@ def detour_cost(g: BusemannPoint, h: BusemannPoint) -> LogValue:
     """One-sided cost of reaching h through g.
 
     Finite exactly when h's boundary point lies in the face of g's and g's
-    funk cone is contained in h's; then it splits into a reverse-Funk part
-    along the face and a Funk part between the reference points, read from
-    the stored values with no row-value pass.
+    funk cone is contained in h's; then it is a reverse-Funk gauge along the
+    face plus a Funk gauge between the reference points.  Points on
+    different cones or with different base-points are a `DomainError`.
     """
     _check_comparable(g, h)
     # Both funk cones are cut from one irredundant facet list, so g's is
@@ -228,10 +216,9 @@ def detour_metric(g: BusemannPoint, h: BusemannPoint) -> LogValue:
     """Symmetrised detour cost; finite exactly within a part.
 
     Both costs are finite exactly when the points share their active and
-    funk index sets; then the anchors cancel, leaving four stored-value
-    gauges in one `Fraction`.  `detour_decomposition` computes the same
-    value, the face plus the funk-cone Hilbert distance, with its own
-    row-value passes; a disagreement raises `ArithmeticError`.
+    funk index sets, and then the anchors cancel.  The value is checked
+    against the sum of `detour_decomposition`; a disagreement raises
+    `ArithmeticError`.
     """
     _check_comparable(g, h)
     if g.x_active != h.x_active or g.funk_index != h.funk_index:
@@ -260,17 +247,16 @@ class PartId(_Frozen):
 
 
 def part_of(point: BusemannPoint) -> PartId:
+    """The part holding the point: its active set and funk index set."""
     _refuse("Busemann point", BusemannPoint, point)
     return PartId(point.x_active, point.funk_index)
 
 
 def enumerate_parts(cone: PolyCone) -> list[PartId]:
-    """All parts: pairs (boundary face, member of the tangent family there).
+    """All parts of a proper cone: pairs (boundary face, member of the tangent family there).
 
     Ordered by the face's sorted active set, then by the size of the cone
-    index set, then lexicographically: distinct faces have distinct active
-    sets, and `combinations` of a sorted face yields each size in
-    lexicographic order, so the parts come out in order as they are built.
+    index set, then lexicographically, which is the order they are built in.
     """
     _refuse("cone", PolyCone, cone)
     if not cone.is_proper:
@@ -289,7 +275,7 @@ OTHER_PART = "other"
 
 
 def _validate_part(cone: PolyCone, part: PartId) -> int:
-    """Check that `part` names a part of `cone`; returns the dimension of its face's span."""
+    """The dimension of the span of `part`'s face; a part that names no part of `cone` is a `DomainError`."""
     if part.__class__ is not PartId:
         raise DomainError(f"part must be a PartId, not {type(part).__name__}")
     if not part.face_active or not part.cone_index:
@@ -313,8 +299,7 @@ def classify_part(cone: PolyCone, part: PartId) -> str:
 
     Vertex: the face is an extreme ray and the cone is the full tangent cone
     there.  Facet: the face has top boundary dimension with the full tangent
-    cone.  In ambient dimension two a boundary ray is both; it is reported
-    as a vertex part.
+    cone.  In ambient dimension two a boundary ray is both, and is a vertex part.
     """
     span = _validate_part(cone, part)
     full_tangent = part.cone_index == part.face_active
@@ -329,11 +314,8 @@ def part_dimension(cone: PolyCone, part: PartId) -> int:
     """Detour-metric dimension: (face dimension - 1) + Hilbert dimension of the cone.
 
     The cone cut out by the `cone_index` rows I has Hilbert dimension
-    rank(I) - 1 (see `tangent.hilbert_dimension`).  The face lattice gives
-    the span, and with it the rank of the face's active rows A, ambient
-    dimension - span.  When that rank is |A| the rows of A are
-    independent, so rank(I) = |I| with no elimination; only a non-simple
-    face eliminates I, on the cone's integer rows as they are held.
+    rank(I) - 1.  The face's active rows A have rank ambient dimension minus
+    span; when that is |A| they are independent, so rank(I) = |I|.
     """
     span = _validate_part(cone, part)
     if cone.ambient_dim - span == len(part.face_active):

@@ -1,36 +1,13 @@
-"""Exact rational linear algebra and a small exact LP feasibility kernel.
+"""Exact rational linear algebra, an integer double description and an exact LP feasibility test.
 
-Values are `fractions.Fraction`s; elimination and the LP kernel pivot on
-integers and build `Fraction`s only for what they return.  No floating
-point anywhere: a float input is refused, not converted.
-
-One fraction-free pivot step (`_pivot`) serves elimination (`_gauss_jordan`,
-`_kernel`) and phase one (`_phase_one`).  Elimination takes integer rows as
-given: cones and polytopes pass their primitive integer rows straight in,
-and the public `rref`, `rank` and `kernel_basis` scale `Fraction` input once.
-
-Cone and polytope construction and cone containment ask no LP.
-`_extreme_rays` is an integer double description: the extreme rays of
-{x : row.x >= 0}, which rows vanish on each, and the lineality space.
-Polytope vertices, boundedness, cone emptiness, facets, a cone's lineality
-basis and `cone_subset` are all read off them.
-
-The one LP question left is the face test of the face lattice: is
-{z.x = 0 for each zero row, p.x > 0 for each positive row} nonempty?  Its
-one entry, `_gordan_empty`, takes an integer basis of the equations'
-kernel and primitive integer rows.
-
-The module also holds what every other module shares: the error classes,
-`_refuse`, which refuses an argument of the wrong class by its type,
-`_Sealed`, the base of every class whose objects refuse assignment,
-`_Frozen`, the base of the immutable value classes, and the one codec
-between rational and integer vectors, which no other module repeats.
-`_scaled` encodes a vector as integers over the lcm of its denominators,
-`_fractions` decodes ints / d, `_primitive` (through `_divided`) gives the
-primitive vector on a ray, `_unit_lead` the divisor that makes the leading
-entry +1 or -1, and `_sorted_over` orders rationals v / d on integers.
-Each encode is a positive multiple, so signs, ratios and rays are kept, and
-a canonical form read off the integers is the rationals' own.
+Values are `Fraction`s or ints; a float is refused with `ParseError`, never
+converted.  Elimination and the LP pivot on integers and build `Fraction`s
+only for what they return.  The codec between rational and integer vectors
+(`_scaled`, `_over`, `_fractions`, `_divided`, `_primitive`, `_unit_lead`,
+`_sorted_over`) encodes by positive multiples, so signs, ratios and rays,
+and any canonical form read off the integers, are the rationals' own.  The
+module also holds the error classes, `_refuse` and the bases of the
+immutable classes.
 """
 
 from __future__ import annotations
@@ -117,11 +94,7 @@ class _Frozen(_Sealed):
 
 
 def rational(value) -> Fraction:
-    """`Fraction(value)`, refusing a float: it would enter as an inexact binary rational.
-
-    Anything else `Fraction` cannot read ("nan", "1/0", None, an infinite
-    `Decimal`) is a `ParseError` too.
-    """
+    """`Fraction(value)`; a float, or anything `Fraction` cannot read ("nan", "1/0", None), is a `ParseError`."""
     if isinstance(value, float):
         raise ParseError(f"the float {value!r} is not an exact rational")
     try:
@@ -181,11 +154,10 @@ def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
 
 
 def _kernel(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[list[int]], int]:
-    """The kernel basis of `kernel_basis` as integer vectors d times it, and d.
+    """The kernel basis of `kernel_basis` for integer rows, as integer vectors d times it, and d.
 
-    The rows must be integers.  For each non-pivot column c the vector
-    holds d at c and minus the reduced entry of each pivot row there, all
-    read off the integer echelon form without a division.
+    For each non-pivot column c the vector holds d at c and minus the
+    reduced entry of each pivot row there.
     """
     reduced, pivots, d = _gauss_jordan(rows)
     basis: list[list[int]] = []
@@ -199,15 +171,11 @@ def _kernel(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[list[int]], i
 
 
 def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[Sequence[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows.
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows, taken as given.
 
-    Returns the nonzero rows, their pivot columns and a divisor d such
-    that the reduced row echelon form is rows / d.  The rows are taken as
-    given, never rescaled: callers holding `Fraction`s scale them first
-    (`_integer_rows`), which changes neither the row space nor the echelon
-    form.  The pivot is the first nonzero entry at or below the current
-    row, and each pivot is one `_pivot` step, so each pivoted row holds d
-    at its pivot and every other row 0 there.
+    Returns the nonzero rows, their pivot columns and a divisor d such that
+    the reduced row echelon form is rows / d: each pivoted row holds d at
+    its pivot and every other row 0 there.
     """
     mat = list(rows)
     m = len(mat)
@@ -250,11 +218,9 @@ def _pivot(mat: list[list[int]], r: int, c: int, d: int) -> int:
 
 
 def feasible_standard(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> bool:
-    """Does A u = b admit a solution u >= 0?
+    """Does A u = b, for `Fraction` or int entries, admit a solution u >= 0?
 
-    Phase-one simplex with Bland's rule; exact pivoting guarantees
-    termination and a certified yes/no answer.  Entries may be `Fraction`s
-    or ints.
+    Phase-one simplex with Bland's rule: exact pivoting terminates with a certified answer.
     """
     return _phase_one(rows, rhs)[0]
 
@@ -262,12 +228,10 @@ def feasible_standard(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction
 def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> tuple[bool, list[int]]:
     """Fraction-free phase one: (is A u = b, u >= 0 feasible, the final basis).
 
-    [A | b] is scaled by one positive common denominator, the artificial
-    columns start as the identity, and the reduced-cost row is the last
-    tableau row, so one `_pivot` step updates it with the rest.  The
-    integer tableau is a positive multiple of the rational one, row by row
-    and column by column, so every sign, ratio comparison and Bland choice
-    is the one the rational kernel makes.
+    The integer tableau ([A | b] over one positive common denominator, the
+    artificial columns and, last, the reduced-cost row) is a positive
+    multiple of the rational one row by row and column by column, so every
+    sign, ratio comparison and Bland choice is the rational kernel's.
     """
     m = len(rows)
     if m == 0:
@@ -314,13 +278,11 @@ def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> t
 
 
 def _gordan_empty(basis: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]) -> bool:
-    """The face test of the face lattice: is {x = K t : (P K) t > 0} empty, for K the integer `basis`?
+    """Is {x = K t : (P K) t > 0} empty, for K the integer `basis` and P the integer rows `columns`?
 
-    `columns` are the integer rows of P.  By Gordan's alternative it is
-    empty exactly when some y >= 0 with sum(y) = 1 has y^T (P K) = 0: one
-    `feasible_standard` call on dim K + 1 rows and one column per row of P,
-    with no split or slack columns.  A row of P that vanishes on the kernel
-    gives a zero column, the LP's certificate of emptiness.
+    By Gordan's alternative it is empty exactly when some y >= 0 with
+    sum(y) = 1 has y^T (P K) = 0, one `feasible_standard` call.  A row of P
+    that vanishes on the kernel gives a zero column, a certificate of emptiness.
     """
     rows = [[sum(map(mul, col, k)) for col in columns] for k in basis]
     rows.append([1] * len(columns))
@@ -330,13 +292,13 @@ def _gordan_empty(basis: Sequence[Sequence[int]], columns: Sequence[Sequence[int
 def _extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[list[int]], list[int], list[list[int]]]:
     """Integer double description of the closed cone {x : row . x >= 0 for every row}.
 
-    Returns (rays, zeros, lineality): the primitive extreme rays of the
-    cone modulo its lineality space, for each ray the bit mask of the rows
-    that vanish on it (bit i for row i), and a primitive integer basis of
-    the lineality space.  The rows must be nonzero integers.
+    The rows must be nonzero integers.  Returns (rays, zeros, lineality):
+    the primitive extreme rays modulo the lineality space, for each ray the
+    bit mask of the rows that vanish on it (bit i for row i), and a
+    primitive integer basis of the lineality space.
 
-    The rows are added one at a time to the cone R^dim, whose lineality
-    basis is the identity (Motzkin et al. 1953; Fukuda & Prodon 1996).
+    The rows are added one at a time to R^dim, whose lineality basis is the
+    identity (Motzkin et al. 1953; Fukuda & Prodon 1996).
     - A row that does not vanish on the lineality space pivots along one
       basis line l with row . l > 0: l becomes a ray, on which every earlier
       row vanishes, and each other basis vector and each ray is moved along

@@ -1,26 +1,12 @@
-"""Funk, reverse-Funk, Hilbert, and cross-ratio metrics, all exact.
+"""Funk, reverse-Funk, Hilbert and cross-ratio metrics, all exact.
 
-Metric values are logarithms of rationals.  They are stored multiplicatively
-as `LogValue` objects that carry the exact argument; floats only appear when
-a value is rendered for display.
-
-The cone gauges `m_ratio` and `face_m_ratio` take the largest ratio of the
-cone's integer-row values; a row is a positive multiple of its facet
-functional, so each ratio and each sign is the functional's own.  The kernel
-is integer-only: `geometry._row_values`, which also gives `classify_point`
-and polytope membership their signs, scales a point to integers once, by the
-lcm of its denominators, and `_arg_max` finds the largest ratio as an
-integer pair by cross-multiplying.  A one-sided gauge builds one `Fraction`
-from that pair with the two points' scales folded in.  The two-sided metrics
-`hilbert_cone` and `face_hilbert` read each point's row values once and
-build one `Fraction` from their two pairs: in M(x/y) M(y/x) the scales
-cancel.
-
-`hilbert_cross_ratio` reads the polytope's own integer rows, one
-`_row_values` pass per point (every input halfspace, duplicated and implied
-ones kept), and compares the chord's boundary parameters as integer pairs.
-It shares no cone, canonicalisation or `_arg_max` with `hilbert_cone`, so
-it stays that gauge's independent check.
+A metric value log(arg) is held as its exact rational argument, a
+`LogValue`.  The gauges take the largest ratio of two points' integer row
+values (`geometry._row_values`); a row is a positive multiple of its facet
+functional, so each ratio and sign is the functional's own, and in the
+two-sided M(x/y) M(y/x) the points' scales cancel.  `hilbert_cross_ratio`
+shares no cone, canonical form or gauge with `hilbert_cone`, so each is
+the other's independent check.
 """
 
 from __future__ import annotations
@@ -128,10 +114,9 @@ Metric = Callable[[Sequence[Fraction], Sequence[Fraction]], LogValue]
 
 
 def _arg_max(nums: list[int], dens: list[int], refusal: str, error: type = DomainError) -> tuple[int, int]:
-    """The gauge kernel: the pair (n, d) of paired integer values with the largest ratio n/d.
+    """The pair (n, d) of paired integer values with the largest ratio n/d, by cross-multiplying.
 
-    Raises `error(refusal)` unless every denominator value is positive; the
-    largest n/d is found by cross-multiplying integers.
+    Raises `error(refusal)` unless every denominator value is positive.
     """
     if min(dens) <= 0:
         raise error(refusal)
@@ -167,7 +152,8 @@ def m_ratio(numerator: Sequence[Fraction], denominator: Sequence[Fraction], cone
     for polyhedral cones, the maximum of facet ratios: the supremum over the
     dual cone is attained at a facet functional because a ratio of linear
     forms with positive denominators obeys the mediant inequality.  The
-    result may be nonpositive for points far outside the cone.
+    result may be nonpositive for points far outside the cone.  A
+    denominator that is not interior is a `DomainError`.
     """
     return _max_ratio(_row_values(cone, numerator), _row_values(cone, denominator), _INTERIOR)
 
@@ -183,12 +169,10 @@ def reverse_funk(x: Sequence[Fraction], y: Sequence[Fraction], cone: PolyCone) -
 
 
 def hilbert_cone(x: Sequence[Fraction], y: Sequence[Fraction], cone: PolyCone) -> LogValue:
-    """Hilbert's projective metric: Funk plus reverse-Funk.
+    """Hilbert's projective metric, Funk plus reverse-Funk, refused as `funk` then `reverse_funk` refuse.
 
-    One row-value pass per point feeds both gauges, and one `Fraction` is
-    built.  The refusals are those of `funk` then `reverse_funk`, in that
-    order; the reverse gauge needs no positivity test, since by then both
-    points are interior and every value is positive.
+    Once both points are interior every row value is positive, so the
+    reverse gauge needs no sign test.
     """
     xs, _ = _row_values(cone, x)
     ys, _ = _row_values(cone, y)
@@ -202,16 +186,14 @@ def hilbert_cone(x: Sequence[Fraction], y: Sequence[Fraction], cone: PolyCone) -
 def hilbert_cross_ratio(polytope: HPolytope, x: Sequence[Fraction], y: Sequence[Fraction]) -> LogValue:
     """Hilbert distance as the log cross-ratio of the chord through x and y.
 
-    The chord is parametrised as x + t(y - x); working with parameter
-    differences instead of Euclidean lengths keeps the cross-ratio rational
-    (lengths along a fixed line are proportional to parameter differences).
-    Each point is read once by `_row_values`: a row's value is X = c p s_x at
-    x of scale p, for the halfspace's slack s = f(.) - b and the row's multiple
-    c > 0, and Y = c q s_y at y.  x and y are interior when every value is
-    positive, and the chord meets the row's boundary at
+    A point that is not interior is a `DomainError`, x before y.  On the
+    chord x + t(y - x) lengths are proportional to parameter differences, so
+    the cross-ratio is rational.  A row's value is X = c p s_x at x of scale
+    p, for the halfspace's slack s = f(.) - b and the row's multiple c > 0,
+    and Y = c q s_y at y; the chord meets the row's boundary at
     t = -s_x / (s_y - s_x) = -Xq / (Yp - Xq).  For x != y some row has
     Yp - Xq > 0 and some has Yp - Xq < 0, since Yp - Xq = c p q f(y - x)
-    and a bounded polytope keeps no ray from x inside.
+    and a bounded polytope keeps no ray from x.
     """
     _refuse("polytope", HPolytope, polytope)
     x = vector(x)
@@ -249,7 +231,9 @@ def face_m_ratio(numerator: Sequence[Fraction], denominator: Sequence[Fraction],
     """Gauge of the face cone: the maximum ratio over the inactive constraints.
 
     Valid because the denominator point satisfies every inactive constraint
-    strictly; active constraints vanish on the whole face and drop out.
+    strictly; active constraints vanish on the whole face and drop out.  A
+    face with no inactive constraint, or a denominator off the face's
+    relative interior, is a `DomainError`.
     """
     inactive = _inactive(face)
     nums, ns = _row_values(face.parent, numerator)
@@ -270,13 +254,7 @@ def _two_sided(xs: list[int], ys: list[int], rows: list[int], refusal: str, erro
 
 
 def face_hilbert(x: Sequence[Fraction], y: Sequence[Fraction], face: Face) -> LogValue:
-    """Hilbert metric of the face cone, inside its span.
-
-    One row-value pass per point and one `Fraction`.  The refusals are
-    those of `face_m_ratio(x, y)` then `face_m_ratio(y, x)`; every
-    relative-interior refusal has the same class and message, so the two
-    points are tested together.
-    """
+    """Hilbert metric of the face cone inside its span, refused as `face_m_ratio` both ways refuses."""
     inactive = _inactive(face)
     xs, _ = _row_values(face.parent, x)
     ys, _ = _row_values(face.parent, y)
@@ -341,8 +319,8 @@ def j_eval(
 ) -> Fraction:
     """Normalised gauge M(y/x) / M(base/x); convex in y, equals 1 at y = base.
 
-    x's row values are read once and serve both gauges.  M(base/x) must be
-    positive, as it is for any base in the closed cone off its lineality space.
+    A nonpositive M(base/x) is a `DomainError`; it is positive for any base
+    in the closed cone off its lineality space.
     """
     bases = _row_values(cone, base)
     xs = _row_values(cone, x)

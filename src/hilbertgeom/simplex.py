@@ -2,13 +2,9 @@
 
 The Hilbert geometry of an open n-simplex is isometric to the quotient
 V = R^(n+1) / constants with the variation norm max - min.  Its isometry
-group is generated by translations, coordinate permutations, and the global
-flip x -> -x; dropping the flip gives exactly the collineations.  For n >= 2
-the group is the semidirect product of the translations with
-S_(n+1) x Z/2, each (permutation, flip) pair a different isometry, so the
-point group is built one element per pair with no check for repeats; for
-n = 1 the flip acts as the swap.  The exponential chart carries V to the
-interior of the positive cone, where the flip becomes the coordinate-wise
+group is generated by translations, coordinate permutations and the flip
+x -> -x; without the flip they are the collineations.  The exponential
+chart carries V to the positive cone, where the flip is the coordinate-wise
 reciprocal map.
 """
 
@@ -29,14 +25,12 @@ BALL_VERTICES_MAX_N = 12
 
 
 class VClass(_Frozen):
-    """A vector of R^(n+1) modulo constant shifts, stored canonically.
+    """A vector of R^(n+1), n >= 1, modulo constant shifts, stored canonically.
 
-    The class is held as integer numerators `nums` over one positive common
-    denominator `den`.  The representative `rep` = nums / den has first
-    coordinate zero, and `den` is the lcm of its reduced denominators, so
-    gcd(nums, den) == 1.  The form is canonical: two inputs differing by a
-    multiple of (1, ..., 1) become equal objects, and equality and hashing
-    compare integers only.  Float coordinates are refused.
+    The representative `rep` = nums / den has first coordinate zero, and
+    `den` > 0 is the lcm of its reduced denominators, so gcd(nums, den) == 1
+    and two inputs that differ by a constant are equal objects.  A float is a
+    `ParseError`; fewer than two coordinates is a `DomainError`.
     """
 
     __slots__ = ("nums", "den")
@@ -74,16 +68,19 @@ def _vclass(nums: tuple[int, ...], den: int) -> VClass:
 
 
 def vclass(values: Sequence[Fraction]) -> VClass:
+    """The class of `values` modulo constants: `VClass(values)`."""
     return VClass(values)
 
 
 def var_norm(v: VClass) -> Fraction:
+    """The variation norm max - min of the class; a non-`VClass` is a `DomainError`."""
     if v.__class__ is not VClass:
         _refuse("point", VClass, v)
     return Fraction(max(v.nums) - min(v.nums), v.den)
 
 
 def var_dist(v: VClass, w: VClass) -> Fraction:
+    """The variation norm of v - w; a non-`VClass` or a dimension mismatch is a `DomainError`."""
     if v.__class__ is not VClass or w.__class__ is not VClass:
         _refuse("point", VClass, v, w)
     if len(v.nums) != len(w.nums):
@@ -101,15 +98,14 @@ class SimplexIsometry(_Frozen):
 
     The action is v -> translation + permutation(flip ? -v : v), where the
     permutation moves coordinate i to position permutation[i].  The
-    permutation may be given as any sequence of `int`s and is stored as a
-    tuple; `flip` must be a `bool` and `translation` a `VClass`.
+    permutation may be any sequence of `int`s and is stored as a tuple;
+    `flip` must be a `bool` and `translation` a `VClass` of the same size.
+    Anything else is a `DomainError`.
     """
 
-    # `_gather` is the inverse permutation: coordinate j of the image comes
-    # from _gather[j], and `_get` is itemgetter(*_gather), which reads all of
-    # them in one call.  `_shift` is the translation, or None when it is
-    # zero.  All three are derived, so equality, hashing, repr and pickling
-    # skip them.
+    # Derived, so out of equality, hashing, repr and pickling: `_gather`, the inverse permutation
+    # (image coordinate j comes from _gather[j]), `_get` = itemgetter(*_gather), and `_shift`, the
+    # translation or None when it is zero.
     __slots__ = ("translation", "permutation", "flip", "_gather", "_get", "_shift")
 
     def __init__(self, translation: VClass, permutation: Sequence[int], flip: bool):
@@ -171,6 +167,7 @@ def _inverse(permutation: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def identity_isometry(n: int) -> SimplexIsometry:
+    """The identity of V for the n-simplex; n not an `int` of at least 1 is a `DomainError`."""
     _check_size(n)
     return SimplexIsometry(vclass([0] * (n + 1)), tuple(range(n + 1)), False)
 
@@ -205,6 +202,7 @@ def _act(g: SimplexIsometry, nums: tuple[int, ...], den: int) -> VClass:
 
 
 def apply_isometry(g: SimplexIsometry, v: VClass) -> VClass:
+    """g(v); a non-isometry, a non-`VClass` or a dimension mismatch is a `DomainError`."""
     if g.__class__ is not SimplexIsometry:
         _refuse("isometry", SimplexIsometry, g)
     if v.__class__ is not VClass:
@@ -213,7 +211,7 @@ def apply_isometry(g: SimplexIsometry, v: VClass) -> VClass:
         raise DomainError("isometry and class dimensions differ")
     if g._shift is not None:
         return _act(g, v.nums, v.den)
-    # With no translation (every point group element) the class is only moved; `_act`'s frame is skipped.
+    # With no translation the class is only moved, and stays canonical.
     return _vclass(_move(g._get(v.nums), g.flip), v.den)
 
 
@@ -230,6 +228,7 @@ def compose(g: SimplexIsometry, h: SimplexIsometry) -> SimplexIsometry:
 
 
 def inverse(g: SimplexIsometry) -> SimplexIsometry:
+    """The isometry that undoes g."""
     if g.__class__ is not SimplexIsometry:
         _refuse("isometry", SimplexIsometry, g)
     t = g.translation
@@ -264,10 +263,10 @@ def _check_group_size(n: int) -> None:
 
 
 def _enumerate_group(n: int, flips: tuple[bool, ...]) -> list[SimplexIsometry]:
-    """One zero-translation element per permutation, for each flip in turn.
+    """One zero-translation element per permutation for each flip, refused as `permutation_group_order` refuses.
 
-    No two act alike, since the action is faithful for n >= 2 (see
-    `point_group_elements`); for n = 1 the flip acts as the swap.
+    No two act alike (see `point_group_elements`); for n = 1 only the
+    unflipped ones are made, since there the flip acts as the swap.
     """
     _check_group_size(n)
     if n == 1:
@@ -292,22 +291,23 @@ def _enumerate_group(n: int, flips: tuple[bool, ...]) -> list[SimplexIsometry]:
 
 
 def point_group_elements(n: int) -> list[SimplexIsometry]:
-    """The coordinate permutations times the flip, one element per isometry of V.
+    """The coordinate permutations times the flip, one element per isometry of V fixing the origin.
 
-    The elements have zero translation and come in lexicographic order of
-    the permutations, without then with the flip.  For n >= 2 the action on
-    V is faithful: the element (P, flip) sends the basis class e_k to
-    e_P(k), or to -e_P(k) with the flip.  Once there are at least three
-    coordinates, e_i and e_j differ for i != j, and e_i and -e_j differ for
-    all i and j, because neither e_i - e_j nor e_i + e_j is constant.  So the
-    images of the basis give back P and the flip, and the group has order
-    2 (n + 1)!.  For n = 1, -e_0 and e_1 are the same class: the swap already
-    acts as the flip, and the group has order 2.
+    They come in lexicographic order of the permutations, without then with
+    the flip; n must be an `int` from 1 to `POINT_GROUP_MAX_N`, else a
+    `DomainError`.  For n >= 2 the action on V is faithful: the element
+    (P, flip) sends the basis class e_k to e_P(k), or to -e_P(k) with the
+    flip.  With at least three coordinates, e_i and e_j differ for i != j,
+    and e_i and -e_j differ for all i and j, because neither e_i - e_j nor
+    e_i + e_j is constant.  So the images of the basis give back P and the
+    flip, and the group has order 2 (n + 1)!.  For n = 1, -e_0 and e_1 are
+    the same class: the swap acts as the flip, and the group has order 2.
     """
     return _enumerate_group(n, (False, True))
 
 
 def permutation_group_elements(n: int) -> list[SimplexIsometry]:
+    """The collineations among `point_group_elements(n)`: those without the flip."""
     return _enumerate_group(n, (False,))
 
 
@@ -318,11 +318,11 @@ def permutation_group_order(n: int) -> int:
 
 
 def exp_chart(v: VClass, base: Fraction) -> Vector:
-    """Coordinate-wise base^k for an integer exponent class; exact.
+    """Coordinate-wise base^k for an integer class; base <= 0, base 1 or a non-integer class is a `DomainError`.
 
-    The general exponential chart is irrational; restricting to integer
-    exponents over one rational base keeps an exact isometry check between
-    the variation distance and the cone metric.
+    Restricting the irrational exponential chart to integer exponents over
+    one rational base keeps the isometry check between the variation
+    distance and the cone metric exact.
     """
     if v.__class__ is not VClass:
         _refuse("point", VClass, v)
@@ -335,7 +335,7 @@ def exp_chart(v: VClass, base: Fraction) -> Vector:
 
 
 def _int_log(q: Fraction, base: Fraction) -> int:
-    """The integer k with base**k == q; its one caller, `log_chart`, ensures q > 0 and 0 < base != 1.
+    """The integer k with base**k == q, for q > 0 and 0 < base != 1; a q that is no power is a `DomainError`.
 
     For base = a/b > 1 in lowest terms and k != 0, base**k is a**|k| / b**|k|
     or its inverse, in lowest terms, so the larger of q's numerator and
@@ -389,6 +389,7 @@ def reciprocal_map(x: Sequence[Fraction]) -> Vector:
 
 
 def positive_orthant(dim: int) -> PolyCone:
+    """The open positive orthant of R^dim; dim not an `int` of at least 1 is a `DomainError`."""
     _check_size(dim)
     facets = []
     for i in range(dim):
@@ -435,9 +436,8 @@ class CollinearityWitness(_Frozen):
 
     The nonzero 3x3 determinant over the given coordinate columns certifies
     that the image rays span three projective directions, so the reciprocal
-    map is an isometry that is not a collineation.  Each field is checked by
-    class when built: `points` and `images` are three tuples of `Fraction`s
-    each, `columns` three `int`s and `determinant` a `Fraction`.
+    map is an isometry that is not a collineation.  A field that does not
+    match its annotation is a `DomainError`.
     """
 
     __slots__ = ("points", "images", "columns", "determinant")

@@ -1,9 +1,8 @@
-"""Tangent cones and the family of cones generated by facet subsets.
+"""Tangent cones and the family of cones cut out by facet subsets.
 
 For a canonical cone C with facets psi_1..psi_N, the tangent cone at a
-boundary point z is C_I = {x : psi_i(x) > 0 for i in I(z)} with I(z) the
-active set of z, and iterating tangent-cone formation never leaves the
-family {C_I : I a nonempty facet subset}.
+boundary point z is C_I = {x : psi_i(x) > 0 for i in I(z)}, I(z) the active
+set of z, so iterated tangent cones stay in the family {C_I : I nonempty}.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ def canonical_index_set(cone: PolyCone, indices: Iterable[int]) -> frozenset[int
     combination of the others.  By Farkas, C_I <= C_J then holds exactly
     when J <= I, so distinct subsets cut out distinct cones and every
     nonempty subset is already the canonical name of the cone it cuts out.
-    Each index must be an `int` (a `bool` is refused) naming a facet; the
-    entries are read once and checked in order before any is hashed, and
-    what is not iterable is refused by its type.
+    A `DomainError` refuses what is not iterable, then, in order and before
+    any is hashed, an entry that is a `bool`, is not an `int` or names no
+    facet, then an empty set.
     """
     try:
         indices = tuple(indices)
@@ -54,8 +53,7 @@ def _cut(cone: PolyCone, index: Iterable[int]) -> PolyCone:
 
     A subset of a canonical facet list is canonical as it stands: still
     primitive, sorted and irredundant, and its cone contains the parent, so
-    its interior is nonempty.  The parent's rows are sliced as they are, and
-    one integer kernel of the slice gives its lineality basis.
+    its interior is nonempty.
     """
     rows = tuple(cone._rows[i] for i in sorted(index))
     sub = PolyCone.__new__(PolyCone)
@@ -69,12 +67,10 @@ def subcone(cone: PolyCone, indices: Iterable[int]) -> PolyCone:
 
 
 def tangent_cone(cone: PolyCone, z: Sequence[Fraction]) -> PolyCone:
-    """Open tangent cone at a point of the closed cone.
+    """Open tangent cone at a boundary point z: the cone cut out by the facets active at z.
 
-    Realised by the active facet subset at z.  At the apex z = 0 every facet
-    is active and the tangent cone is the cone itself; at an interior point
-    the tangent cone would be the whole space, which is not polyhedral here,
-    so that case is rejected.
+    At the apex z = 0 it is the cone itself.  An interior point, whose
+    tangent cone is the whole space, or an exterior one is a `DomainError`.
     """
     z = vector(z)
     loc = classify_point(cone, z)
@@ -96,12 +92,12 @@ class TangentFamilyEntry(_Frozen):
 
 
 def tangent_family(cone: PolyCone, indices: Iterable[int] | None = None) -> list[TangentFamilyEntry]:
-    """All cones cut out by nonempty subsets of the given facet indices.
+    """All cones cut out by nonempty subsets of `indices`, every facet by default.
 
-    Defaults to every facet, which yields the full family of iterated
-    tangent cones.  Distinct subsets give distinct cones (see
-    `canonical_index_set`), so there is one entry per subset, ordered by
-    size and then lexicographically.
+    Distinct subsets cut out distinct cones (see `canonical_index_set`), so
+    there is one entry per subset, by size and then lexicographically.  The
+    indices are refused as `canonical_index_set` refuses them, and more than
+    `TANGENT_FAMILY_MAX_FACETS` of them is a `ConstructionError`.
     """
     _refuse("cone", PolyCone, cone)
     pool = sorted(canonical_index_set(cone, range(cone.num_facets) if indices is None else indices))
