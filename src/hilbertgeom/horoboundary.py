@@ -37,8 +37,10 @@ class BusemannPoint(_Frozen):
 
     `busemann_point` builds it canonical: x and p have a leading coordinate
     of absolute value one and p is reduced modulo the funk cone's lineality
-    space, so equal fields mean equal Busemann points.  A field of the wrong
-    class is a `DomainError`.
+    space, so equal fields mean equal Busemann points.  A `DomainError`
+    refuses a field of the wrong class, an index that names no facet, an
+    empty `funk_index` or one not inside `x_active`, and a `funk_cone` other
+    than the cone `funk_index` cuts out.
 
     `_values`, filled on first use and out of equality, hashing, repr and
     pickling, is the record (X, P, inactive, funk, an, ad): x's and p's
@@ -60,6 +62,13 @@ class BusemannPoint(_Frozen):
             if value.__class__ is not cls:
                 _refuse(f"Busemann point {name}", cls, value)
             _set(self, name, value)
+        _check_indices(cone, (*x_active, *funk_index))
+        if not funk_index:
+            raise DomainError("facet index set must be nonempty")
+        if not funk_index <= x_active:
+            raise DomainError("funk cone indices must be active at the boundary point")
+        if funk_cone._rows != tuple(cone._rows[i] for i in sorted(funk_index)):
+            raise DomainError("Busemann point funk_cone is not the cone its funk_index cuts out")
         _set(self, "_values", None)
 
 

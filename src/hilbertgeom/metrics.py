@@ -272,13 +272,16 @@ def gromov_product(
     """Exact rational A with (x|y)_r = (1/2) * log A.
 
     A = arg d(x,r) * arg d(y,r) / arg d(x,y); the half-log convention keeps
-    the value exact (a square root of A would generally be irrational).
+    the value exact (a square root of A would generally be irrational).  A
+    `metric` that is not callable, a value that is not a `LogValue` or an
+    infinite distance is a `DomainError`.
     """
     if not callable(metric):
         raise DomainError(f"metric must be callable, not {type(metric).__name__}")
     dxr = metric(x, r)
     dyr = metric(y, r)
     dxy = metric(x, y)
+    _refuse("metric value", LogValue, dxr, dyr, dxy)
     if dxr.is_infinite or dyr.is_infinite or dxy.is_infinite:
         raise DomainError("Gromov product needs finite distances")
     return (dxr.arg * dyr.arg) / dxy.arg
@@ -292,7 +295,9 @@ def almost_geodesic_check(
     """Is the sequence an almost-geodesic with multiplicative slack e^eps?
 
     Checks, for every prefix, that the accumulated path length exceeds the
-    direct distance by at most log(slack); slack = 1 means eps = 0.
+    direct distance by at most log(slack); slack = 1 means eps = 0.  Fewer
+    than two points, slack < 1, a `metric` that is not callable or a value
+    that is not a finite `LogValue` is a `DomainError`.
     """
     if not isinstance(points, Sequence):
         raise DomainError(f"points must be a sequence of points, not {type(points).__name__}")
@@ -305,8 +310,12 @@ def almost_geodesic_check(
         raise DomainError("an almost-geodesic needs at least two points")
     running = ONE
     for m in range(len(points) - 1):
-        running *= metric(points[m], points[m + 1]).arg
-        if running > slack * metric(points[0], points[m + 1]).arg:
+        step = metric(points[m], points[m + 1])
+        _refuse("metric value", LogValue, step)
+        running *= step.arg
+        direct = metric(points[0], points[m + 1])
+        _refuse("metric value", LogValue, direct)
+        if running > slack * direct.arg:
             return False
     return True
 

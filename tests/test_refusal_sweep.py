@@ -80,6 +80,7 @@ BY_CALLABLE = {
     "compose": {"g": ISOMETRY, "h": ISOMETRY},
     "inverse": {"g": ISOMETRY},
     "CollinearityWitness": {"points": (CENTRE, NEAR, EDGE)},
+    "BusemannPoint": {"x": ON_EDGE.x, "funk_cone": ON_EDGE.funk_cone, "p": ON_EDGE.p},
 }
 
 GARBAGE = [None, 1.5, "x", [[]]]

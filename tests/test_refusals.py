@@ -193,6 +193,11 @@ REFUSALS = [
     ("gromov-metric-none", lambda: gromov_product(CENTRE, CENTRE, CENTRE, None), DomainError, "metric must be callable, not NoneType"),
     ("geodesic-points-none", lambda: almost_geodesic_check(None, zero_distance), DomainError, "points must be a sequence of points, not NoneType"),
     ("geodesic-metric-none", lambda: almost_geodesic_check([CENTRE, CENTRE], None), DomainError, "metric must be callable, not NoneType"),
+    # A metric value that is not a LogValue is refused by its class.
+    ("gromov-metric-int", lambda: gromov_product(CENTRE, CENTRE, CENTRE, lambda a, b: 5), DomainError, "metric value must be a LogValue, not int"),
+    ("gromov-metric-float", lambda: gromov_product(CENTRE, CENTRE, CENTRE, lambda a, b: 0.0), DomainError, "metric value must be a LogValue, not float"),
+    ("geodesic-metric-int", lambda: almost_geodesic_check([CENTRE, CENTRE], lambda a, b: 5), DomainError, "metric value must be a LogValue, not int"),
+    ("geodesic-metric-none-value", lambda: almost_geodesic_check([CENTRE, CENTRE], lambda a, b: None), DomainError, "metric value must be a LogValue, not NoneType"),
     # A Face checks its parent and its active set when it is built, so a bad one never reaches a gauge.
     ("face-parent-none", lambda: face_m_ratio(EDGE, EDGE_LOW, Face(None, frozenset({0}))), DomainError, "cone must be a PolyCone, not NoneType"),
     ("face-active-none", lambda: face_contains(Face(square(), None), EDGE), DomainError, "face active set must be a frozenset, not NoneType"),
@@ -205,6 +210,17 @@ REFUSALS = [
     ("busemann-field-funk-cone", lambda: busemann_with(funk_cone=left_edge()), DomainError, "Busemann point funk_cone must be a PolyCone, not Face"),
     ("busemann-field-p", lambda: busemann_with(p=None), DomainError, "Busemann point p must be a tuple, not NoneType"),
     ("busemann-field-base", lambda: busemann_with(base="1/2,1/2,1"), DomainError, "Busemann point base must be a tuple, not str"),
+    # Its index fields name facets, the funk indices are active at x, and the funk cone is the one they cut out.
+    ("busemann-field-funk-index-range", lambda: busemann_with(funk_index=frozenset({99})), DomainError, "facet index 99 out of range for a cone with 4 facets"),
+    ("busemann-field-funk-index-negative", lambda: busemann_with(funk_index=frozenset({-1})), DomainError, "facet index -1 out of range for a cone with 4 facets"),
+    ("busemann-field-funk-index-negative-inactive", lambda: busemann_with(funk_index=frozenset({-2})), DomainError, "facet index -2 out of range for a cone with 4 facets"),
+    ("busemann-field-funk-index-string", lambda: busemann_with(funk_index=frozenset({"a"})), DomainError, "facet index 'a' is not an integer"),
+    ("busemann-field-funk-index-bool", lambda: busemann_with(funk_index=frozenset({True})), DomainError, "facet index True is not an integer"),
+    ("busemann-field-funk-index-empty", lambda: busemann_with(funk_index=frozenset()), DomainError, "facet index set must be nonempty"),
+    ("busemann-field-x-active-range", lambda: busemann_with(x_active=frozenset({99})), DomainError, "facet index 99 out of range for a cone with 4 facets"),
+    ("busemann-field-funk-index-inactive", lambda: busemann_with(funk_index=frozenset({0})), DomainError, "funk cone indices must be active at the boundary point"),
+    ("busemann-field-funk-cone-parent", lambda: busemann_with(funk_cone=square()), DomainError, "Busemann point funk_cone is not the cone its funk_index cuts out"),
+    ("busemann-field-funk-cone-other", lambda: busemann_with(funk_cone=subcone(square(), [0])), DomainError, "Busemann point funk_cone is not the cone its funk_index cuts out"),
     ("linear-map-rows", lambda: LinearMap(None), DomainError, "linear map rows must be a tuple, not NoneType"),
     ("linear-map-row", lambda: LinearMap(((1, 0), [0, 1])), DomainError, "linear map row must be a tuple, not list"),
     # So does a CollinearityWitness: three Fraction vectors twice, three int columns, a Fraction determinant.
