@@ -460,15 +460,6 @@ class CollinearityWitness(_Frozen):
             _set(self, name, value)
 
 
-def _det3(rows: Sequence[Vector]) -> Fraction:
-    m = [row[:3] for row in rows]
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def collineation_witness_failure(n: int) -> CollinearityWitness | None:
     """Certificate that the reciprocal map is not a collineation, for n >= 2.
 
@@ -489,7 +480,7 @@ def collineation_witness_failure(n: int) -> CollinearityWitness | None:
     p3 = tuple((a + b) / 2 for a, b in zip(p1, p2))
     points = (p1, p2, p3)
     images = tuple(reciprocal_map(p) for p in points)
-    return CollinearityWitness(points, images, (0, 1, 2), _det3(images))
+    return CollinearityWitness(points, images, (0, 1, 2), Fraction(-(n + 2) ** 3, 12))
 
 
 def is_metric_preserving(

@@ -37,6 +37,12 @@ def _primitive(values) -> tuple:
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
+def det3(rows) -> Fraction:
+    """The determinant of a 3x3 matrix, by cofactor expansion along the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def bench_gen():
     """The benchmark's input generator `bench/gen.py`, loaded from its file without touching `sys.path`."""
     module = sys.modules.get("bench_gen")

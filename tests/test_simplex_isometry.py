@@ -38,6 +38,8 @@ from hilbertgeom import (
 from hilbertgeom.linalg import rank
 from hilbertgeom.simplex import _int_log
 
+from helpers import det3
+
 from helpers import F, basis_action_group, loop_int_log
 
 
@@ -545,6 +547,8 @@ class TestWitness:
         assert p3 == tuple((a + b) / 2 for a, b in zip(p1, p2))
         # The image rays span three directions: exact rank certificate.
         assert rank(list(witness.images)) == 3
+        # The printed determinant is the minor of the images on the printed columns.
+        assert det3([[row[c] for c in witness.columns] for row in witness.images]) == witness.determinant
 
     def test_known_determinant_for_the_plane(self):
         witness = collineation_witness_failure(2)
