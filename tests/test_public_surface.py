@@ -7,6 +7,9 @@ never imported or changed, so removing a name they need fails this suite.
 
 import ast
 import importlib
+import inspect
+import sys
+import types
 
 import hilbertgeom
 
@@ -86,3 +89,20 @@ def test_tracer_functions_resolve_in_their_modules():
         module = importlib.import_module(f"hilbertgeom.{layer}")
         missing = [name for name in names if not callable(getattr(module, name, None))]
         assert missing == [], f"hilbertgeom.{layer} lacks {missing}"
+
+
+def test_every_public_function_and_class_has_a_docstring():
+    """Read from the source, so that it holds under `python -OO` too."""
+    trees = {}
+    missing = []
+    for name in hilbertgeom.__all__:
+        obj = getattr(hilbertgeom, name)
+        if isinstance(obj, types.GenericAlias) or not (inspect.isfunction(obj) or inspect.isclass(obj)):
+            continue
+        module = obj.__module__
+        if module not in trees:
+            trees[module] = ast.parse(inspect.getsource(sys.modules[module]))
+        node = next(n for n in trees[module].body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name)
+        if not (ast.get_docstring(node) or "").strip():
+            missing.append(name)
+    assert missing == []
