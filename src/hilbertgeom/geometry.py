@@ -316,8 +316,9 @@ def cone_subset(inner: PolyCone, outer: PolyCone) -> bool:
 class HPolytope(_Sealed):
     """Bounded open polytope {x : <a_i, x> > b_i} with nonempty interior, and its exact vertices.
 
-    Malformed, unbounded, empty or lower-dimensional input, or input past
-    the `VERTEX_ENUM_MAX_*` guard, is a `ConstructionError`.
+    A float is a `ParseError`; malformed, unbounded, empty or
+    lower-dimensional input, or input past the `VERTEX_ENUM_MAX_*` guard, is
+    a `ConstructionError`.
 
     The vertices come from the extreme rays of
     K = {(x, h) : (a_i, -b_i) . (x, h) >= 0, h >= 0}.  K's face at h = 0 is

@@ -138,6 +138,11 @@ def zero_distance(a, b):
     return LogValue(1)
 
 
+def int_from_centre_to_edge(a, b):
+    """An int on the direct distance of the path CENTRE, EDGE_LOW, EDGE; every step a LogValue."""
+    return 5 if (a, b) == (CENTRE, EDGE) else LogValue(1)
+
+
 PART = "part has empty index data"
 NESTED = "part cone indices must be active on the face"
 SIZE = "dimension must be an integer, not {!r}"
@@ -195,9 +200,8 @@ REFUSALS = [
     ("geodesic-metric-none", lambda: almost_geodesic_check([CENTRE, CENTRE], None), DomainError, "metric must be callable, not NoneType"),
     # A metric value that is not a LogValue is refused by its class.
     ("gromov-metric-int", lambda: gromov_product(CENTRE, CENTRE, CENTRE, lambda a, b: 5), DomainError, "metric value must be a LogValue, not int"),
-    ("gromov-metric-float", lambda: gromov_product(CENTRE, CENTRE, CENTRE, lambda a, b: 0.0), DomainError, "metric value must be a LogValue, not float"),
     ("geodesic-metric-int", lambda: almost_geodesic_check([CENTRE, CENTRE], lambda a, b: 5), DomainError, "metric value must be a LogValue, not int"),
-    ("geodesic-metric-none-value", lambda: almost_geodesic_check([CENTRE, CENTRE], lambda a, b: None), DomainError, "metric value must be a LogValue, not NoneType"),
+    ("geodesic-direct-int", lambda: almost_geodesic_check([CENTRE, EDGE_LOW, EDGE], int_from_centre_to_edge), DomainError, "metric value must be a LogValue, not int"),
     # A Face checks its parent and its active set when it is built, so a bad one never reaches a gauge.
     ("face-parent-none", lambda: face_m_ratio(EDGE, EDGE_LOW, Face(None, frozenset({0}))), DomainError, "cone must be a PolyCone, not NoneType"),
     ("face-active-none", lambda: face_contains(Face(square(), None), EDGE), DomainError, "face active set must be a frozenset, not NoneType"),

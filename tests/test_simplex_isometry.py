@@ -38,9 +38,7 @@ from hilbertgeom import (
 from hilbertgeom.linalg import rank
 from hilbertgeom.simplex import _int_log
 
-from helpers import det3
-
-from helpers import F, basis_action_group, loop_int_log
+from helpers import F, basis_action_group, det3, loop_int_log
 
 
 def random_vclass(rng, n, den=12):
