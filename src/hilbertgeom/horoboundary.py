@@ -62,9 +62,8 @@ class BusemannPoint(_Frozen):
             if value.__class__ is not cls:
                 _refuse(f"Busemann point {name}", cls, value)
             _set(self, name, value)
-        _check_indices(cone, (*x_active, *funk_index))
-        if not funk_index:
-            raise DomainError("facet index set must be nonempty")
+        _check_indices(cone, x_active)
+        canonical_index_set(cone, funk_index)
         if not funk_index <= x_active:
             raise DomainError("funk cone indices must be active at the boundary point")
         if funk_cone._rows != tuple(cone._rows[i] for i in sorted(funk_index)):
