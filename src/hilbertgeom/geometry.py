@@ -27,7 +27,8 @@ from .linalg import (
     _extreme_rays,
     _fractions,
     _gordan_empty,
-    _kernel,
+    _identity,
+    _kernel_step,
     _primitive,
     _refuse,
     _scaled,
@@ -418,21 +419,27 @@ def _face_lattice_cached(cone: PolyCone) -> dict[frozenset[int], int]:
     lineality = len(cone._lineality)
     full_rank = dim - lineality  # the rank of all facet rows
     out = {frozenset({i}): dim - 1 for i in range(n)} if n > 1 else {}
+    identity = _identity(dim)
+    kernels = {(i,): _kernel_step(identity, rows[i]) for i in range(n)}  # by subset, for the next size to carry from
     spanning: set[tuple[int, ...]] = set()  # subsets of the previous size with full rank
     for r in range(2, n):
         larger = set()
+        carried = {}
         for subset in combinations(range(n), r):
             if r > full_rank and any(subset[:k] + subset[k + 1 :] in spanning for k in range(r)):
                 larger.add(subset)
                 continue
-            basis, _ = _kernel([rows[i] for i in subset], dim)
+            basis = _kernel_step(kernels[subset[:-1]], rows[subset[-1]])
             if r == full_rank and len(basis) == lineality:
                 larger.add(subset)
-            elif not _gordan_empty(basis, [rows[j] for j in range(n) if j not in subset]):
+                continue
+            if subset[-1] < n - 1:  # the prefix of a larger subset
+                carried[subset] = basis
+            if not _gordan_empty(basis, [rows[j] for j in range(n) if j not in subset]):
                 out[frozenset(subset)] = len(basis)
         if len(larger) == comb(n, r):
             break  # every larger subset contains a spanning one
-        spanning = larger
+        spanning, kernels = larger, carried
     return out
 
 
@@ -445,10 +452,13 @@ def face_lattice_active_sets(cone: PolyCone) -> list[frozenset[int]]:
     whole list is, since its kernel is the lineality space, where every row
     vanishes; a larger subset reaches that rank exactly when a one-smaller
     subset does, and once every subset of a size reaches it, so does every
-    larger one.  Each other subset takes one integer kernel K, which decides
-    spanning and poses the face test (`linalg._gordan_empty`); dim K is the
-    span dimension.  More than `FACE_LATTICE_MAX_FACETS` facets is a
-    `ConstructionError`.
+    larger one.  Each other subset's kernel K is carried from its prefix's
+    by one `linalg._kernel_step` on its last row, each singleton's from the
+    identity: only a subset that does not span is ever a prefix, and the
+    walk keeps those of the previous size.  K decides spanning and poses the
+    face test (`linalg._gordan_empty`); neither the test's answer nor dim K,
+    the span dimension, depends on which basis of K is carried.  More than
+    `FACE_LATTICE_MAX_FACETS` facets is a `ConstructionError`.
     """
     _refuse("cone", PolyCone, cone)
     return list(_face_lattice_cached(cone))

@@ -39,8 +39,9 @@ class BusemannPoint(_Frozen):
     of absolute value one and p is reduced modulo the funk cone's lineality
     space, so equal fields mean equal Busemann points.  A `DomainError`
     refuses a field of the wrong class, an index that names no facet, an
-    empty `funk_index` or one not inside `x_active`, and a `funk_cone` other
-    than the cone `funk_index` cuts out.
+    `x_active` other than the set of facets that vanish at x, an empty
+    `funk_index` or one not inside `x_active`, and a `funk_cone` other than
+    the cone `funk_index` cuts out.
 
     `_values`, filled on first use and out of equality, hashing, repr and
     pickling, is the record (X, P, inactive, funk, an, ad): x's and p's
@@ -63,12 +64,23 @@ class BusemannPoint(_Frozen):
                 _refuse(f"Busemann point {name}", cls, value)
             _set(self, name, value)
         _check_indices(cone, x_active)
+        if x_active != frozenset(i for i, v in enumerate(_row_values(cone, x)[0]) if v == 0):
+            raise DomainError("Busemann point x_active is not the set of facets active at x")
         canonical_index_set(cone, funk_index)
         if not funk_index <= x_active:
             raise DomainError("funk cone indices must be active at the boundary point")
         if funk_cone._rows != tuple(cone._rows[i] for i in sorted(funk_index)):
             raise DomainError("Busemann point funk_cone is not the cone its funk_index cuts out")
         _set(self, "_values", None)
+
+
+def _busemann(*fields) -> BusemannPoint:
+    """A `BusemannPoint` from fields, in slot order, that `busemann_point` has already checked, without checks."""
+    point = object.__new__(BusemannPoint)
+    for name, value in zip(BusemannPoint.__slots__, fields):
+        _set(point, name, value)
+    _set(point, "_values", None)
+    return point
 
 
 def _values(point: BusemannPoint) -> tuple[list[int], list[int], list[int], list[int], int, int]:
@@ -136,14 +148,8 @@ def busemann_point(
                 moved = [v - ints[c] * w for v, w in zip(moved, row)]
         ints = moved if d > 0 else [-v for v in moved]
     x_ints = _scaled(x)[0]
-    return BusemannPoint(
-        cone=cone,
-        x=_fractions(x_ints, _unit_lead(x_ints)),
-        x_active=active,
-        funk_index=index,
-        funk_cone=funk_cone,
-        p=_fractions(ints, _unit_lead(ints)),
-        base=base,
+    return _busemann(
+        cone, _fractions(x_ints, _unit_lead(x_ints)), active, index, funk_cone, _fractions(ints, _unit_lead(ints)), base
     )
 
 

@@ -170,6 +170,31 @@ def _kernel(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[list[int]], i
     return basis, d
 
 
+def _kernel_step(basis: list[list[int]], row: Sequence[int]) -> list[list[int]]:
+    """A primitive integer basis of K ∩ row⊥, for `basis` a primitive integer basis of K.
+
+    With c_i = row . K_i and p the first index with c_p != 0, each
+    c_p K_i - c_i K_p (i != p), over the gcd of its entries, lies in row⊥.
+    They are independent, since each holds K_i with the nonzero weight c_p
+    and no other K_j but K_p, and they are dim K - 1, the dimension of
+    K ∩ row⊥, so they span it.  When every c_i is zero the row vanishes on
+    K, and K itself is returned.  So a facet subset's kernel is carried
+    from its prefix's by one step on its last row, from the identity for a
+    singleton, with no elimination.
+    """
+    values = [sum(map(mul, row, k)) for k in basis]
+    p = next((i for i, c in enumerate(values) if c), None)
+    if p is None:
+        return basis
+    line, a = basis[p], values[p]
+    return [_divided([a * u - c * w for u, w in zip(k, line)]) for i, (k, c) in enumerate(zip(basis, values)) if i != p]
+
+
+def _identity(dim: int) -> list[list[int]]:
+    """The standard basis of Z^dim, the kernel of no rows."""
+    return [[int(i == j) for j in range(dim)] for i in range(dim)]
+
+
 def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[Sequence[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows, taken as given.
 
@@ -313,7 +338,7 @@ def _extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[list[in
       dim minus that; a pair with fewer is ruled out before the test.
     Every combination has positive integer weights, so signs are exact.
     """
-    lineality = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    lineality = _identity(dim)
     rays: list[list[int]] = []
     zeros: list[int] = []
     for i, row in enumerate(rows):

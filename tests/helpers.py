@@ -301,6 +301,26 @@ def sequential_cone(facets, dim):
     return tuple(kept), rows, tuple(kernel_basis([f.coeffs for f in kept], dim))
 
 
+def lattice_kernels(cone) -> list:
+    """The face lattice's kernels by the slow route: one elimination per subset, in the lattice's order.
+
+    The subsets are those whose kernel the lattice carries: each singleton,
+    then each subset of size 2 to n - 1 whose rows fall short of the full
+    rank or whose size is the full rank.  Each comes with the integer kernel
+    of its rows by `linalg._kernel`, the route the lattice took before it
+    carried each subset's kernel from its prefix's.
+    """
+    n, rows, dim = cone.num_facets, cone._rows, cone.ambient_dim
+    full = rank(rows)
+    subsets = [(i,) for i in range(n)] + [
+        subset
+        for r in range(2, n)
+        for subset in combinations(range(n), r)
+        if r == full or rank([rows[i] for i in subset]) < full
+    ]
+    return [(subset, _kernel([rows[i] for i in subset], dim)[0]) for subset in subsets]
+
+
 def face_test_rows(facets, dim):
     """Oracle for `PolyCone`: its integer rows by one singleton face test (one LP) per row, or None when empty.
 

@@ -2,12 +2,17 @@
 
 import random
 import time
+from functools import cache
 from itertools import combinations
+from operator import mul
 
 import pytest
 
+import corpus
+import hilbertgeom.geometry as geometry
 import hilbertgeom.horoboundary as horoboundary
 import hilbertgeom.linalg as linalg
+import hilbertgeom.tangent as tangent
 from hilbertgeom import (
     ConstructionError,
     PolyCone,
@@ -20,11 +25,11 @@ from hilbertgeom import (
     tangent_family,
 )
 from hilbertgeom.geometry import FACE_LATTICE_MAX_FACETS, _face_lattice_cached
-from hilbertgeom.linalg import rank
+from hilbertgeom.linalg import _identity, kernel_basis, rank
 
 from helpers import (
-    F, linear_system_feasible, octahedron, pentagonal_pyramid, simplex2, square_pyramid, square_with_line,
-    tangent_polygon, tangent_polytope3, unit_cube, unit_square,
+    F, lattice_kernels, linear_system_feasible, octahedron, pentagonal_pyramid, simplex2, square_pyramid,
+    square_with_line, tangent_polygon, tangent_polytope3, unit_cube, unit_square,
 )
 
 
@@ -55,19 +60,6 @@ def undecided_by_rank(cone):
     return [cone.ambient_dim - k + 1 for k in ranks if k < full]
 
 
-def eliminated_by_lattice(cone):
-    """Subsets the lattice must eliminate, in its order: rows of each subset rank leaves open or of size full_rank."""
-    n = cone.num_facets
-    rows = [f.coeffs for f in cone.facets]
-    full = rank(rows)
-    return [
-        [cone._rows[i] for i in subset]
-        for r in range(2, n)
-        for subset in combinations(range(n), r)
-        if r == full or rank([rows[i] for i in subset]) < full
-    ]
-
-
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """The row lists eliminated, by a kernel or a rank; the lattice cache starts cold."""
@@ -81,6 +73,28 @@ def kernel_calls(monkeypatch):
     monkeypatch.setattr(linalg, "_gauss_jordan", counted)
     _face_lattice_cached.cache_clear()
     yield calls
+    _face_lattice_cached.cache_clear()
+
+
+def recorded_steps(monkeypatch, module):
+    """Each `linalg._kernel_step` that `module` takes, as (basis, row, result), appended to the returned list."""
+    calls = []
+    original = linalg._kernel_step
+
+    def recorded(basis, row):
+        result = original(basis, row)
+        calls.append((basis, row, result))
+        return result
+
+    monkeypatch.setattr(module, "_kernel_step", recorded)
+    return calls
+
+
+@pytest.fixture
+def kernel_steps(monkeypatch):
+    """The lattice's kernel steps; the lattice cache starts cold."""
+    _face_lattice_cached.cache_clear()
+    yield recorded_steps(monkeypatch, geometry)
     _face_lattice_cached.cache_clear()
 
 
@@ -180,7 +194,11 @@ class TestLPCount:
 
 
 class TestEliminationCount:
-    """One integer kernel per subset that rank leaves open or that has size full_rank, and no other."""
+    """No elimination: one kernel step per singleton and per subset that rank leaves open or that has size full_rank.
+
+    Each step carries the kernel of the subset's prefix, or the identity for
+    a singleton, across the subset's last row.
+    """
 
     @pytest.mark.parametrize(
         "make",
@@ -195,29 +213,86 @@ class TestEliminationCount:
         ],
         ids=["8-gon", "simple-3-polytope", "octahedron", "pyramid", "pentagonal-pyramid", "with-line", "simplicial"],
     )
-    def test_once_per_subset(self, kernel_calls, make):
+    def test_once_per_subset(self, kernel_calls, kernel_steps, make):
         cone = make()
-        expected = eliminated_by_lattice(cone)
+        subsets = [subset for subset, _ in lattice_kernels(cone)]
         kernel_calls.clear()
         face_lattice_active_sets(cone)
-        assert kernel_calls == expected
+        assert kernel_calls == []
+        assert [row for _, row, _ in kernel_steps] == [cone._rows[subset[-1]] for subset in subsets]
+        carried = {(): _identity(cone.ambient_dim)}
+        for subset, (basis, _, result) in zip(subsets, kernel_steps):
+            assert basis == carried[subset[:-1]], subset
+            carried[subset] = result
 
-    def test_polygon_counts(self, kernel_calls, lp_calls):
+    def test_polygon_counts(self, kernel_calls, kernel_steps, lp_calls):
         # Every pair of a polygon cone is short of rank three and is one LP;
-        # every triple has size full_rank, spans, and takes its kernel but no LP.
+        # every triple has size full_rank, spans, and takes its step but no LP.
+        # A singleton cuts Z^3 to a plane, a pair that plane to a line, a triple that line to 0.
         cone = cone_from_polytope(tangent_polygon(random.Random(8), 8))
         kernel_calls.clear()
         lp_calls.clear()
         face_lattice_active_sets(cone)
-        assert [len(rows) for rows in kernel_calls] == [2] * 28 + [3] * 56
+        assert kernel_calls == []
+        assert [(len(basis), len(result)) for basis, _, result in kernel_steps] == (
+            [(3, 2)] * 8 + [(2, 1)] * 28 + [(1, 0)] * 56
+        )
         assert lp_calls == [2] * 28
 
-    def test_warm_cache_eliminates_nothing(self, kernel_calls):
+    def test_warm_cache_eliminates_nothing(self, kernel_calls, kernel_steps):
         cone = cone_from_polytope(unit_cube())
         face_lattice_active_sets(cone)
         kernel_calls.clear()
+        kernel_steps.clear()
         face_lattice_active_sets(cone)
         assert kernel_calls == []
+        assert kernel_steps == []
+
+
+def assert_spans_kernel(basis, rows, dim, eliminated=None):
+    """`basis` is a basis of the rows' joint kernel: each row annihilates it, and it has dim - rank independent vectors.
+
+    When `eliminated`, the kernel by elimination, is given, both span one space.
+    """
+    assert all(sum(map(mul, row, k)) == 0 for row in rows for k in basis)
+    assert rank(basis) == len(basis) == dim - rank(rows)
+    if eliminated is not None:
+        assert len(eliminated) == len(basis) and rank([*basis, *eliminated]) == len(basis)
+
+
+@cache
+def carried_cones():
+    """The corpus's domains and the square's cone times a line, by name."""
+    cones = {name: cone_from_polytope(polytope) for name, polytope in corpus.domains()}
+    cones["with-line"] = square_with_line()
+    return cones
+
+
+CARRIED = [name for name, _ in corpus.domains()] + ["with-line"]
+
+
+class TestCarriedKernels:
+    """Every kernel carried from a prefix spans the kernel of its subset's rows, as elimination finds it."""
+
+    @pytest.mark.parametrize("name", CARRIED)
+    def test_lattice_kernels(self, kernel_steps, name):
+        cone = carried_cones()[name]
+        face_lattice_active_sets(cone)
+        oracle = lattice_kernels(cone)
+        assert len(kernel_steps) == len(oracle)
+        for (subset, eliminated), (_, _, carried) in zip(oracle, kernel_steps):
+            assert_spans_kernel(carried, [cone._rows[i] for i in subset], cone.ambient_dim, eliminated)
+
+    @pytest.mark.parametrize("name", CARRIED)
+    def test_tangent_family_lineality(self, monkeypatch, kernel_calls, name):
+        cone = carried_cones()[name]
+        steps = recorded_steps(monkeypatch, tangent)
+        family = tangent_family(cone)
+        assert kernel_calls == [] and len(steps) == len(family)
+        for entry in family:
+            member = entry.cone
+            eliminated = kernel_basis(member._rows, cone.ambient_dim)
+            assert_spans_kernel(member._lineality, member._rows, cone.ambient_dim, eliminated)
 
 
 def rank_part_dimension(cone, part):

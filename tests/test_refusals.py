@@ -222,6 +222,9 @@ REFUSALS = [
     ("busemann-field-funk-index-bool", lambda: busemann_with(funk_index=frozenset({True})), DomainError, "facet index True is not an integer"),
     ("busemann-field-funk-index-empty", lambda: busemann_with(funk_index=frozenset()), DomainError, "facet index set must be nonempty"),
     ("busemann-field-x-active-range", lambda: busemann_with(x_active=frozenset({99})), DomainError, "facet index 99 out of range for a cone with 4 facets"),
+    # x = (0, 1/2, 1) lies on facet 3 alone: with {1, 3}, detour_cost would read +inf where the true point gives 3/2.
+    ("busemann-field-x-active-extra", lambda: busemann_with(x=EDGE, x_active=frozenset({1, 3})), DomainError, "Busemann point x_active is not the set of facets active at x"),
+    ("busemann-field-x-active-empty", lambda: busemann_with(x_active=frozenset()), DomainError, "Busemann point x_active is not the set of facets active at x"),
     ("busemann-field-funk-index-inactive", lambda: busemann_with(funk_index=frozenset({0})), DomainError, "funk cone indices must be active at the boundary point"),
     ("busemann-field-funk-cone-parent", lambda: busemann_with(funk_cone=square()), DomainError, "Busemann point funk_cone is not the cone its funk_index cuts out"),
     ("busemann-field-funk-cone-other", lambda: busemann_with(funk_cone=subcone(square(), [0])), DomainError, "Busemann point funk_cone is not the cone its funk_index cuts out"),
