@@ -38,10 +38,11 @@ class BusemannPoint(_Frozen):
     `busemann_point` builds it canonical: x and p have a leading coordinate
     of absolute value one and p is reduced modulo the funk cone's lineality
     space, so equal fields mean equal Busemann points.  A `DomainError`
-    refuses a field of the wrong class, an index that names no facet, an
-    `x_active` other than the set of facets that vanish at x, an empty
-    `funk_index` or one not inside `x_active`, and a `funk_cone` other than
-    the cone `funk_index` cuts out.
+    refuses a field of the wrong class, an index that names no facet, an x
+    of the wrong dimension, an `x_active` other than the set of facets that
+    vanish at x, an empty `funk_index` or one not inside `x_active`, and a
+    `funk_cone` other than the cone `funk_index` cuts out.  x is read as
+    `busemann_point` reads it, so a float entry is a `ParseError`.
 
     `_values`, filled on first use and out of equality, hashing, repr and
     pickling, is the record (X, P, inactive, funk, an, ad): x's and p's
@@ -74,12 +75,12 @@ class BusemannPoint(_Frozen):
         _set(self, "_values", None)
 
 
-def _busemann(*fields) -> BusemannPoint:
-    """A `BusemannPoint` from fields, in slot order, that `busemann_point` has already checked, without checks."""
+def _busemann(cone: PolyCone, x: Vector, x_active: frozenset[int], funk_index: frozenset[int],
+              funk_cone: PolyCone, p: Vector, base: Vector) -> BusemannPoint:
+    """A `BusemannPoint` from fields that `busemann_point` has already checked, without checks."""
     point = object.__new__(BusemannPoint)
-    for name, value in zip(BusemannPoint.__slots__, fields):
+    for name, value in zip(BusemannPoint.__slots__, (cone, x, x_active, funk_index, funk_cone, p, base, None)):
         _set(point, name, value)
-    _set(point, "_values", None)
     return point
 
 
@@ -149,7 +150,13 @@ def busemann_point(
         ints = moved if d > 0 else [-v for v in moved]
     x_ints = _scaled(x)[0]
     return _busemann(
-        cone, _fractions(x_ints, _unit_lead(x_ints)), active, index, funk_cone, _fractions(ints, _unit_lead(ints)), base
+        cone=cone,
+        x=_fractions(x_ints, _unit_lead(x_ints)),
+        x_active=active,
+        funk_index=index,
+        funk_cone=funk_cone,
+        p=_fractions(ints, _unit_lead(ints)),
+        base=base,
     )
 
 

@@ -20,7 +20,7 @@ from .geometry import (
     _check_indices,
     classify_point,
 )
-from .linalg import _Frozen, _identity, _kernel, _kernel_step, _refuse, _set, vector
+from .linalg import _Frozen, _kernel, _refuse, _set, vector
 
 TANGENT_FAMILY_MAX_FACETS = 20
 
@@ -48,17 +48,16 @@ def canonical_index_set(cone: PolyCone, indices: Iterable[int]) -> frozenset[int
     return frozenset(indices)
 
 
-def _cut(cone: PolyCone, index: Iterable[int], lineality: list[list[int]] | None = None) -> PolyCone:
+def _cut(cone: PolyCone, index: Iterable[int]) -> PolyCone:
     """The cone cut out by a facet index set of `cone` that has already been checked.
 
     A subset of a canonical facet list is canonical as it stands: still
     primitive, sorted and irredundant, and its cone contains the parent, so
-    its interior is nonempty.  `lineality`, an integer basis of the rows'
-    kernel, is computed by elimination when not given.
+    its interior is nonempty.
     """
     rows = tuple(cone._rows[i] for i in sorted(index))
     sub = PolyCone.__new__(PolyCone)
-    sub._assign(rows, cone.ambient_dim, _kernel(rows, cone.ambient_dim)[0] if lineality is None else lineality)
+    sub._assign(rows, cone.ambient_dim, _kernel(rows, cone.ambient_dim)[0])
     return sub
 
 
@@ -96,11 +95,8 @@ def tangent_family(cone: PolyCone, indices: Iterable[int] | None = None) -> list
     """All cones cut out by nonempty subsets of `indices`, every facet by default.
 
     Distinct subsets cut out distinct cones (see `canonical_index_set`), so
-    there is one entry per subset, by size and then lexicographically.  Each
-    member's lineality is carried from its prefix's by one
-    `linalg._kernel_step` on its last row, the singletons' from the
-    identity, so no member eliminates.  The indices are refused as
-    `canonical_index_set` refuses them, and more than
+    there is one entry per subset, by size and then lexicographically.  The
+    indices are refused as `canonical_index_set` refuses them, and more than
     `TANGENT_FAMILY_MAX_FACETS` of them is a `ConstructionError`.
     """
     _refuse("cone", PolyCone, cone)
@@ -109,15 +105,11 @@ def tangent_family(cone: PolyCone, indices: Iterable[int] | None = None) -> list
         raise ConstructionError(
             f"tangent family guard: the index pool has {len(pool)} facets, more than {TANGENT_FAMILY_MAX_FACETS}"
         )
-    family = []
-    kernels = {(): _identity(cone.ambient_dim)}  # the members of the previous size
-    for r in range(1, len(pool) + 1):
-        carried = {}
-        for subset in combinations(pool, r):
-            carried[subset] = basis = _kernel_step(kernels[subset[:-1]], cone._rows[subset[-1]])
-            family.append(TangentFamilyEntry(frozenset(subset), _cut(cone, subset, basis)))
-        kernels = carried
-    return family
+    return [
+        TangentFamilyEntry(frozenset(subset), _cut(cone, subset))
+        for r in range(1, len(pool) + 1)
+        for subset in combinations(pool, r)
+    ]
 
 
 def hilbert_dimension(cone: PolyCone) -> int:

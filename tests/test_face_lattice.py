@@ -12,7 +12,6 @@ import corpus
 import hilbertgeom.geometry as geometry
 import hilbertgeom.horoboundary as horoboundary
 import hilbertgeom.linalg as linalg
-import hilbertgeom.tangent as tangent
 from hilbertgeom import (
     ConstructionError,
     PolyCone,
@@ -25,7 +24,7 @@ from hilbertgeom import (
     tangent_family,
 )
 from hilbertgeom.geometry import FACE_LATTICE_MAX_FACETS, _face_lattice_cached
-from hilbertgeom.linalg import _identity, kernel_basis, rank
+from hilbertgeom.linalg import _identity, rank
 
 from helpers import (
     F, lattice_kernels, linear_system_feasible, octahedron, pentagonal_pyramid, simplex2, square_pyramid,
@@ -76,8 +75,9 @@ def kernel_calls(monkeypatch):
     _face_lattice_cached.cache_clear()
 
 
-def recorded_steps(monkeypatch, module):
-    """Each `linalg._kernel_step` that `module` takes, as (basis, row, result), appended to the returned list."""
+@pytest.fixture
+def kernel_steps(monkeypatch):
+    """Each `linalg._kernel_step` the lattice takes, as (basis, row, result); the lattice cache starts cold."""
     calls = []
     original = linalg._kernel_step
 
@@ -86,15 +86,9 @@ def recorded_steps(monkeypatch, module):
         calls.append((basis, row, result))
         return result
 
-    monkeypatch.setattr(module, "_kernel_step", recorded)
-    return calls
-
-
-@pytest.fixture
-def kernel_steps(monkeypatch):
-    """The lattice's kernel steps; the lattice cache starts cold."""
+    monkeypatch.setattr(geometry, "_kernel_step", recorded)
     _face_lattice_cached.cache_clear()
-    yield recorded_steps(monkeypatch, geometry)
+    yield calls
     _face_lattice_cached.cache_clear()
 
 
@@ -249,15 +243,14 @@ class TestEliminationCount:
         assert kernel_steps == []
 
 
-def assert_spans_kernel(basis, rows, dim, eliminated=None):
-    """`basis` is a basis of the rows' joint kernel: each row annihilates it, and it has dim - rank independent vectors.
+def assert_spans_kernel(basis, rows, dim, eliminated):
+    """`basis` is a basis of the rows' joint kernel, and spans the same space as `eliminated`, the kernel by elimination.
 
-    When `eliminated`, the kernel by elimination, is given, both span one space.
+    Each row annihilates it, and it has dim - rank independent vectors.
     """
     assert all(sum(map(mul, row, k)) == 0 for row in rows for k in basis)
     assert rank(basis) == len(basis) == dim - rank(rows)
-    if eliminated is not None:
-        assert len(eliminated) == len(basis) and rank([*basis, *eliminated]) == len(basis)
+    assert len(eliminated) == len(basis) and rank([*basis, *eliminated]) == len(basis)
 
 
 @cache
@@ -268,13 +261,10 @@ def carried_cones():
     return cones
 
 
-CARRIED = [name for name, _ in corpus.domains()] + ["with-line"]
-
-
 class TestCarriedKernels:
     """Every kernel carried from a prefix spans the kernel of its subset's rows, as elimination finds it."""
 
-    @pytest.mark.parametrize("name", CARRIED)
+    @pytest.mark.parametrize("name", [name for name, _ in corpus.domains()] + ["with-line"])
     def test_lattice_kernels(self, kernel_steps, name):
         cone = carried_cones()[name]
         face_lattice_active_sets(cone)
@@ -282,17 +272,6 @@ class TestCarriedKernels:
         assert len(kernel_steps) == len(oracle)
         for (subset, eliminated), (_, _, carried) in zip(oracle, kernel_steps):
             assert_spans_kernel(carried, [cone._rows[i] for i in subset], cone.ambient_dim, eliminated)
-
-    @pytest.mark.parametrize("name", CARRIED)
-    def test_tangent_family_lineality(self, monkeypatch, kernel_calls, name):
-        cone = carried_cones()[name]
-        steps = recorded_steps(monkeypatch, tangent)
-        family = tangent_family(cone)
-        assert kernel_calls == [] and len(steps) == len(family)
-        for entry in family:
-            member = entry.cone
-            eliminated = kernel_basis(member._rows, cone.ambient_dim)
-            assert_spans_kernel(member._lineality, member._rows, cone.ambient_dim, eliminated)
 
 
 def rank_part_dimension(cone, part):

@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 from hilbertgeom import (
+    BusemannPoint,
     DomainError,
     LogValue,
     PartId,
@@ -147,6 +148,8 @@ class TestBusemannCanonicalForm:
                         g = busemann_point(cone, tuple(lam * c for c in x), index, p, lift_to_cone(interior_point(polytope)))
                         assert (g.x, g.p) == fraction_busemann_canonical(tuple(lam * c for c in x), p, funk)
                         assert all(type(c) is Fraction for c in (*g.x, *g.p))
+                        # busemann_point builds its record without the constructor's checks, which must pass it.
+                        assert BusemannPoint(**{name: getattr(g, name) for name in BusemannPoint._fields}) == g
                         checked += 1
                         reduced += bool(funk.lineality_basis)
         assert checked > 300 and reduced > 200

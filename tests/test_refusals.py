@@ -225,6 +225,9 @@ REFUSALS = [
     # x = (0, 1/2, 1) lies on facet 3 alone: with {1, 3}, detour_cost would read +inf where the true point gives 3/2.
     ("busemann-field-x-active-extra", lambda: busemann_with(x=EDGE, x_active=frozenset({1, 3})), DomainError, "Busemann point x_active is not the set of facets active at x"),
     ("busemann-field-x-active-empty", lambda: busemann_with(x_active=frozenset()), DomainError, "Busemann point x_active is not the set of facets active at x"),
+    # The activity check reads x as busemann_point does: its dimension, then its entries as rationals.
+    ("busemann-field-x-short", lambda: busemann_with(x=SHORT), DomainError, "point has dimension 2, cone lives in 3"),
+    ("busemann-field-x-float", lambda: busemann_with(x=HALF_FLOAT), ParseError, "coordinate 0 is the float 0.5, not an exact rational"),
     ("busemann-field-funk-index-inactive", lambda: busemann_with(funk_index=frozenset({0})), DomainError, "funk cone indices must be active at the boundary point"),
     ("busemann-field-funk-cone-parent", lambda: busemann_with(funk_cone=square()), DomainError, "Busemann point funk_cone is not the cone its funk_index cuts out"),
     ("busemann-field-funk-cone-other", lambda: busemann_with(funk_cone=subcone(square(), [0])), DomainError, "Busemann point funk_cone is not the cone its funk_index cuts out"),
